@@ -1,5 +1,6 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/serialize.h"
@@ -38,112 +39,113 @@ void AppendValue(const T& value, std::vector<uint8_t>* out) {
   AppendRaw(&value, sizeof(T), out);
 }
 
-}  // namespace
+/// Reserves room for `extra` more bytes, at least doubling the capacity when
+/// it grows. An exact reserve would defeat the vector's geometric growth, so
+/// every frame appended to a shared buffer (a connection's write queue, a
+/// subscriber's alert batch) would copy the whole buffer again.
+void ReserveMore(size_t extra, std::vector<uint8_t>* out) {
+  const size_t need = out->size() + extra;
+  if (need > out->capacity()) {
+    out->reserve(std::max(need, 2 * out->capacity()));
+  }
+}
 
-void AppendFrameTo(FrameType type, std::span<const uint8_t> payload,
-                   std::vector<uint8_t>* out) {
+/// Appends the length prefix and frame header of a frame whose payload is
+/// `payload_bytes` long; the caller appends exactly that many bytes next.
+void AppendFrameHeader(FrameType type, size_t payload_bytes,
+                       std::vector<uint8_t>* out) {
   const uint32_t length =
-      static_cast<uint32_t>(kFrameHeaderBytes + payload.size());
-  out->reserve(out->size() + 4 + length);
+      static_cast<uint32_t>(kFrameHeaderBytes + payload_bytes);
+  ReserveMore(4 + static_cast<size_t>(length), out);
   AppendValue(length, out);
   AppendValue(kProtocolVersion, out);
   AppendValue(static_cast<uint8_t>(type), out);
   AppendValue(static_cast<uint16_t>(0), out);  // reserved
+}
+
+}  // namespace
+
+void AppendFrameTo(FrameType type, std::span<const uint8_t> payload,
+                   std::vector<uint8_t>* out) {
+  AppendFrameHeader(type, payload.size(), out);
   AppendRaw(payload.data(), payload.size(), out);
 }
 
 void EncodeIngestTo(uint64_t token, std::span<const Item> items,
                     std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.reserve(12 + items.size() * sizeof(Item));
-  AppendValue(token, &payload);
-  AppendValue(static_cast<uint32_t>(items.size()), &payload);
-  AppendRaw(items.data(), items.size() * sizeof(Item), &payload);
-  AppendFrameTo(FrameType::kIngest, payload, out);
+  AppendFrameHeader(FrameType::kIngest, 12 + items.size() * sizeof(Item),
+                    out);
+  AppendValue(token, out);
+  AppendValue(static_cast<uint32_t>(items.size()), out);
+  AppendRaw(items.data(), items.size() * sizeof(Item), out);
 }
 
 void EncodeIngestAckTo(uint64_t token, uint32_t count, uint64_t total_items,
                        std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.reserve(20);
-  AppendValue(token, &payload);
-  AppendValue(count, &payload);
-  AppendValue(total_items, &payload);
-  AppendFrameTo(FrameType::kIngestAck, payload, out);
+  AppendFrameHeader(FrameType::kIngestAck, 20, out);
+  AppendValue(token, out);
+  AppendValue(count, out);
+  AppendValue(total_items, out);
 }
 
 void EncodeQueryTo(uint64_t token, std::span<const uint64_t> keys,
                    std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.reserve(12 + keys.size() * 8);
-  AppendValue(token, &payload);
-  AppendValue(static_cast<uint32_t>(keys.size()), &payload);
-  AppendRaw(keys.data(), keys.size() * 8, &payload);
-  AppendFrameTo(FrameType::kQuery, payload, out);
+  AppendFrameHeader(FrameType::kQuery, 12 + keys.size() * 8, out);
+  AppendValue(token, out);
+  AppendValue(static_cast<uint32_t>(keys.size()), out);
+  AppendRaw(keys.data(), keys.size() * 8, out);
 }
 
 void EncodeQueryResultTo(uint64_t token,
                          std::span<const QueryAnswer> answers,
                          std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.reserve(12 + answers.size() * 9);
-  AppendValue(token, &payload);
-  AppendValue(static_cast<uint32_t>(answers.size()), &payload);
+  AppendFrameHeader(FrameType::kQueryResult, 12 + answers.size() * 9, out);
+  AppendValue(token, out);
+  AppendValue(static_cast<uint32_t>(answers.size()), out);
   for (const QueryAnswer& a : answers) {
-    AppendValue(a.qweight, &payload);   // answers are packed 9-byte records
-    AppendValue(a.is_candidate, &payload);
+    AppendValue(a.qweight, out);  // answers are packed 9-byte records
+    AppendValue(a.is_candidate, out);
   }
-  AppendFrameTo(FrameType::kQueryResult, payload, out);
 }
 
 void EncodeSubscribeTo(uint64_t token, bool enable,
                        std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.reserve(9);
-  AppendValue(token, &payload);
-  AppendValue(static_cast<uint8_t>(enable ? 1 : 0), &payload);
-  AppendFrameTo(FrameType::kSubscribe, payload, out);
+  AppendFrameHeader(FrameType::kSubscribe, 9, out);
+  AppendValue(token, out);
+  AppendValue(static_cast<uint8_t>(enable ? 1 : 0), out);
 }
 
 void EncodeControlTo(uint64_t token, ControlOp op,
                      std::span<const uint8_t> op_payload,
                      std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.reserve(9 + op_payload.size());
-  AppendValue(token, &payload);
-  AppendValue(static_cast<uint8_t>(op), &payload);
-  AppendRaw(op_payload.data(), op_payload.size(), &payload);
-  AppendFrameTo(FrameType::kControl, payload, out);
+  AppendFrameHeader(FrameType::kControl, 9 + op_payload.size(), out);
+  AppendValue(token, out);
+  AppendValue(static_cast<uint8_t>(op), out);
+  AppendRaw(op_payload.data(), op_payload.size(), out);
 }
 
 void EncodeControlResultTo(uint64_t token, ControlOp op, ControlStatus status,
                            std::span<const uint8_t> payload,
                            std::vector<uint8_t>* out) {
-  std::vector<uint8_t> body;
-  body.reserve(10 + payload.size());
-  AppendValue(token, &body);
-  AppendValue(static_cast<uint8_t>(op), &body);
-  AppendValue(static_cast<uint8_t>(status), &body);
-  AppendRaw(payload.data(), payload.size(), &body);
-  AppendFrameTo(FrameType::kControlResult, body, out);
+  AppendFrameHeader(FrameType::kControlResult, 10 + payload.size(), out);
+  AppendValue(token, out);
+  AppendValue(static_cast<uint8_t>(op), out);
+  AppendValue(static_cast<uint8_t>(status), out);
+  AppendRaw(payload.data(), payload.size(), out);
 }
 
 void EncodeAlertTo(const WireAlert& alert, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  payload.reserve(sizeof(WireAlert));
-  AppendValue(alert, &payload);
-  AppendFrameTo(FrameType::kAlert, payload, out);
+  AppendFrameHeader(FrameType::kAlert, sizeof(WireAlert), out);
+  AppendValue(alert, out);
 }
 
 void EncodeErrorTo(ErrorCode code, std::string_view message,
                    std::vector<uint8_t>* out) {
   if (message.size() > 1024) message = message.substr(0, 1024);
-  std::vector<uint8_t> payload;
-  payload.reserve(6 + message.size());
-  AppendValue(static_cast<uint32_t>(code), &payload);
-  AppendValue(static_cast<uint16_t>(message.size()), &payload);
-  AppendRaw(message.data(), message.size(), &payload);
-  AppendFrameTo(FrameType::kError, payload, out);
+  AppendFrameHeader(FrameType::kError, 6 + message.size(), out);
+  AppendValue(static_cast<uint32_t>(code), out);
+  AppendValue(static_cast<uint16_t>(message.size()), out);
+  AppendRaw(message.data(), message.size(), out);
 }
 
 // ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ struct NetMetrics {
   obs::Counter& slow_disconnects;
   obs::Counter& bytes_read;
   obs::Counter& bytes_written;
+  obs::Counter& write_calls;
   obs::Counter& ingest_items;
   obs::Counter& alerts_streamed;
   obs::Counter& protocol_errors;
@@ -73,6 +74,8 @@ struct NetMetrics {
           r.GetCounter("qf_net_bytes_read_total", "bytes read from sockets"),
           r.GetCounter("qf_net_bytes_written_total",
                        "bytes written to sockets"),
+          r.GetCounter("qf_net_write_calls_total",
+                       "send() calls on client sockets"),
           r.GetCounter("qf_net_ingest_items_total",
                        "items accepted from INGEST frames"),
           r.GetCounter("qf_net_alerts_streamed_total",
@@ -480,11 +483,15 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
   }
   uint64_t ack_bytes = 0;
 #endif
-  std::vector<DeferredAck> acks;
-  acks.swap(rx.deferred_acks);
-  for (DeferredAck& ack : acks) {
+  // Encode every released ack first, then flush each touched connection
+  // once. A connection already sent an ERROR gets no ack after it.
+  std::vector<int> touched;
+  for (const DeferredAck& ack : rx.deferred_acks) {
     auto it = rx.conns.find(ack.fd);
-    if (it == rx.conns.end() || it->second->gen != ack.gen) continue;
+    if (it == rx.conns.end() || it->second->gen != ack.gen ||
+        it->second->closing) {
+      continue;
+    }
     if (!synced) {
       // The durability promise behind these acks failed; closing the
       // connection (instead of acking anyway) tells the client its
@@ -492,18 +499,25 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
       CloseConn(rx, it->second.get(), /*slow=*/false);
       continue;
     }
-    QueueWrite(rx, it->second.get(), ack.bytes);
+    std::vector<uint8_t>& out = it->second->out;
+    [[maybe_unused]] const size_t queued = out.size();
+    EncodeIngestAckTo(ack.token, ack.count, ack.total_items, &out);
+    touched.push_back(ack.fd);
     QF_OBS({
+      ack_bytes += out.size() - queued;
       if (ack.append_ns != 0) {
         // Two views of the same deferral: sync latency ends when the data
         // is durable, ack latency when the ack bytes hit the write queue.
         DurableMetrics::Get().sync_latency_ns.Record(sync_t1 - ack.append_ns);
         obs::StageMetrics::Get().ack_ns.Record(MonotonicNanos() -
                                                ack.append_ns);
-        ack_bytes += ack.bytes.size();
       }
     });
   }
+  rx.deferred_acks.clear();
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const int fd : touched) FlushWrites(rx, rx.conns.at(fd).get());
   QF_OBS({
     obs::TraceRing& tr = obs::TraceRing::Global();
     if (tr.enabled() && obs::StageTraceSampleHit()) {
@@ -864,10 +878,21 @@ void QfServer::ReadReady(Reactor& rx, Conn* conn) {
         return;
       }
       HandleFrame(rx, conn, frame);
-      // HandleFrame may close the connection (bad payload, slow consumer).
+      // HandleFrame may close the connection (bad payload, failed sync,
+      // slow consumer).
       if (rx.conns.find(fd) == rx.conns.end()) return;
       if (conn->closing) return;  // post-shutdown: ignore pipelined frames
+      // Replies wait for the flush below, unless the queue is already past
+      // the cap: then the slow-consumer check runs now, so a chunk of small
+      // requests for large replies cannot grow the queue without bound.
+      if (conn->pending() > options_.max_write_queue_bytes &&
+          !FlushWrites(rx, conn)) {
+        return;
+      }
     }
+    // The flush point: every reply this chunk produced leaves in as few
+    // send() calls as the socket takes, not one send() per frame.
+    if (!FlushWrites(rx, conn)) return;
     if (static_cast<size_t>(n) < sizeof(buf)) break;  // drained the socket
   }
 }
@@ -888,11 +913,14 @@ void QfServer::HandleFrame(Reactor& rx, Conn* conn, const FrameView& frame) {
 #endif
   // Per-connection response order must match request order. Deferred ingest
   // acks (group commit) would otherwise be overtaken by the immediate reply
-  // to a QUERY/CONTROL that arrived in the same read, so sync-and-flush them
-  // before handling any non-ingest frame.
+  // to a QUERY/CONTROL that arrived in the same read, so sync-and-release
+  // them before handling any non-ingest frame.
   if (durable_enabled_ && frame.type != FrameType::kIngest &&
       !rx.deferred_acks.empty()) {
+    const int fd = conn->fd;
     FlushGroupCommit(rx);
+    // A failed sync or a slow-consumer flush may have closed this conn.
+    if (rx.conns.find(fd) == rx.conns.end()) return;
   }
   if (stopping_.load(std::memory_order_acquire)) {
     SendError(rx, conn, ErrorCode::kShuttingDown, "server is shutting down");
@@ -967,10 +995,8 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
               t_push - t0, count);
     }
   });
-  items_ingested_.fetch_add(count, std::memory_order_relaxed);
-  std::vector<uint8_t> reply;
-  EncodeIngestAckTo(token, count,
-                    items_ingested_.load(std::memory_order_relaxed), &reply);
+  const uint64_t total_items =
+      items_ingested_.fetch_add(count, std::memory_order_relaxed) + count;
   if (durable_enabled_) {
     // Log-before-ack: the batch (even an empty one — it consumes a seq, so
     // ack order stays aligned with log order) is appended to the WAL before
@@ -1003,9 +1029,9 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
     wal_records_appended_.fetch_add(1, std::memory_order_relaxed);
     QF_OBS(DurableMetrics::Get().records_appended.Add(1));
     if (options_.durable.fsync == durable::FsyncMode::kGroup) {
-      DeferredAck deferred{conn->fd, conn->gen, std::move(reply), 0};
+      DeferredAck deferred{conn->fd, conn->gen, token, count, total_items, 0};
       QF_OBS(deferred.append_ns = MonotonicNanos());
-      rx.deferred_acks.push_back(std::move(deferred));
+      rx.deferred_acks.push_back(deferred);
       QF_OBS({
         NetMetrics::Get().ingest_items.Add(count);
         NetMetrics::Get().ingest_frame_ns.Record(MonotonicNanos() - t0);
@@ -1013,7 +1039,7 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
       return;
     }
   }
-  QueueWrite(rx, conn, reply);
+  EncodeIngestAckTo(token, count, total_items, &conn->out);
   QF_OBS({
     NetMetrics::Get().ingest_items.Add(count);
     NetMetrics::Get().ingest_frame_ns.Record(MonotonicNanos() - t0);
@@ -1051,9 +1077,7 @@ void QfServer::HandleQuery(Reactor& rx, Conn* conn, const FrameView& frame) {
     answers.push_back(
         QueryAnswer{a.qweight, static_cast<uint8_t>(a.is_candidate ? 1 : 0)});
   }
-  std::vector<uint8_t> reply;
-  EncodeQueryResultTo(req.token, answers, &reply);
-  QueueWrite(rx, conn, reply);
+  EncodeQueryResultTo(req.token, answers, &conn->out);
   QF_OBS(NetMetrics::Get().query_frame_ns.Record(MonotonicNanos() - t0));
 }
 
@@ -1069,9 +1093,7 @@ void QfServer::HandleSubscribe(Reactor& rx, Conn* conn,
   }
   conn->subscribed = req.enable;
   // Echo as the acknowledgment; alerts start streaming after this frame.
-  std::vector<uint8_t> reply;
-  EncodeSubscribeTo(req.token, req.enable, &reply);
-  QueueWrite(rx, conn, reply);
+  EncodeSubscribeTo(req.token, req.enable, &conn->out);
 }
 
 void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
@@ -1083,20 +1105,20 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
     SendError(rx, conn, ErrorCode::kBadPayload, "malformed CONTROL payload");
     return;
   }
-  std::vector<uint8_t> reply;
+  std::vector<uint8_t>* const out = &conn->out;
   switch (req.op) {
     case ControlOp::kStats: {
       const WireStats stats = StatsSnapshot();
       std::vector<uint8_t> payload(sizeof(WireStats));
       memcpy(payload.data(), &stats, sizeof(WireStats));
       EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, payload,
-                            &reply);
+                            out);
       break;
     }
     case ControlOp::kDrain: {
       WithGlobalQuiesce(rx, [] {});
       EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, {},
-                            &reply);
+                            out);
       break;
     }
     case ControlOp::kCheckpoint: {
@@ -1114,10 +1136,10 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
         constexpr size_t kControlResultHeader = 10;
         if (blob.size() + kControlResultHeader > options_.max_frame_bytes) {
           EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                                {}, &reply);
+                                {}, out);
         } else {
           EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, blob,
-                                &reply);
+                                out);
         }
       });
       break;
@@ -1168,7 +1190,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
         }
         EncodeControlResultTo(
             req.token, req.op,
-            ok ? ControlStatus::kOk : ControlStatus::kRejected, {}, &reply);
+            ok ? ControlStatus::kOk : ControlStatus::kRejected, {}, out);
       });
       break;
     }
@@ -1183,10 +1205,10 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       constexpr size_t kControlResultHeader = 10;
       if (payload.size() + kControlResultHeader > options_.max_frame_bytes) {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                              {}, &reply);
+                              {}, out);
       } else {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, payload,
-                              &reply);
+                              out);
       }
       break;
     }
@@ -1195,7 +1217,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       // Coordinator-plane ops (DESIGN.md §16); a backend answering them
       // would hand out a topology it does not own.
       EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                            {}, &reply);
+                            {}, out);
       break;
     }
     case ControlOp::kShardExport: {
@@ -1203,7 +1225,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       if (!ParseShardExportRequest(req.op_payload, &sreq) ||
           sreq.shard >= static_cast<uint32_t>(filter_.num_shards())) {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, &reply);
+                              {}, out);
         break;
       }
       // Quiesce + fence first: every acked item is then in the filter, so
@@ -1230,10 +1252,10 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
         if (payload.size() + kControlResultHeader >
             options_.max_frame_bytes) {
           EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                                {}, &reply);
+                                {}, out);
         } else {
           EncodeControlResultTo(req.token, req.op, ControlStatus::kOk,
-                                payload, &reply);
+                                payload, out);
         }
       });
       break;
@@ -1243,7 +1265,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       if (!ParseShardImportPayload(req.op_payload, &imp) ||
           imp.shard >= static_cast<uint32_t>(filter_.num_shards())) {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, &reply);
+                              {}, out);
         break;
       }
       WithGlobalQuiesce(rx, [&] {
@@ -1290,7 +1312,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
         }
         EncodeControlResultTo(
             req.token, req.op,
-            ok ? ControlStatus::kOk : ControlStatus::kRejected, {}, &reply);
+            ok ? ControlStatus::kOk : ControlStatus::kRejected, {}, out);
       });
       break;
     }
@@ -1299,7 +1321,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       if (!ParseShardActivateRequest(req.op_payload, &areq) ||
           areq.shard >= static_cast<uint32_t>(filter_.num_shards())) {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, &reply);
+                              {}, out);
         break;
       }
       // The quiesce drains every ring first: all catch-up items are in the
@@ -1308,7 +1330,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       WithGlobalQuiesce(rx, [&] {
         pipeline_.SetAlertMuted(static_cast<int>(areq.shard), false);
         EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, {},
-                              &reply);
+                              out);
       });
       break;
     }
@@ -1316,12 +1338,12 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       SegmentShipRequest sreq;
       if (!ParseSegmentShipRequest(req.op_payload, &sreq)) {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, &reply);
+                              {}, out);
         break;
       }
       if (!durable_enabled_) {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                              {}, &reply);
+                              {}, out);
         break;
       }
       if (sreq.after_seq == kSegmentShipRelease) {
@@ -1332,13 +1354,13 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
         std::vector<uint8_t> payload;
         EncodeSegmentShipPayloadTo(res, &payload);
         EncodeControlResultTo(req.token, req.op, ControlStatus::kOk,
-                              payload, &reply);
+                              payload, out);
         break;
       }
       if (sreq.shard != kSegmentShipAllShards &&
           sreq.shard >= static_cast<uint32_t>(filter_.num_shards())) {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, &reply);
+                              {}, out);
         break;
       }
       // Bound the reply to both the caller's ask and what fits one frame.
@@ -1379,7 +1401,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       }
       if (!wr.ok) {
         EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                              {}, &reply);
+                              {}, out);
         break;
       }
       SegmentShipResult res;
@@ -1389,13 +1411,13 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       std::vector<uint8_t> payload;
       EncodeSegmentShipPayloadTo(res, &payload);
       EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, payload,
-                            &reply);
+                            out);
       break;
     }
     case ControlOp::kShutdown: {
       WithGlobalQuiesce(rx, [] {});
       EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, {},
-                            &reply);
+                            out);
       stopping_.store(true, std::memory_order_release);
       rx.shutdown_fd = conn->fd;
       // Peers exit on their next loop iteration.
@@ -1405,7 +1427,6 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       break;
     }
   }
-  QueueWrite(rx, conn, reply);
   QF_OBS(NetMetrics::Get().control_frame_ns.Record(MonotonicNanos() - t0));
 }
 
@@ -1434,8 +1455,8 @@ void QfServer::BroadcastAlerts(Reactor& rx) {
 void QfServer::DeliverAlerts(Reactor& rx,
                              const std::vector<DrainedAlert>& drained) {
   // Records are staged first because fanning out can close a slow
-  // subscriber, which mutates conns — never iterate conns while queueing
-  // writes.
+  // subscriber, which mutates conns — never iterate conns while flushing.
+  // Each subscriber gets the whole batch appended, then one flush.
   std::vector<int> subscriber_fds;
   for (const auto& [fd, conn] : rx.conns) {
     if (conn->subscribed && !conn->closing) subscriber_fds.push_back(fd);
@@ -1444,18 +1465,17 @@ void QfServer::DeliverAlerts(Reactor& rx,
     auto it = rx.conns.find(fd);
     if (it == rx.conns.end()) continue;
     Conn* conn = it->second.get();
-    std::vector<uint8_t> bytes;
     for (const DrainedAlert& d : drained) {
       WireAlert alert;
       alert.seq = conn->alert_seq++;
       alert.key = d.rec.key;
       alert.value = d.rec.value;
       alert.shard = static_cast<uint32_t>(d.shard);
-      EncodeAlertTo(alert, &bytes);
+      EncodeAlertTo(alert, &conn->out);
     }
     alerts_streamed_.fetch_add(drained.size(), std::memory_order_relaxed);
     QF_OBS(NetMetrics::Get().alerts_streamed.Add(drained.size()));
-    QueueWrite(rx, conn, bytes);  // may disconnect a slow subscriber
+    FlushWrites(rx, conn);  // may disconnect a slow subscriber
   }
   QF_OBS({
     // Alert-delivery lag: detection stamp (worker) -> subscriber write
@@ -1482,34 +1502,12 @@ void QfServer::DeliverAlerts(Reactor& rx,
   });
 }
 
-bool QfServer::QueueWrite(Reactor& rx, Conn* conn,
-                          const std::vector<uint8_t>& bytes) {
-  // Compact the drained prefix before growing the buffer.
-  if (conn->out_off == conn->out.size()) {
-    conn->out.clear();
-    conn->out_off = 0;
-  } else if (conn->out_off > (64u << 10)) {
-    conn->out.erase(conn->out.begin(),
-                    conn->out.begin() +
-                        static_cast<std::ptrdiff_t>(conn->out_off));
-    conn->out_off = 0;
-  }
-  conn->out.insert(conn->out.end(), bytes.begin(), bytes.end());
-  if (!FlushWrites(rx, conn)) return false;
-  if (conn->pending() > options_.max_write_queue_bytes) {
-    // Slow consumer: the socket cannot drain what we owe it. Disconnect
-    // rather than buffer without bound or stall ingest for everyone else.
-    CloseConn(rx, conn, /*slow=*/true);
-    return false;
-  }
-  return true;
-}
-
 bool QfServer::FlushWrites(Reactor& rx, Conn* conn) {
   while (conn->out_off < conn->out.size()) {
     const ssize_t n =
         send(conn->fd, conn->out.data() + conn->out_off,
              conn->out.size() - conn->out_off, MSG_NOSIGNAL);
+    QF_OBS(NetMetrics::Get().write_calls.Add(1));
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
@@ -1519,14 +1517,26 @@ bool QfServer::FlushWrites(Reactor& rx, Conn* conn) {
     conn->out_off += static_cast<size_t>(n);
     QF_OBS(NetMetrics::Get().bytes_written.Add(static_cast<uint64_t>(n)));
   }
-  const bool need_write = conn->out_off < conn->out.size();
+  if (conn->pending() > options_.max_write_queue_bytes) {
+    // Slow consumer: the socket cannot drain what we owe it. Disconnect
+    // rather than buffer without bound or stall ingest for everyone else.
+    CloseConn(rx, conn, /*slow=*/true);
+    return false;
+  }
+  if (conn->pending() == 0) {
+    conn->out.clear();
+    conn->out_off = 0;
+  } else if (conn->out_off > (64u << 10)) {
+    // Compact the sent prefix so later appends do not grow the buffer.
+    conn->out.erase(conn->out.begin(),
+                    conn->out.begin() +
+                        static_cast<std::ptrdiff_t>(conn->out_off));
+    conn->out_off = 0;
+  }
+  const bool need_write = conn->pending() > 0;
   if (need_write != conn->want_write) {
     conn->want_write = need_write;
     UpdateEpoll(rx, conn);
-  }
-  if (!need_write && conn->out_off == conn->out.size()) {
-    conn->out.clear();
-    conn->out_off = 0;
   }
   return true;
 }
@@ -1540,10 +1550,9 @@ void QfServer::UpdateEpoll(Reactor& rx, Conn* conn) {
 
 void QfServer::SendError(Reactor& rx, Conn* conn, ErrorCode code,
                          const std::string& message) {
-  std::vector<uint8_t> bytes;
-  EncodeErrorTo(code, message, &bytes);
+  EncodeErrorTo(code, message, &conn->out);
   conn->closing = true;
-  if (!QueueWrite(rx, conn, bytes)) return;  // already closed
+  if (!FlushWrites(rx, conn)) return;  // already closed
   if (conn->pending() == 0) CloseConn(rx, conn, /*slow=*/false);
   // Otherwise EPOLLOUT drains the error frame, then WriteReady closes.
 }

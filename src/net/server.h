@@ -35,9 +35,20 @@
 // other reactors' subscribers through per-reactor mailboxes (mutex +
 // eventfd), keeping every socket write on its owning reactor.
 //
-// Backpressure and failure policy (unchanged): bounded per-connection write
-// queues with slow-consumer disconnect, poisoned decoders close after one
-// best-effort ERROR frame, partial reads/writes are first-class.
+// Replies are append-only: every handler encodes into its connection's
+// write queue, and each queue has one flush point per burst of appends —
+// ReadReady flushes once after handling all frames of a recv() chunk, and
+// alert fan-out, the group-commit ack release and SendError each append
+// everything first, then flush every connection they touched once. A 64 KiB
+// chunk of small INGEST frames thus costs a few send() calls, not one per
+// ack.
+//
+// Backpressure and failure policy: bounded per-connection write queues with
+// slow-consumer disconnect, checked at each flush and, within a chunk, as
+// soon as the queue passes the cap — so a queue overshoots
+// max_write_queue_bytes by at most one reply frame (or one fan-out's alert
+// batch). Poisoned decoders close after one best-effort ERROR frame;
+// partial reads/writes are first-class.
 //
 // Linux-only (epoll + eventfd + SO_REUSEPORT).
 
@@ -195,10 +206,13 @@ class QfServer {
   /// An ingest ack held back until the WAL's group-commit fsync (fsync mode
   /// kGroup): identified by fd + generation so a connection closed (or the
   /// fd reused) before the flush drops its ack instead of misdelivering.
+  /// The INGEST_ACK frame is encoded only at release, after the fsync.
   struct DeferredAck {
     int fd = -1;
     uint32_t gen = 0;
-    std::vector<uint8_t> bytes;
+    uint64_t token = 0;
+    uint32_t count = 0;
+    uint64_t total_items = 0;
     /// MonotonicNanos() at WAL append (QF_METRICS builds; 0 otherwise) —
     /// the start of the qf_durable_sync_latency_ns / qf_stage_ack_ns spans.
     uint64_t append_ns = 0;
@@ -253,10 +267,10 @@ class QfServer {
   void BroadcastAlerts(Reactor& rx);
   /// Deliver mailbox/locally-drained alerts to this reactor's subscribers.
   void DeliverAlerts(Reactor& rx, const std::vector<DrainedAlert>& drained);
-  /// Appends bytes to the connection's write queue and flushes what the
-  /// socket will take. Enforces max_write_queue_bytes (slow-consumer
-  /// disconnect). Returns false if the connection was closed.
-  bool QueueWrite(Reactor& rx, Conn* conn, const std::vector<uint8_t>& bytes);
+  /// The one write path: handlers append encoded replies to Conn::out, and
+  /// this sends what the socket will take, then enforces
+  /// max_write_queue_bytes (slow-consumer disconnect). Returns false if the
+  /// connection was closed.
   bool FlushWrites(Reactor& rx, Conn* conn);
   /// Durability (DESIGN.md §14). SetupDurable opens the storage, resolves
   /// checkpoints and scans the log (fail closed on corruption); Replay

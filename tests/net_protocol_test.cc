@@ -6,6 +6,7 @@
 #include "net/protocol.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -389,6 +390,121 @@ TEST(NetProtocol, BufferStaysBoundedWhileDraining) {
   }
   EXPECT_LE(max_buffered,
             options.max_frame_bytes + kFrameHeaderBytes + 4);
+}
+
+TEST(NetProtocol, FramesAppendedToOneBufferMatchSeparateEncodes) {
+  // The server encodes every reply straight into a connection's write
+  // queue, so many frames of mixed types land back-to-back in one growing
+  // buffer. That must be byte-identical to encoding each frame alone, and
+  // decode frame by frame in order.
+  Rng rng(0xC0A1);
+  constexpr int kFrames = 600;
+  std::vector<uint8_t> shared;
+  std::vector<uint8_t> concatenated;
+  std::vector<FrameType> types;
+  for (int i = 0; i < kFrames; ++i) {
+    const uint64_t token = static_cast<uint64_t>(i);
+    const uint64_t alert_key = rng.Next();
+    std::vector<uint8_t> alone;
+    const auto encode = [&](std::vector<uint8_t>* out) {
+      switch (i % 6) {
+        case 0:
+          EncodeIngestAckTo(token, 32, 32 * token, out);
+          break;
+        case 1: {
+          WireAlert alert;
+          alert.seq = token;
+          alert.key = alert_key;
+          alert.value = 300.5;
+          alert.shard = 3;
+          EncodeAlertTo(alert, out);
+          break;
+        }
+        case 2: {
+          const std::vector<QueryAnswer> answers(i % 17,
+                                                 QueryAnswer{7, 1});
+          EncodeQueryResultTo(token, answers, out);
+          break;
+        }
+        case 3: {
+          const std::vector<uint8_t> payload(i % 41, 0xAB);
+          EncodeControlResultTo(token, ControlOp::kStats, ControlStatus::kOk,
+                                payload, out);
+          break;
+        }
+        case 4: {
+          const std::vector<Item> items(i % 9, Item{token, 1.5});
+          EncodeIngestTo(token, items, out);
+          break;
+        }
+        default:
+          EncodeErrorTo(ErrorCode::kBadPayload, std::string(i % 23, 'e'),
+                        out);
+          break;
+      }
+    };
+    encode(&shared);
+    encode(&alone);
+    concatenated.insert(concatenated.end(), alone.begin(), alone.end());
+    FrameDecoder one;
+    Frame frame;
+    ASSERT_TRUE(one.Append(alone.data(), alone.size()));
+    ASSERT_EQ(one.Next(&frame), FrameDecoder::Result::kFrame);
+    types.push_back(frame.type);
+  }
+  EXPECT_EQ(shared, concatenated);
+
+  FrameDecoder decoder;
+  const std::vector<Frame> frames = DecodeChunked(shared, 4096, &decoder);
+  ASSERT_EQ(frames.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_EQ(frames[i].type, types[i]) << "frame " << i;
+    const uint64_t token = static_cast<uint64_t>(i);
+    switch (frames[i].type) {
+      case FrameType::kIngestAck: {
+        IngestAck ack;
+        ASSERT_TRUE(ParseIngestAck(frames[i].payload, &ack));
+        EXPECT_EQ(ack.token, token);
+        EXPECT_EQ(ack.total_items, 32 * token);
+        break;
+      }
+      case FrameType::kAlert: {
+        WireAlert alert;
+        ASSERT_TRUE(ParseAlert(frames[i].payload, &alert));
+        EXPECT_EQ(alert.seq, token);
+        break;
+      }
+      case FrameType::kQueryResult: {
+        QueryResult res;
+        ASSERT_TRUE(ParseQueryResult(frames[i].payload, &res));
+        EXPECT_EQ(res.token, token);
+        EXPECT_EQ(res.answers.size(), static_cast<size_t>(i % 17));
+        break;
+      }
+      case FrameType::kControlResult: {
+        ControlResult res;
+        ASSERT_TRUE(ParseControlResult(frames[i].payload, &res));
+        EXPECT_EQ(res.token, token);
+        EXPECT_EQ(res.payload.size(), static_cast<size_t>(i % 41));
+        break;
+      }
+      case FrameType::kIngest: {
+        IngestRequest req;
+        ASSERT_TRUE(ParseIngest(frames[i].payload, &req));
+        EXPECT_EQ(req.token, token);
+        EXPECT_EQ(req.items.size(), static_cast<size_t>(i % 9));
+        break;
+      }
+      case FrameType::kError: {
+        ErrorFrame err;
+        ASSERT_TRUE(ParseError(frames[i].payload, &err));
+        EXPECT_EQ(err.message.size(), static_cast<size_t>(i % 23));
+        break;
+      }
+      default:
+        FAIL() << "unexpected frame type at " << i;
+    }
+  }
 }
 
 TEST(NetProtocol, RandomGarbageNeverCrashes) {

@@ -10,10 +10,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 #include "core/monitor.h"
 #include "core/sharded_filter.h"
 #include "net/client.h"
+#include "obs/registry.h"
 #include "stream/generators.h"
 
 namespace qf::net {
@@ -378,6 +382,182 @@ TEST(NetServerTest, PipelinedIngestOverlapsAcks) {
     ASSERT_TRUE(client.AwaitIngestAck(&last)) << client.error();
   }
   EXPECT_EQ(last.total_items, trace.size());
+  server.Stop();
+}
+
+/// A plain blocking TCP connection (no QfClient, so a test controls every
+/// byte on the wire), with a receive timeout so a missing reply fails the
+/// test instead of hanging it.
+int RawConnect(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 10;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Reads frames until `count` arrived, the peer closed, or a read timed out.
+std::vector<Frame> ReadFrames(int fd, size_t count) {
+  FrameDecoder decoder;
+  std::vector<Frame> frames;
+  uint8_t buf[4096];
+  while (frames.size() < count) {
+    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0 || !decoder.Append(buf, static_cast<size_t>(n))) break;
+    Frame frame;
+    while (decoder.Next(&frame) == FrameDecoder::Result::kFrame) {
+      frames.push_back(std::move(frame));
+    }
+  }
+  return frames;
+}
+
+/// One write() carries K INGEST frames, a QUERY, K more INGEST frames and a
+/// CONTROL kStats. The server answers a whole read with one flush (and, in
+/// fsync=group mode, defers the acks to the group commit), yet the replies
+/// must come back in request order with matching tokens.
+void ExpectRepliesInRequestOrder(const QfServer::Options& opts) {
+  QfServer server(opts);
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  constexpr int kIngest = 40;
+  constexpr size_t kItems = 16;
+  const Trace trace = MakeTrace(2 * kIngest * kItems, /*seed=*/8);
+  const std::vector<uint64_t> keys = {1, 2, 3};
+  std::vector<uint8_t> wire;
+  uint64_t token = 1;  // reply i must carry token i + 1
+  for (int i = 0; i < 2 * kIngest; ++i) {
+    if (i == kIngest) EncodeQueryTo(token++, keys, &wire);
+    EncodeIngestTo(token++, Slice(trace, i * kItems, kItems), &wire);
+  }
+  EncodeControlTo(token++, ControlOp::kStats, {}, &wire);
+
+#if QF_METRICS
+  const obs::Counter& write_calls =
+      obs::MetricsRegistry::Global().GetCounter("qf_net_write_calls_total");
+  const uint64_t calls_before = write_calls.Value();
+#endif
+  const int fd = RawConnect(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(write(fd, wire.data(), wire.size()),
+            static_cast<ssize_t>(wire.size()));
+  const std::vector<Frame> replies = ReadFrames(fd, token - 1);
+  close(fd);
+  ASSERT_EQ(replies.size(), token - 1);
+
+  uint64_t acked = 0;
+  for (size_t i = 0; i < replies.size(); ++i) {
+    const Frame& f = replies[i];
+    const uint64_t want = i + 1;
+    if (i == kIngest) {
+      ASSERT_EQ(f.type, FrameType::kQueryResult) << "reply " << i;
+      QueryResult res;
+      ASSERT_TRUE(ParseQueryResult(f.payload, &res));
+      EXPECT_EQ(res.token, want);
+      EXPECT_EQ(res.answers.size(), keys.size());
+    } else if (i + 1 == replies.size()) {
+      ASSERT_EQ(f.type, FrameType::kControlResult) << "reply " << i;
+      ControlResult res;
+      ASSERT_TRUE(ParseControlResult(f.payload, &res));
+      EXPECT_EQ(res.token, want);
+      EXPECT_EQ(res.status, ControlStatus::kOk);
+      WireStats stats;
+      ASSERT_TRUE(ParseWireStats(res.payload, &stats));
+      EXPECT_EQ(stats.items_ingested, trace.size());
+    } else {
+      ASSERT_EQ(f.type, FrameType::kIngestAck) << "reply " << i;
+      IngestAck ack;
+      ASSERT_TRUE(ParseIngestAck(f.payload, &ack));
+      EXPECT_EQ(ack.token, want);
+      EXPECT_EQ(ack.count, kItems);
+      acked += kItems;
+      EXPECT_EQ(ack.total_items, acked) << "reply " << i;
+    }
+  }
+  EXPECT_EQ(acked, trace.size());
+  server.Stop();
+#if QF_METRICS
+  // Read after Stop() joined the reactor, which counts a send() only after
+  // the call returns. The replies to one write leave in a few send() calls,
+  // not one each.
+  const uint64_t calls = write_calls.Value() - calls_before;
+  EXPECT_GE(calls, 1u);
+  EXPECT_LT(calls, replies.size() / 4);
+#endif
+}
+
+TEST(NetServerTest, PipelinedMixedFramesAreAnsweredInRequestOrder) {
+  ExpectRepliesInRequestOrder(ServerOptions(2));
+}
+
+TEST(NetServerTest, DeferredGroupCommitAcksPrecedeLaterReplies) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("qf_reply_order_wal." + std::to_string(getpid()));
+  std::filesystem::remove_all(dir);
+  QfServer::Options opts = ServerOptions(2);
+  opts.durable.wal_dir = dir.string();
+  opts.durable.fsync = durable::FsyncMode::kGroup;
+  ExpectRepliesInRequestOrder(opts);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(NetServerTest, IngestClientThatNeverReadsAcksIsDisconnected) {
+  QfServer::Options opts = ServerOptions(1);
+  opts.max_write_queue_bytes = 16 * 1024;
+  opts.so_sndbuf = 4096;  // minimal kernel buffering on the server side
+  QfServer server(opts);
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  // Pipelines one-item INGEST frames and never reads an ack: every 44 bytes
+  // it sends leave 28 bytes of acks owed, which its (deliberately tiny)
+  // receive buffer and the server's queue cannot hold for long.
+  QfClient::Options sleeper_opts;
+  sleeper_opts.so_rcvbuf = 4096;
+  QfClient sleeper(sleeper_opts);
+  ASSERT_TRUE(sleeper.Connect("127.0.0.1", server.port())) << sleeper.error();
+  QfClient ingester;
+  ASSERT_TRUE(ingester.Connect("127.0.0.1", server.port()))
+      << ingester.error();
+
+  const Trace trace = MakeTrace(100'000, /*seed=*/13);
+  constexpr size_t kBatch = 512;
+  size_t ingested = 0;
+  const auto ingest_batch = [&] {
+    const size_t begin = ingested % (trace.size() - kBatch);
+    ASSERT_TRUE(ingester.Ingest(Slice(trace, begin, kBatch)))
+        << ingester.error();
+    ingested += kBatch;
+  };
+  // The sleeper's sends start failing once the server has cut it loose;
+  // the ingester on the same reactor keeps getting acks throughout.
+  for (size_t i = 0; i < 50'000; ++i) {
+    if (!sleeper.SendIngest(Slice(trace, i % trace.size(), 1))) break;
+    if (i % 256 == 0) ingest_batch();
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.StatsSnapshot().slow_disconnects == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    ingest_batch();
+  }
+  for (int i = 0; i < 8; ++i) ingest_batch();
+  ASSERT_TRUE(ingester.Drain()) << ingester.error();
+  WireStats stats;
+  ASSERT_TRUE(ingester.Stats(&stats)) << ingester.error();
+  EXPECT_EQ(stats.slow_disconnects, 1u);
+  EXPECT_EQ(stats.active_connections, 1u);
+  EXPECT_GT(stats.items_ingested, ingested);  // plus the sleeper's items
+  EXPECT_EQ(stats.items_ingested, stats.items_processed);
   server.Stop();
 }
 
