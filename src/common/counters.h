@@ -9,6 +9,7 @@
 #ifndef QUANTILEFILTER_COMMON_COUNTERS_H_
 #define QUANTILEFILTER_COMMON_COUNTERS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
@@ -18,6 +19,15 @@ namespace qf {
 /// Adds `delta` to `value`, clamping at the representable range of IntT
 /// instead of wrapping. `delta` is a wide integer so that callers can pass
 /// estimates that themselves exceed IntT's range.
+///
+/// No branch depends on the delta's sign or on whether the counter
+/// saturates: the sketches feed this random signs, so such a branch would
+/// mispredict on about half the updates. Instead `delta` is clamped to
+/// +-2^40, which changes no result (any larger delta saturates a 32-bit
+/// or narrower counter either way) and keeps the int64 sum from
+/// overflowing; the sum is then clamped to [kMin, kMax]. The clamps are
+/// min/max, which compile to cmov. A compiler may still test the 2^40
+/// guard with a branch, but only deltas of that size take it.
 template <typename IntT>
 constexpr IntT SaturatingAdd(IntT value, int64_t delta) {
   static_assert(std::is_signed_v<IntT> && std::is_integral_v<IntT>,
@@ -26,13 +36,10 @@ constexpr IntT SaturatingAdd(IntT value, int64_t delta) {
                 "widths above 32 bits would overflow the int64 accumulator");
   constexpr int64_t kMin = std::numeric_limits<IntT>::min();
   constexpr int64_t kMax = std::numeric_limits<IntT>::max();
-  int64_t v = static_cast<int64_t>(value);
-  if (delta >= 0) {
-    return (delta > kMax - v) ? static_cast<IntT>(kMax)
-                              : static_cast<IntT>(v + delta);
-  }
-  return (delta < kMin - v) ? static_cast<IntT>(kMin)
-                            : static_cast<IntT>(v + delta);
+  constexpr int64_t kDeltaBound = int64_t{1} << 40;
+  const int64_t d = std::min(std::max(delta, -kDeltaBound), kDeltaBound);
+  const int64_t sum = static_cast<int64_t>(value) + d;
+  return static_cast<IntT>(std::min(std::max(sum, kMin), kMax));
 }
 
 /// A counter cell with saturating arithmetic. Thin value wrapper so sketches

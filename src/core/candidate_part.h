@@ -58,6 +58,7 @@ class CandidatePart {
                                      ? 32
                                      : options.fingerprint_bits)),
         seed_(options.seed),
+        seed_mix_(Mix64(options.seed)),
         num_buckets_(ElemsForBudget(options.memory_bytes,
                                     sizeof(Entry) * bucket_entries_, 1)),
         fp_mask_((fingerprint_bits_ >= 32) ? 0xFFFFFFFFu
@@ -80,7 +81,9 @@ class CandidatePart {
   /// batched prehash window, queries, deletes — pays one Mix64 instead of
   /// two. BucketFromHash reproduces scheme-2 bucket placement bit-exactly;
   /// fingerprints changed, which is why the mapping scheme was bumped.
-  uint64_t KeyHash(uint64_t key) const { return HashKey(key, seed_); }
+  /// The seed is premixed at construction: Mix64(key ^ Mix64(seed)) is
+  /// HashKey(key, seed) with its constant half computed once.
+  uint64_t KeyHash(uint64_t key) const { return Mix64(key ^ seed_mix_); }
 
   uint32_t BucketFromHash(uint64_t h) const {
     return static_cast<uint32_t>(FastRange64(h, num_buckets_));
@@ -230,6 +233,7 @@ class CandidatePart {
   int bucket_entries_;
   int fingerprint_bits_;
   uint64_t seed_;
+  uint64_t seed_mix_;  // Mix64(seed_), cached for KeyHash
   size_t num_buckets_;
   uint32_t fp_mask_;
   size_t num_slots_;

@@ -19,11 +19,12 @@
 // Two insertion interfaces exist:
 //   * Insert(key, value)       — one item at a time;
 //   * InsertBatch(items, cb)   — a span of items, processed through a
-//     ~32-item pre-hash window that issues cache prefetches for every
-//     item's candidate bucket and vague-part rows before draining the
-//     window in stream order. The drained path is the same code as
-//     Insert, so reports, statistics, RNG consumption and serialized
-//     state are bit-identical between the two interfaces.
+//     ~32-item pre-hash window that hashes every item once (candidate
+//     fingerprint and bucket, vague-part locator) and issues cache
+//     prefetches for its candidate bucket and vague-part rows before
+//     draining the window in stream order. The drained path is the same
+//     code as Insert, so reports, statistics, RNG consumption and
+//     serialized state are bit-identical between the two interfaces.
 
 #ifndef QUANTILEFILTER_CORE_QUANTILE_FILTER_H_
 #define QUANTILEFILTER_CORE_QUANTILE_FILTER_H_
@@ -137,10 +138,7 @@ class QuantileFilter {
   /// Processes one item under caller-supplied criteria (Sec III-C: distinct
   /// criteria per key, supplied alongside each item).
   bool Insert(uint64_t key, double value, const Criteria& criteria) {
-    const uint64_t h = candidate_.KeyHash(key);
-    return InsertHashed(candidate_.FingerprintFromHash(h),
-                        candidate_.BucketFromHash(h),
-                        criteria.ValueIsAbnormal(value), criteria);
+    return InsertHashed(Prehash(key, value, criteria), criteria);
   }
 
   /// Batched insertion: processes `items` in stream order through a
@@ -155,11 +153,6 @@ class QuantileFilter {
   template <typename ReportFn>
   size_t InsertBatch(std::span<const Item> items, const Criteria& criteria,
                      ReportFn&& on_report) {
-    struct Prehashed {
-      uint32_t fp;
-      uint32_t bucket;
-      bool abnormal;
-    };
     Prehashed window[kBatchWindow];
     size_t reports = 0;
     size_t pos = 0;
@@ -170,21 +163,18 @@ class QuantileFilter {
       // items, but prefetching it unconditionally costs little and hides
       // the misses that dominate large-budget configurations — d random
       // rows under the classic layout, the single 64-byte block under the
-      // blocked layout (VaguePart::Prefetch dispatches).
+      // blocked layout (VaguePart::Prefetch dispatches). The vague locator
+      // is kept, so the drain's vague insert does not hash again.
       for (size_t i = 0; i < n; ++i) {
         const Item& item = items[pos + i];
         Prehashed& p = window[i];
-        const uint64_t h = candidate_.KeyHash(item.key);
-        p.fp = candidate_.FingerprintFromHash(h);
-        p.bucket = candidate_.BucketFromHash(h);
-        p.abnormal = criteria.ValueIsAbnormal(item.value);
+        p = Prehash(item.key, item.value, criteria);
         candidate_.PrefetchBucket(p.bucket);
-        vague_.Prefetch(candidate_.VagueKey(p.bucket, p.fp));
+        vague_.Prefetch(p.vloc);
       }
       // Stage 2: drain in stream order through the scalar path.
       for (size_t i = 0; i < n; ++i) {
-        if (InsertHashed(window[i].fp, window[i].bucket, window[i].abnormal,
-                         criteria)) {
+        if (InsertHashed(window[i], criteria)) {
           ++reports;
           on_report(pos + i, items[pos + i]);
         }
@@ -214,7 +204,7 @@ class QuantileFilter {
         slot != CandidatePart::kNone) {
       return candidate_.qweight(slot);
     }
-    return vague_.Estimate(candidate_.VagueKey(bucket, fp));
+    return vague_.Estimate(LocateVague(bucket, fp));
   }
 
   /// True iff `key` currently occupies a candidate slot, i.e. its Qweight
@@ -238,8 +228,8 @@ class QuantileFilter {
       candidate_.set_qweight(slot, 0);
       return;
     }
-    const uint64_t vkey = candidate_.VagueKey(bucket, fp);
-    vague_.Subtract(vkey, vague_.Estimate(vkey));
+    const VagueLocator vloc = LocateVague(bucket, fp);
+    vague_.Subtract(vloc, vague_.Estimate(vloc));
   }
 
   /// A dashboard view of one candidate entry. Only the fingerprint is
@@ -443,10 +433,37 @@ class QuantileFilter {
   static constexpr uint32_t kStateMagic = 0x51465332;    // "QFS2"
   static constexpr uint32_t kStateMagicV4 = 0x51465334;  // "QFS4"
 
+  using VagueLocator = typename VaguePart<SketchT>::Locator;
+
+  /// Where the vague part keeps the counters of the (bucket, fp) pair.
+  VagueLocator LocateVague(uint32_t bucket, uint32_t fp) const {
+    return vague_.Locate(candidate_.VagueKey(bucket, fp));
+  }
+
+  /// One item's hashed coordinates: candidate fingerprint and bucket from
+  /// one candidate hash, and the vague locator from one vague hash.
+  struct Prehashed {
+    VagueLocator vloc;
+    uint32_t fp;
+    uint32_t bucket;
+    bool abnormal;
+  };
+
+  Prehashed Prehash(uint64_t key, double value,
+                    const Criteria& criteria) const {
+    const uint64_t h = candidate_.KeyHash(key);
+    const uint32_t fp = candidate_.FingerprintFromHash(h);
+    const uint32_t bucket = candidate_.BucketFromHash(h);
+    return Prehashed{LocateVague(bucket, fp), fp, bucket,
+                     criteria.ValueIsAbnormal(value)};
+  }
+
   /// The per-item state machine (Algorithm 1 + candidate election), shared
   /// verbatim by Insert and the InsertBatch drain stage.
-  bool InsertHashed(uint32_t fp, uint32_t bucket, bool abnormal,
-                    const Criteria& criteria) {
+  bool InsertHashed(const Prehashed& item, const Criteria& criteria) {
+    const uint32_t fp = item.fp;
+    const uint32_t bucket = item.bucket;
+    const bool abnormal = item.abnormal;
     ++stats_.items;
     // Metrics publish at batch granularity: one predictable branch per item
     // here, atomics only once per kMetricsFlushItems (QF_METRICS=0 compiles
@@ -487,10 +504,10 @@ class QuantileFilter {
 
     // Case 3: bucket full -> vague part, then candidate election.
     ++stats_.vague_inserts;
-    const uint64_t vkey = candidate_.VagueKey(bucket, fp);
-    const int64_t estimate = vague_.Insert(vkey, abnormal, criteria, rng_);
+    const int64_t estimate =
+        vague_.Insert(item.vloc, abnormal, criteria, rng_);
     if (estimate >= criteria.report_threshold()) {
-      vague_.Subtract(vkey, estimate);
+      vague_.Subtract(item.vloc, estimate);
       ++stats_.reports;
       return true;
     }
@@ -499,10 +516,10 @@ class QuantileFilter {
     if (ShouldSwap(estimate, weakest)) {
       ++stats_.swaps;
       // Demote the weakest candidate's Qweight into the vague part...
-      vague_.Add(candidate_.VagueKey(bucket, candidate_.fingerprint(weakest)),
+      vague_.Add(LocateVague(bucket, candidate_.fingerprint(weakest)),
                  candidate_.qweight(weakest));
       // ...and promote the newcomer, moving its mass out of the sketch.
-      vague_.Subtract(vkey, estimate);
+      vague_.Subtract(item.vloc, estimate);
       candidate_.SetSlot(weakest, fp, ClampToI32(estimate));
     }
     return false;
@@ -525,11 +542,11 @@ class QuantileFilter {
     }
     const int64_t weakest = candidate_.MinSlot(b);
     if (entry.qweight > candidate_.qweight(weakest)) {
-      vague_.Add(candidate_.VagueKey(b, candidate_.fingerprint(weakest)),
+      vague_.Add(LocateVague(b, candidate_.fingerprint(weakest)),
                  candidate_.qweight(weakest));
       candidate_.SetSlot(weakest, entry.fingerprint, entry.qweight);
     } else {
-      vague_.Add(candidate_.VagueKey(b, entry.fingerprint), entry.qweight);
+      vague_.Add(LocateVague(b, entry.fingerprint), entry.qweight);
     }
   }
 

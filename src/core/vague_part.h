@@ -16,6 +16,11 @@
 //
 // Exactly one engine is constructed; every method dispatches on one
 // perfectly-predicted branch, so the classic path's codegen is unchanged.
+//
+// Per-key operations take a Locator, not the key: Locate() hashes the key
+// once (the blocked block hash; the classic rows hash per row, so their
+// locator is the key itself), and the filter's batch window reuses that
+// one hash for the prefetch and the insert.
 
 #ifndef QUANTILEFILTER_CORE_VAGUE_PART_H_
 #define QUANTILEFILTER_CORE_VAGUE_PART_H_
@@ -85,17 +90,26 @@ class VaguePart {
     return blocked_ ? blocked_->MemoryBytes() : classic_->MemoryBytes();
   }
 
-  /// Inserts one item for `vkey` and returns the post-insert Qweight
+  /// Where a vague key's counters live: BlockedCountSketch::KeyHash(vkey)
+  /// under the blocked layout, `vkey` itself under the classic one.
+  struct Locator {
+    uint64_t value;
+  };
+  Locator Locate(uint64_t vkey) const {
+    return Locator{blocked_ ? blocked_->KeyHash(vkey) : vkey};
+  }
+
+  /// Inserts one item at `loc` and returns the post-insert Qweight
   /// estimate (Algorithm 1 lines 3-5). Integer counters receive the
   /// unbiased probabilistically-rounded weight; floating-point counters
   /// (the paper's alternative design) accumulate the exact weight.
-  int64_t Insert(uint64_t vkey, bool abnormal, const Criteria& criteria,
+  int64_t Insert(Locator loc, bool abnormal, const Criteria& criteria,
                  Rng& rng) {
     if (blocked_) {
-      // Fused add+estimate: one hash and one cache line for the whole of
-      // Algorithm 1's insert-then-read step.
-      const int64_t estimate =
-          blocked_->AddEstimate(vkey, DrawItemQweight(abnormal, criteria, rng));
+      // Fused add+estimate: one cache line for the whole of Algorithm 1's
+      // insert-then-read step, on the hash Locate() already computed.
+      const int64_t estimate = blocked_->AddEstimateHashed(
+          loc.value, DrawItemQweight(abnormal, criteria, rng));
       QF_OBS(if (estimate >= std::numeric_limits<
                                  typename BlockedT::counter_type>::max()) {
         ++obs::Tally().vague_saturations;
@@ -103,6 +117,7 @@ class VaguePart {
       return estimate;
     }
     SketchT& sketch = *classic_;
+    const uint64_t vkey = loc.value;
     if constexpr (SketchT::kFloatingCounters) {
       sketch.AddReal(vkey, ExactItemQweight(abnormal, criteria));
     } else {
@@ -128,37 +143,38 @@ class VaguePart {
 
   /// Adds a raw integer Qweight (used when a candidate entry is demoted
   /// into the vague part during election).
-  void Add(uint64_t vkey, int64_t qweight) {
+  void Add(Locator loc, int64_t qweight) {
     if (blocked_) {
-      blocked_->Add(vkey, qweight);
+      blocked_->AddHashed(loc.value, qweight);
     } else {
-      classic_->Add(vkey, qweight);
+      classic_->Add(loc.value, qweight);
     }
   }
 
-  /// Prefetches the counter storage `vkey` maps to, ahead of a possible
+  /// Prefetches the counter storage at `loc`, ahead of a possible
   /// Insert/Estimate (the batched insert window issues this for every item
   /// while earlier items are still draining): d lines for the classic
   /// layout, the single block for the blocked layout.
-  void Prefetch(uint64_t vkey) const {
+  void Prefetch(Locator loc) const {
     if (blocked_) {
-      blocked_->Prefetch(vkey);
+      blocked_->PrefetchHashed(loc.value);
     } else {
-      classic_->Prefetch(vkey);
+      classic_->Prefetch(loc.value);
     }
   }
 
-  int64_t Estimate(uint64_t vkey) const {
-    return blocked_ ? blocked_->Estimate(vkey) : classic_->Estimate(vkey);
+  int64_t Estimate(Locator loc) const {
+    return blocked_ ? blocked_->EstimateHashed(loc.value)
+                    : classic_->Estimate(loc.value);
   }
 
-  /// Removes `amount` of estimated Qweight from `vkey`'s counters — the
-  /// reset-after-report / promote-to-candidate operation.
-  void Subtract(uint64_t vkey, int64_t amount) {
+  /// Removes `amount` of estimated Qweight from the counters at `loc` —
+  /// the reset-after-report / promote-to-candidate operation.
+  void Subtract(Locator loc, int64_t amount) {
     if (blocked_) {
-      blocked_->Subtract(vkey, amount);
+      blocked_->AddHashed(loc.value, -amount);
     } else {
-      classic_->Subtract(vkey, amount);
+      classic_->Subtract(loc.value, amount);
     }
   }
 

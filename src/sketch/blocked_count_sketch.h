@@ -9,14 +9,18 @@
 // locality-aware sketch updates (PAPERS.md):
 //
 //   * one HashKey(key, seed) picks the block via FastRange64 (one miss);
+//     the seed is premixed at construction, so that hash is one Mix64, and
+//     callers that already hold it (the filter's batch window) pass it to
+//     the *Hashed entry points instead of hashing the key again;
 //   * a second Mix64 of that hash yields d distinct in-block lanes
 //     (base + i*stride over the kLanes lanes of the line, stride odd so
-//     lanes never collide) and d signs — no further hashing per row;
+//     lanes never collide) and d signs decoded arithmetically (2*bit - 1)
+//     — no further hashing and no branch per row;
 //   * the d signed saturating updates are a single lane-wise saturating
 //     vector add of a scattered delta block (common/simd.h SatAddBlockI16/
 //     I8, SSE2/AVX2 with a bit-identical scalar fallback);
 //   * the estimate is the median of the d signed lane readings (the same
-//     branch-free MedianOfSmall as the classic layout).
+//     inline, branch-free MedianOfSmall as the classic layout).
 //
 // Independence trade-off: rows share one block hash, so two keys that
 // collide on the block collide in EVERY row (the classic layout gives
@@ -85,6 +89,7 @@ class BlockedCountSketch {
       : depth_(std::clamp(depth, 1, kLanes)),
         num_blocks_(num_blocks < 1 ? 1 : num_blocks),
         seed_(seed),
+        seed_mix_(Mix64(seed)),
         raw_(num_blocks_ * static_cast<size_t>(kLanes) + kLanes, 0) {}
 
   /// Builds a sketch whose counter storage is at most `bytes` bytes,
@@ -102,14 +107,20 @@ class BlockedCountSketch {
   size_t MemoryBytes() const { return num_blocks_ * kBlockBytes; }
   uint64_t seed() const { return seed_; }
 
+  /// The block hash of `key`: HashKey(key, seed()), with Mix64(seed)
+  /// cached. Every placement decision (block, lanes, signs) derives from
+  /// it, so Add, AddEstimate and Estimate each have a *Hashed twin that
+  /// takes h = KeyHash(key) instead of the key.
+  uint64_t KeyHash(uint64_t key) const { return Mix64(key ^ seed_mix_); }
+
   /// Adds `weight` (possibly negative) for `key` to its d lanes. One cache
   /// line is touched. The SIMD path handles any weight whose per-lane
   /// signed delta fits CounterT (every probabilistically-rounded item
   /// Qweight); larger magnitudes (demoted candidate Qweights, subtract of
   /// a big estimate) take the scalar int64-clamped path, which saturates
   /// identically.
-  void Add(uint64_t key, int64_t weight) {
-    const uint64_t h = HashKey(key, seed_);
+  void Add(uint64_t key, int64_t weight) { AddHashed(KeyHash(key), weight); }
+  void AddHashed(uint64_t h, int64_t weight) {
     const uint64_t g = Mix64(h);
     CounterT* block = BlockFor(h);
     if (weight >= -kCounterMax && weight <= kCounterMax) {
@@ -134,7 +145,9 @@ class BlockedCountSketch {
   /// the lanes are pairwise distinct, and the scalar int64-clamped
   /// SaturatingAdd matches the vector path for every representable weight.
   int64_t AddEstimate(uint64_t key, int64_t weight) {
-    const uint64_t h = HashKey(key, seed_);
+    return AddEstimateHashed(KeyHash(key), weight);
+  }
+  int64_t AddEstimateHashed(uint64_t h, int64_t weight) {
     const uint64_t g = Mix64(h);
     CounterT* block = BlockFor(h);
     int64_t vals[kLanes];
@@ -148,8 +161,8 @@ class BlockedCountSketch {
   }
 
   /// Median-of-rows estimate of the total weight of `key`.
-  int64_t Estimate(uint64_t key) const {
-    const uint64_t h = HashKey(key, seed_);
+  int64_t Estimate(uint64_t key) const { return EstimateHashed(KeyHash(key)); }
+  int64_t EstimateHashed(uint64_t h) const {
     const uint64_t g = Mix64(h);
     const CounterT* block = BlockFor(h);
     int64_t vals[kLanes];
@@ -162,11 +175,10 @@ class BlockedCountSketch {
   /// Removes an estimated weight (the report-and-reset path).
   void Subtract(uint64_t key, int64_t amount) { Add(key, -amount); }
 
-  /// Prefetches the ONE line `key` maps to (write intent: the common
-  /// follow-up is Add). Contrast with the classic layout's d-line loop.
-  void Prefetch(uint64_t key) const {
-    PrefetchWrite(BlockFor(HashKey(key, seed_)));
-  }
+  /// Prefetches the ONE line block hash `h` maps to (write intent: the
+  /// common follow-up is Add). Contrast with the classic layout's d-line
+  /// loop.
+  void PrefetchHashed(uint64_t h) const { PrefetchWrite(BlockFor(h)); }
 
   void Clear() { std::fill(raw_.begin(), raw_.end(), CounterT{0}); }
 
@@ -275,9 +287,10 @@ class BlockedCountSketch {
         (static_cast<uint32_t>(g >> kLaneBits) & kLaneMask) | 1u;
     return (base + static_cast<uint32_t>(i) * stride) & kLaneMask;
   }
-  /// Row i's sign, from hash bits above the lane fields.
+  /// Row i's sign, from hash bits above the lane fields: 2*bit - 1, so
+  /// the random sign costs a shift and a multiply-add, not a branch.
   static int Sign(uint64_t g, int i) {
-    return ((g >> ((2 * kLaneBits + i) & 63)) & 1) ? +1 : -1;
+    return 2 * static_cast<int>((g >> ((2 * kLaneBits + i) & 63)) & 1) - 1;
   }
 
   static void SatAddBlock(CounterT* dst, const CounterT* delta) {
@@ -299,6 +312,7 @@ class BlockedCountSketch {
   int depth_;
   size_t num_blocks_;
   uint64_t seed_;
+  uint64_t seed_mix_;  // Mix64(seed_), so KeyHash is one Mix64
   std::vector<CounterT> raw_;
 };
 

@@ -28,10 +28,65 @@
 
 namespace qf {
 
+namespace detail {
+
+/// Compare-exchange: after the call a <= b. std::min/std::max compile to
+/// cmov on x86, so the networks below are branch-free: no mispredicts on
+/// the random counter values the estimate path feeds them.
+inline void CmpSwap(int64_t& a, int64_t& b) {
+  const int64_t lo = std::min(a, b);
+  b = std::max(a, b);
+  a = lo;
+}
+
+}  // namespace detail
+
 /// Returns the median of the first `n` elements of `v` (n >= 1, n <= 64).
 /// For even n the lower median is returned, matching the usual sketch
-/// convention of a conservative middle estimate.
-int64_t MedianOfSmall(int64_t* v, int n);
+/// convention of a conservative middle estimate. Forced inline so the
+/// estimate paths (classic, blocked, tower) pay no call; GCC's -O2 size
+/// heuristic otherwise keeps the five-case body out of line. The switch on
+/// the sketch's fixed depth is perfectly predicted, and every case up to 5
+/// is a branch-free min/max network. Only n > 5 may reorder `v`.
+[[gnu::always_inline]] inline int64_t MedianOfSmall(int64_t* v, int n) {
+  switch (n) {
+    case 1:
+      return v[0];
+    case 2:
+      return std::min(v[0], v[1]);
+    case 3: {  // hot path: the paper's default depth is 3
+      // med3 = max(min(a,b), min(max(a,b), c)) — 4 cmov ops, no branches.
+      const int64_t lo = std::min(v[0], v[1]);
+      const int64_t hi = std::max(v[0], v[1]);
+      return std::max(lo, std::min(hi, v[2]));
+    }
+    case 4: {  // 5-exchange sorting network; lower median = v[1]
+      int64_t a = v[0], b = v[1], c = v[2], d = v[3];
+      detail::CmpSwap(a, b);
+      detail::CmpSwap(c, d);
+      detail::CmpSwap(a, c);
+      detail::CmpSwap(b, d);
+      detail::CmpSwap(b, c);
+      return b;
+    }
+    case 5: {  // 9-exchange sorting network (optimal); median = v[2]
+      int64_t a = v[0], b = v[1], c = v[2], d = v[3], e = v[4];
+      detail::CmpSwap(a, b);
+      detail::CmpSwap(d, e);
+      detail::CmpSwap(c, e);
+      detail::CmpSwap(c, d);
+      detail::CmpSwap(a, d);
+      detail::CmpSwap(a, c);
+      detail::CmpSwap(b, e);
+      detail::CmpSwap(b, d);
+      detail::CmpSwap(b, c);
+      return c;
+    }
+    default:
+      std::nth_element(v, v + (n - 1) / 2, v + n);
+      return v[(n - 1) / 2];
+  }
+}
 
 /// CounterT may also be a floating-point type (float/double): counters then
 /// accumulate exact fractional weights with no saturation — the

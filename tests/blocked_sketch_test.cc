@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/counters.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "common/serialize.h"
 
@@ -165,6 +166,56 @@ TEST(BlockedSketchTest, AddEstimateMatchesAddThenEstimate) {
   for (uint64_t key = 0; key < 500; ++key) {
     ASSERT_EQ(fused.Estimate(key), twostep.Estimate(key)) << key;
   }
+}
+
+// The *Hashed entry points, fed KeyHash(key), must leave the same counters
+// and return the same answers as the key entry points, saturated lanes
+// included. Few blocks and large weights keep lanes pinned at both limits.
+template <typename CounterT>
+void ExpectHashedEntryPointsMatchKeyEntryPoints() {
+  using S = BlockedCountSketch<CounterT>;
+  constexpr uint64_t kSeed = 0x4A5E;
+  constexpr int64_t kMax = std::numeric_limits<CounterT>::max();
+  S by_key(3, 4, kSeed);
+  S by_hash(3, 4, kSeed);
+  Rng rng(91);
+  int saturated = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t key = rng.NextBounded(64);
+    const uint64_t h = by_hash.KeyHash(key);
+    ASSERT_EQ(h, HashKey(key, kSeed));
+    int64_t w = static_cast<int64_t>(rng.NextBounded(2 * kMax + 1)) - kMax;
+    if (rng.NextBounded(20) == 0) w *= int64_t{1} << 20;  // scalar path
+    switch (rng.NextBounded(3)) {
+      case 0:
+        by_key.Add(key, w);
+        by_hash.AddHashed(h, w);
+        break;
+      case 1: {
+        const int64_t a = by_key.AddEstimate(key, w);
+        ASSERT_EQ(a, by_hash.AddEstimateHashed(h, w)) << "op " << op;
+        ASSERT_EQ(a, by_hash.EstimateHashed(h)) << "op " << op;
+        saturated += (a >= kMax || a <= -kMax);
+        break;
+      }
+      default:
+        by_key.Subtract(key, w);
+        by_hash.AddHashed(h, -w);
+        break;
+    }
+    ASSERT_EQ(by_key.Estimate(key), by_hash.EstimateHashed(h)) << "op " << op;
+  }
+  EXPECT_GT(saturated, 0);
+  std::vector<uint8_t> a, b;
+  by_key.AppendTo(&a);
+  by_hash.AppendTo(&b);
+  EXPECT_EQ(a, b);
+}
+
+TEST(BlockedSketchTest, HashedEntryPointsMatchKeyEntryPoints) {
+  ExpectHashedEntryPointsMatchKeyEntryPoints<int8_t>();
+  ExpectHashedEntryPointsMatchKeyEntryPoints<int16_t>();
+  ExpectHashedEntryPointsMatchKeyEntryPoints<int32_t>();
 }
 
 TEST(BlockedSketchTest, MergeEqualsCombinedStream) {

@@ -1,6 +1,8 @@
 #include "sketch/count_sketch.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +32,32 @@ TEST(MedianOfSmallTest, GenericPathMatchesSort) {
     sorted = v;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_EQ(MedianOfSmall(v.data(), n), sorted[(n - 1) / 2]);
+  }
+}
+
+// Every depth the switch distinguishes (the d <= 5 min/max networks and
+// the selection fallback) against std::nth_element, over duplicate-heavy
+// inputs that include the int64 extremes.
+TEST(MedianOfSmallTest, MatchesNthElementWithDuplicatesAndExtremes) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const int64_t alphabet[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  Rng rng(0x3ED1A7);
+  for (int n = 1; n <= 9; ++n) {
+    for (int trial = 0; trial < 3000; ++trial) {
+      std::vector<int64_t> v(static_cast<size_t>(n));
+      for (int64_t& x : v) {
+        // Mostly a 7-symbol alphabet (many ties), sometimes anything.
+        x = rng.NextBounded(4) == 0 ? static_cast<int64_t>(rng.Next())
+                                    : alphabet[rng.NextBounded(7)];
+      }
+      std::vector<int64_t> ref = v;
+      std::nth_element(ref.begin(), ref.begin() + (n - 1) / 2, ref.end());
+      const int64_t want = ref[static_cast<size_t>((n - 1) / 2)];
+      std::vector<int64_t> input = v;
+      ASSERT_EQ(MedianOfSmall(input.data(), n), want)
+          << "n=" << n << " trial=" << trial;
+    }
   }
 }
 

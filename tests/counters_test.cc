@@ -1,9 +1,13 @@
 #include "common/counters.h"
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace qf {
 namespace {
@@ -86,6 +90,95 @@ TEST(SaturatingAddTest, MatchesClampedWideSumExhaustivelyForInt8) {
           << "v=" << v << " d=" << d;
     }
   }
+}
+
+// The branching formulation SaturatingAdd used before it became
+// branch-free (one branch on the delta's sign, one on overflow), kept as
+// the reference the clamp-based version must match bit for bit.
+template <typename IntT>
+IntT BranchingSaturatingAdd(IntT value, int64_t delta) {
+  constexpr int64_t kMin = std::numeric_limits<IntT>::min();
+  constexpr int64_t kMax = std::numeric_limits<IntT>::max();
+  const int64_t v = static_cast<int64_t>(value);
+  if (delta >= 0) {
+    return (delta > kMax - v) ? static_cast<IntT>(kMax)
+                              : static_cast<IntT>(v + delta);
+  }
+  return (delta < kMin - v) ? static_cast<IntT>(kMin)
+                            : static_cast<IntT>(v + delta);
+}
+
+constexpr int64_t kTwo40 = int64_t{1} << 40;
+constexpr int64_t kBoundaryDeltas[] = {
+    std::numeric_limits<int64_t>::min(),
+    -kTwo40 - 1,
+    -kTwo40,
+    -32769,
+    -1,
+    0,
+    1,
+    32768,
+    kTwo40,
+    kTwo40 + 1,
+    std::numeric_limits<int64_t>::max(),
+};
+
+// Every value of the counter type against every boundary delta.
+template <typename IntT>
+void ExpectMatchesBranchingForEveryValue() {
+  int mismatches = 0;
+  for (int64_t v = std::numeric_limits<IntT>::min();
+       v <= std::numeric_limits<IntT>::max(); ++v) {
+    for (const int64_t d : kBoundaryDeltas) {
+      const IntT got = SaturatingAdd(static_cast<IntT>(v), d);
+      const IntT want = BranchingSaturatingAdd(static_cast<IntT>(v), d);
+      if (got != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "v=" << v << " d=" << d << " got " << +got
+                      << " want " << +want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(SaturatingAddTest, MatchesBranchingReferenceForEveryInt8Value) {
+  ExpectMatchesBranchingForEveryValue<int8_t>();
+}
+
+TEST(SaturatingAddTest, MatchesBranchingReferenceForEveryInt16Value) {
+  ExpectMatchesBranchingForEveryValue<int16_t>();
+}
+
+TEST(SaturatingAddTest, MatchesBranchingReferenceOnRandomInt32) {
+  Rng rng(0x5A7ADD);
+  std::vector<int32_t> values = {std::numeric_limits<int32_t>::min(), -1, 0,
+                                 1, std::numeric_limits<int32_t>::max()};
+  for (int i = 0; i < 2000; ++i) {
+    values.push_back(static_cast<int32_t>(rng.Next()));
+  }
+  int mismatches = 0;
+  for (const int32_t v : values) {
+    std::vector<int64_t> deltas(std::begin(kBoundaryDeltas),
+                                std::end(kBoundaryDeltas));
+    // Random deltas of every size: full int64, int32, around 2^40, and
+    // ones that land the sum next to zero.
+    for (int i = 0; i < 50; ++i) {
+      deltas.push_back(static_cast<int64_t>(rng.Next()));
+      deltas.push_back(static_cast<int32_t>(rng.Next()));
+      deltas.push_back(static_cast<int64_t>(rng.Next()) >> 23);
+      deltas.push_back(-static_cast<int64_t>(v) +
+                       static_cast<int64_t>(rng.NextBounded(5)) - 2);
+    }
+    for (const int64_t d : deltas) {
+      const int32_t got = SaturatingAdd(v, d);
+      const int32_t want = BranchingSaturatingAdd(v, d);
+      if (got != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "v=" << v << " d=" << d << " got " << got
+                      << " want " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "durable/log.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "obs/registry.h"
 #include "obs/sink.h"
 #include "stream/item.h"
+#include "temp_path.h"
 
 namespace qf::durable {
 namespace {
@@ -458,10 +460,8 @@ TEST(DurableMetricsTest, ServerPublishesCountersThroughMetricsSink) {
   EXPECT_TRUE(server2.recovery().had_checkpoint);
   server2.Stop();
 
-  const std::string prom_path =
-      ::testing::TempDir() + "durable_metrics_test.prom";
-  const std::string jsonl_path =
-      ::testing::TempDir() + "durable_metrics_test.jsonl";
+  const std::string prom_path = TestTempPath("durable_metrics.prom");
+  const std::string jsonl_path = TestTempPath("durable_metrics.jsonl");
   obs::MetricsSink::Options sink_opts;
   sink_opts.prom_path = prom_path;
   sink_opts.jsonl_path = jsonl_path;
@@ -496,6 +496,8 @@ TEST(DurableMetricsTest, ServerPublishesCountersThroughMetricsSink) {
       counters->Get("qf_durable_records_appended_total");
   ASSERT_NE(appended, nullptr);
   EXPECT_GE(appended->NumberOr(0), 4.0);
+  std::remove(prom_path.c_str());
+  std::remove(jsonl_path.c_str());
 }
 #endif  // QF_METRICS
 

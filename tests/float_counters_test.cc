@@ -39,8 +39,9 @@ TEST(FloatCountersTest, VaguePartUsesExactWeights) {
   Criteria c(1.0, 0.6, 10.0);
   Rng rng(1);
   VaguePart<CountSketch<float>> vague(64 * 1024, 3, 77);
-  for (int i = 0; i < 100; ++i) vague.Insert(5, true, c, rng);
-  EXPECT_EQ(vague.Estimate(5), 150);
+  const auto key = vague.Locate(5);
+  for (int i = 0; i < 100; ++i) vague.Insert(key, true, c, rng);
+  EXPECT_EQ(vague.Estimate(key), 150);
 }
 
 TEST(FloatCountersTest, FilterDetectsWithFloatVague) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_path.h"
+
 namespace qf {
 namespace {
 
@@ -41,7 +43,7 @@ TEST(FlowTraceTest, RejectsMalformedRecords) {
 }
 
 TEST(FlowTraceTest, ReadsFileSkippingCommentsAndJunk) {
-  std::string path = std::string(::testing::TempDir()) + "/flows.csv";
+  std::string path = TestTempPath("flows.csv");
   std::FILE* f = std::fopen(path.c_str(), "w");
   ASSERT_NE(f, nullptr);
   std::fprintf(f,

@@ -21,6 +21,7 @@
 #include "obs/export.h"
 #include "obs/registry.h"
 #include "obs/sink.h"
+#include "temp_path.h"
 
 namespace qf::net {
 namespace {
@@ -232,8 +233,7 @@ TEST(NetMetricsWireTest, LiveServerRoundTripMatchesSinkSnapshot) {
   // Same fence: the server is drained and idle, so every family EXCEPT the
   // control-path counters is stable between the wire snapshot and these.
   const obs::MetricsSnapshot local = obs::MetricsRegistry::Global().Snapshot();
-  const std::string jsonl =
-      testing::TempDir() + "/qf_metrics_wire_test.jsonl";
+  const std::string jsonl = TestTempPath("metrics_wire.jsonl");
   std::remove(jsonl.c_str());
   obs::MetricsSink sink(obs::MetricsRegistry::Global(),
                         obs::MetricsSink::Options{jsonl, "", 1000});

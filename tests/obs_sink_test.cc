@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/export.h"
+#include "temp_path.h"
 
 namespace qf::obs {
 namespace {
@@ -33,8 +34,8 @@ size_t CountLines(const std::string& text) {
 class ObsSinkTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    jsonl_path_ = testing::TempDir() + "/qf_sink_test.jsonl";
-    prom_path_ = testing::TempDir() + "/qf_sink_test.prom";
+    jsonl_path_ = TestTempPath("sink.jsonl");
+    prom_path_ = TestTempPath("sink.prom");
     std::remove(jsonl_path_.c_str());
     std::remove(prom_path_.c_str());
   }

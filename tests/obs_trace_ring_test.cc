@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/export.h"
+#include "temp_path.h"
 
 namespace qf::obs {
 namespace {
@@ -105,8 +106,7 @@ TEST(ObsTraceRingTest, ChromeJsonDumpParsesAndSortsByStart) {
   ring.Emit(TraceEvent::kRingStall, 0, 1000, 200, 7);
   ring.Emit(TraceEvent::kBatchShip, 1, 2000, 0, 32);
 
-  const std::string path =
-      testing::TempDir() + "/qf_trace_ring_test.trace.json";
+  const std::string path = TestTempPath("trace_ring.trace.json");
   ASSERT_TRUE(ring.DumpChromeJson(path));
 
   std::ifstream in(path);

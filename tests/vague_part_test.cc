@@ -13,8 +13,9 @@ TEST(VaguePartTest, InsertReturnsPostInsertEstimate) {
   Criteria c(30, 0.95, 300);
   Rng rng(1);
   // Two abnormal items: estimate should be 38 (2 * 19) with no collisions.
-  vague.Insert(7, true, c, rng);
-  int64_t est = vague.Insert(7, true, c, rng);
+  const auto key = vague.Locate(7);
+  vague.Insert(key, true, c, rng);
+  int64_t est = vague.Insert(key, true, c, rng);
   EXPECT_EQ(est, 38);
 }
 
@@ -22,8 +23,9 @@ TEST(VaguePartTest, NormalItemsDecrement) {
   VaguePart<CountSketch<int32_t>> vague(64 * 1024, 3, 42);
   Criteria c(30, 0.95, 300);
   Rng rng(2);
-  vague.Insert(9, false, c, rng);
-  int64_t est = vague.Insert(9, false, c, rng);
+  const auto key = vague.Locate(9);
+  vague.Insert(key, false, c, rng);
+  int64_t est = vague.Insert(key, false, c, rng);
   EXPECT_EQ(est, -2);
 }
 
@@ -31,27 +33,29 @@ TEST(VaguePartTest, SubtractResetsEstimate) {
   VaguePart<CountSketch<int32_t>> vague(64 * 1024, 3, 7);
   Criteria c(30, 0.95, 300);
   Rng rng(3);
-  for (int i = 0; i < 10; ++i) vague.Insert(5, true, c, rng);
-  int64_t est = vague.Estimate(5);
+  const auto key = vague.Locate(5);
+  for (int i = 0; i < 10; ++i) vague.Insert(key, true, c, rng);
+  int64_t est = vague.Estimate(key);
   EXPECT_EQ(est, 190);
-  vague.Subtract(5, est);
-  EXPECT_EQ(vague.Estimate(5), 0);
+  vague.Subtract(key, est);
+  EXPECT_EQ(vague.Estimate(key), 0);
 }
 
 TEST(VaguePartTest, AddRawQweight) {
   VaguePart<CountSketch<int32_t>> vague(64 * 1024, 3, 9);
-  vague.Add(11, -25);
-  EXPECT_EQ(vague.Estimate(11), -25);
+  vague.Add(vague.Locate(11), -25);
+  EXPECT_EQ(vague.Estimate(vague.Locate(11)), -25);
 }
 
 TEST(VaguePartTest, WorksWithCountMinEngine) {
   VaguePart<CountMinSketch<int32_t>> vague(64 * 1024, 3, 13);
   Criteria c(30, 0.95, 300);
   Rng rng(4);
-  vague.Insert(3, true, c, rng);
-  EXPECT_EQ(vague.Estimate(3), 19);
-  vague.Subtract(3, 19);
-  EXPECT_EQ(vague.Estimate(3), 0);
+  const auto key = vague.Locate(3);
+  vague.Insert(key, true, c, rng);
+  EXPECT_EQ(vague.Estimate(key), 19);
+  vague.Subtract(key, 19);
+  EXPECT_EQ(vague.Estimate(key), 0);
 }
 
 TEST(VaguePartTest, FractionalWeightsAreUnbiased) {
@@ -59,16 +63,17 @@ TEST(VaguePartTest, FractionalWeightsAreUnbiased) {
   Rng rng(5);
   VaguePart<CountSketch<int32_t>> vague(256 * 1024, 3, 17);
   const int n = 40000;
-  for (int i = 0; i < n; ++i) vague.Insert(21, true, c, rng);
-  double mean = static_cast<double>(vague.Estimate(21)) / n;
+  const auto key = vague.Locate(21);
+  for (int i = 0; i < n; ++i) vague.Insert(key, true, c, rng);
+  double mean = static_cast<double>(vague.Estimate(key)) / n;
   EXPECT_NEAR(mean, 1.5, 0.02);
 }
 
 TEST(VaguePartTest, ClearZeroes) {
   VaguePart<CountSketch<int16_t>> vague(4 * 1024, 3, 19);
-  vague.Add(1, 100);
+  vague.Add(vague.Locate(1), 100);
   vague.Clear();
-  EXPECT_EQ(vague.Estimate(1), 0);
+  EXPECT_EQ(vague.Estimate(vague.Locate(1)), 0);
 }
 
 }  // namespace

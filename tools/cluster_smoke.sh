@@ -30,12 +30,17 @@ trap cleanup EXIT
 wait_port() { # logfile -> sets PORT
   PORT=""
   for _ in $(seq 100); do
-    PORT=$(sed -n 's/.*listening on [^:]*:\([0-9]*\).*/\1/p' "$1" | head -1)
+    # The background shell may not have created the log yet; a missing
+    # file means "not yet", not a failed sed (which set -e + pipefail
+    # would turn into an exit).
+    if [ -f "$1" ]; then
+      PORT=$(sed -n 's/.*listening on [^:]*:\([0-9]*\).*/\1/p' "$1" | head -1)
+    fi
     [ -n "$PORT" ] && return 0
     sleep 0.1
   done
   echo "cluster_smoke: no listening banner in $1" >&2
-  cat "$1" >&2
+  if [ -f "$1" ]; then cat "$1" >&2; fi
   return 1
 }
 

@@ -37,13 +37,16 @@ start_server() {  # $1 = log file; extra args pass through
   # --port=0 binds an ephemeral port; parse it from the listening banner.
   PORT=""
   for _ in $(seq 1 100); do
-    PORT="$(sed -n 's/.*listening on [^:]*:\([0-9]*\).*/\1/p' "${log}" | head -1)"
+    # The background shell may not have created the log yet: not yet.
+    if [[ -f "${log}" ]]; then
+      PORT="$(sed -n 's/.*listening on [^:]*:\([0-9]*\).*/\1/p' "${log}" | head -1)"
+    fi
     [[ -n "${PORT}" ]] && return 0
     kill -0 "${SERVER_PID}" 2>/dev/null || break
     sleep 0.1
   done
   echo "serve_smoke: server failed to report a port" >&2
-  cat "${log}" >&2
+  if [[ -f "${log}" ]]; then cat "${log}" >&2; fi
   exit 1
 }
 
