@@ -1,15 +1,8 @@
 #include "cluster/coordinator.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -18,7 +11,6 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -30,6 +22,7 @@
 #include "cluster/topology.h"
 #include "common/time.h"
 #include "net/client.h"
+#include "net/reactor.h"
 #include "obs/instrument.h"
 #include "obs/registry.h"
 #include "parallel/park.h"
@@ -38,6 +31,7 @@ namespace qf::cluster {
 namespace {
 
 using net::BackendState;
+using net::Connection;
 using net::ControlOp;
 using net::ControlStatus;
 using net::ErrorCode;
@@ -45,16 +39,6 @@ using net::FrameDecoder;
 using net::FrameType;
 using net::FrameView;
 using net::WireStats;
-
-bool SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-void SetNoDelay(int fd) {
-  int one = 1;
-  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
 
 uint64_t NowMs() { return MonotonicNanos() / 1000000ull; }
 
@@ -90,117 +74,6 @@ struct ClusterMetrics {
   }
 };
 #endif
-
-/// Iovec-based write queue: frames append into the tail block (or arrive as
-/// whole moved-in blocks from the coalescer — zero copy), and FlushTo hands
-/// the kernel as many blocks per syscall as sendmsg takes. Spent blocks are
-/// recycled so a steady flow allocates nothing.
-class WriteQueue {
- public:
-  enum class FlushResult { kDrained, kBlocked, kError };
-
-  bool empty() const { return bytes_ == 0; }
-  size_t bytes() const { return bytes_; }
-
-  /// Appends one encoded frame via `encode(std::vector<uint8_t>*)`.
-  template <typename Fn>
-  void Append(Fn&& encode) {
-    std::vector<uint8_t>& tail = TailBlock();
-    const size_t before = tail.size();
-    encode(&tail);
-    bytes_ += tail.size() - before;
-  }
-
-  /// Takes ownership of a fully formed frame block (coalesced flushes and
-  /// locally encoded replies land here without a byte copy).
-  void PushBlock(std::vector<uint8_t> block) {
-    if (block.empty()) return;
-    bytes_ += block.size();
-    blocks_.push_back(std::move(block));
-  }
-
-  /// Hands back a spent block (cleared, capacity kept) for reuse.
-  std::vector<uint8_t> TakeSpare() {
-    if (spares_.empty()) return {};
-    std::vector<uint8_t> v = std::move(spares_.back());
-    spares_.pop_back();
-    v.clear();
-    return v;
-  }
-
-  FlushResult FlushTo(int fd) {
-    while (bytes_ > 0) {
-      iovec iov[kMaxIov];
-      size_t n_iov = 0;
-      size_t off = head_off_;
-      for (const std::vector<uint8_t>& b : blocks_) {
-        if (n_iov == kMaxIov) break;
-        iov[n_iov].iov_base =
-            const_cast<uint8_t*>(b.data()) + off;
-        iov[n_iov].iov_len = b.size() - off;
-        ++n_iov;
-        off = 0;
-      }
-      msghdr mh{};
-      mh.msg_iov = iov;
-      mh.msg_iovlen = n_iov;
-      const ssize_t n = sendmsg(fd, &mh, MSG_NOSIGNAL);
-      if (n > 0) {
-        Consume(static_cast<size_t>(n));
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        return FlushResult::kBlocked;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      return FlushResult::kError;
-    }
-    return FlushResult::kDrained;
-  }
-
-  void Clear() {
-    blocks_.clear();
-    head_off_ = 0;
-    bytes_ = 0;
-  }
-
- private:
-  static constexpr size_t kMaxIov = 64;
-  static constexpr size_t kTailSoftCapBytes = 64u << 10;
-  static constexpr size_t kMaxSpares = 4;
-  static constexpr size_t kMaxSpareCapacity = 1u << 20;
-
-  std::vector<uint8_t>& TailBlock() {
-    if (blocks_.empty() || blocks_.back().size() >= kTailSoftCapBytes) {
-      blocks_.push_back(TakeSpare());
-    }
-    return blocks_.back();
-  }
-
-  void Consume(size_t n) {
-    bytes_ -= n;
-    while (n > 0) {
-      std::vector<uint8_t>& f = blocks_.front();
-      const size_t avail = f.size() - head_off_;
-      if (n < avail) {
-        head_off_ += n;
-        return;
-      }
-      n -= avail;
-      head_off_ = 0;
-      if (spares_.size() < kMaxSpares &&
-          f.capacity() <= kMaxSpareCapacity) {
-        spares_.push_back(std::move(f));
-      }
-      blocks_.pop_front();
-    }
-  }
-
-  std::deque<std::vector<uint8_t>> blocks_;
-  size_t head_off_ = 0;  // flushed bytes of blocks_.front()
-  size_t bytes_ = 0;
-  std::vector<std::vector<uint8_t>> spares_;
-};
 
 }  // namespace
 
@@ -254,34 +127,36 @@ struct Coordinator::Impl {
     std::vector<uint8_t> local_frame;
   };
 
-  struct ClientConn {
+  /// Names a client across loop turns: completions resolve it with
+  /// FindClient and no-op if the client has gone (or its fd was reused).
+  struct ClientRef {
     int fd = -1;
-    uint64_t gen = 0;
-    FrameDecoder decoder;
-    WriteQueue outq;
-    bool want_write = false;
+    uint32_t gen = 0;
+  };
+
+  struct ClientConn {
+    Connection io;
     bool subscribed = false;
-    bool closing = false;  // terminal ERROR queued; drop after flush
     uint64_t alert_seq = 0;
     std::deque<std::shared_ptr<PendingReply>> replies;
 
-    explicit ClientConn(const FrameDecoder::Options& dopts)
-        : decoder(dopts) {}
+    ClientConn(net::EventLoop& loop, int fd,
+               const FrameDecoder::Options& dopts)
+        : io(loop, fd, dopts) {}
+    ClientRef ref() const { return {io.fd(), io.gen()}; }
   };
 
   /// One client request folded into a coalesced backend frame.
   struct Credit {
     std::shared_ptr<PendingReply> reply;
-    int client_fd = -1;
-    uint64_t client_gen = 0;
+    ClientRef client;
   };
 
   /// QUERY/CONTROL sub-request bookkeeping (INGEST uses the credit ledger).
   struct SubOp {
     enum Kind { kQuery, kControl };
     Kind kind = kQuery;
-    int client_fd = -1;
-    uint64_t client_gen = 0;
+    ClientRef client;
     std::shared_ptr<PendingReply> reply;
     std::vector<uint32_t> positions;  // kQuery: answer slots, in key order
   };
@@ -291,12 +166,9 @@ struct Coordinator::Impl {
     std::string host;
     uint16_t port = 0;
     BackendState state = BackendState::kDisconnected;
-    int fd = -1;
+    std::unique_ptr<Connection> link;  // null while disconnected
     bool connecting = false;  // nonblocking connect() in flight
     uint64_t connect_deadline_ms = 0;
-    FrameDecoder decoder;
-    WriteQueue outq;
-    bool want_write = false;
     uint64_t next_token = 1;
     uint64_t subscribe_token = 0;  // upstream-subscription handshake
     std::unordered_map<uint64_t, SubOp> inflight;
@@ -317,37 +189,29 @@ struct Coordinator::Impl {
     uint64_t next_attempt_ms = 0;
     obs::Gauge* queued_gauge = nullptr;
     int64_t queued_reported = 0;
-
-    explicit Backend(const FrameDecoder::Options& dopts) : decoder(dopts) {}
   };
 
   struct FencedBatch {
     std::shared_ptr<PendingReply> reply;
-    int client_fd = -1;
-    uint64_t client_gen = 0;
+    ClientRef client;
     std::vector<Item> items;
   };
 
-  /// One event loop: its own accept socket (SO_REUSEPORT when reactors >
-  /// 1), epoll, clients, backend connections, slot-table copy and fence
-  /// state. Nothing here is touched by any other thread except through the
-  /// command queue.
+  /// One event loop (its own SO_REUSEPORT accept socket when reactors >
+  /// 1), its clients, backend connections, slot-table copy and fence
+  /// state. Nothing here is touched by any other thread except through
+  /// loop.Post().
   struct Reactor {
-    Impl* impl = nullptr;
     uint32_t ridx = 0;
-    int listen_fd = -1;
-    int epoll_fd = -1;
-    int wake_fd = -1;
+    net::EventLoop loop;  // declared before every Connection owner
     std::thread thread;
-
-    std::mutex cmd_mu;
-    std::deque<std::function<void()>> cmds;
 
     Topology topo;
     std::unordered_map<int, std::unique_ptr<ClientConn>> clients;
-    uint64_t next_gen = 1;
+    /// The client whose recv() chunk is being handled: its replies wait
+    /// for the chunk's single flush in Connection::ReadFrames.
+    ClientConn* reading = nullptr;
     std::vector<Backend> backends;
-    std::unordered_map<int, uint32_t> backend_by_fd;
 
     // ---- migration fence (per loop; the worker rendezvouses all) --------
     bool fenced = false;
@@ -377,8 +241,7 @@ struct Coordinator::Impl {
   std::thread migration_worker;
   Reactor* migrate_reactor = nullptr;
   std::shared_ptr<PendingReply> migrate_reply;
-  int migrate_client_fd = -1;
-  uint64_t migrate_client_gen = 0;
+  ClientRef migrate_client;
 
   FrameDecoder::Options DecoderOpts() const {
     FrameDecoder::Options d;
@@ -392,46 +255,6 @@ struct Coordinator::Impl {
   bool Fail(const std::string& why) {
     error = why;
     return false;
-  }
-
-  bool BindReactor(Reactor& r, bool reuseport) {
-    r.listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (r.listen_fd < 0) {
-      return Fail("socket: " + std::string(strerror(errno)));
-    }
-    int one = 1;
-    setsockopt(r.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (reuseport) {
-      if (setsockopt(r.listen_fd, SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one)) != 0) {
-        return Fail("SO_REUSEPORT: " + std::string(strerror(errno)));
-      }
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    // Reactor 0 binds the configured port (possibly 0 = ephemeral) and
-    // publishes the result; later reactors join the same bound port.
-    addr.sin_port = htons(r.ridx == 0 ? opts.port : bound_port);
-    if (inet_pton(AF_INET, opts.host.c_str(), &addr.sin_addr) != 1) {
-      return Fail("bad listen host: " + opts.host);
-    }
-    if (bind(r.listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-      return Fail("bind: " + std::string(strerror(errno)));
-    }
-    if (listen(r.listen_fd, 128) != 0) {
-      return Fail("listen: " + std::string(strerror(errno)));
-    }
-    if (r.ridx == 0) {
-      socklen_t len = sizeof(addr);
-      if (getsockname(r.listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                      &len) != 0) {
-        return Fail("getsockname: " + std::string(strerror(errno)));
-      }
-      bound_port = ntohs(addr.sin_port);
-    }
-    return SetNonBlocking(r.listen_fd) ||
-           Fail("fcntl: " + std::string(strerror(errno)));
   }
 
   bool Start() {
@@ -450,14 +273,13 @@ struct Coordinator::Impl {
 
     for (size_t ri = 0; ri < n_reactors; ++ri) {
       auto r = std::make_unique<Reactor>();
-      r->impl = this;
       r->ridx = static_cast<uint32_t>(ri);
       r->backends.reserve(n_backends);
       for (size_t b = 0; b < n_backends; ++b) {
-        Backend be(DecoderOpts());
+        Backend be;
         be.idx = static_cast<uint32_t>(b);
         if (!SplitHostPort(opts.backends[b], &be.host, &be.port)) {
-          CloseReactorFds();
+          reactors.clear();
           return Fail("bad backend address: " + opts.backends[b]);
         }
         be.backoff_ms = opts.backend_backoff_initial_ms;
@@ -472,23 +294,14 @@ struct Coordinator::Impl {
       r->topo = Topology(opts.backends, opts.num_slots);
       r->scatter_keys.resize(n_backends);
       r->scatter_pos.resize(n_backends);
-      if (!BindReactor(*r, n_reactors > 1)) {
-        if (r->listen_fd >= 0) close(r->listen_fd);
-        CloseReactorFds();
+      // Reactor 0 binds the configured port (possibly 0 = ephemeral);
+      // later reactors join its SO_REUSEPORT group on the bound port.
+      if (!r->loop.Open(opts.host, ri == 0 ? opts.port : bound_port,
+                        n_reactors > 1, &error)) {
+        reactors.clear();
         return false;
       }
-      r->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
-      r->wake_fd = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-      if (r->epoll_fd < 0 || r->wake_fd < 0) {
-        const std::string why = strerror(errno);
-        if (r->listen_fd >= 0) close(r->listen_fd);
-        if (r->epoll_fd >= 0) close(r->epoll_fd);
-        if (r->wake_fd >= 0) close(r->wake_fd);
-        CloseReactorFds();
-        return Fail("epoll/eventfd: " + why);
-      }
-      EpollAdd(*r, r->listen_fd, EPOLLIN);
-      EpollAdd(*r, r->wake_fd, EPOLLIN);
+      bound_port = r->loop.port();
       reactors.push_back(std::move(r));
     }
     live_reactors.store(static_cast<int>(n_reactors),
@@ -504,7 +317,7 @@ struct Coordinator::Impl {
   void Stop() {
     if (!started) return;
     stop_flag.store(true, std::memory_order_release);
-    for (auto& r : reactors) Wake(*r);
+    for (auto& r : reactors) r->loop.Wake();
     for (auto& r : reactors) {
       if (r->thread.joinable()) r->thread.join();
     }
@@ -520,75 +333,23 @@ struct Coordinator::Impl {
           joined.store(true, std::memory_order_release);
         });
         while (!joined.load(std::memory_order_acquire)) {
-          for (auto& r : reactors) DrainCommands(*r);
+          for (auto& r : reactors) r->loop.RunPosted();
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
         joiner.join();
       }
     }
-    for (auto& r : reactors) DrainCommands(*r);
-    CloseReactorFds();  // every thread that can Wake() has exited by here
-    started = false;
-  }
-
-  void CloseReactorFds() {
     for (auto& r : reactors) {
-      if (r->listen_fd >= 0) close(r->listen_fd);
-      if (r->wake_fd >= 0) close(r->wake_fd);
-      if (r->epoll_fd >= 0) close(r->epoll_fd);
-      r->listen_fd = r->wake_fd = r->epoll_fd = -1;
+      r->loop.RunPosted();
+      r->loop.Close();  // every thread that can Wake() has exited by here
     }
-  }
-
-  void Wake(Reactor& r) {
-    if (r.wake_fd >= 0) {
-      uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = write(r.wake_fd, &one, sizeof(one));
-    }
-  }
-
-  void EpollAdd(Reactor& r, int fd, uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.fd = fd;
-    epoll_ctl(r.epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-  }
-
-  void EpollMod(Reactor& r, int fd, uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.fd = fd;
-    epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, fd, &ev);
-  }
-
-  void EpollDel(Reactor& r, int fd) {
-    epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+    started = false;
   }
 
   void SetBackendState(Reactor& r, Backend& b, BackendState s) {
     b.state = s;
     state_matrix[r.ridx * opts.backends.size() + b.idx].store(
         static_cast<uint8_t>(s), std::memory_order_relaxed);
-  }
-
-  // ======================================================================
-  // Command queue
-
-  void RunInLoop(Reactor& r, std::function<void()> fn) {
-    {
-      std::lock_guard<std::mutex> lock(r.cmd_mu);
-      r.cmds.push_back(std::move(fn));
-    }
-    Wake(r);
-  }
-
-  void DrainCommands(Reactor& r) {
-    std::deque<std::function<void()>> batch;
-    {
-      std::lock_guard<std::mutex> lock(r.cmd_mu);
-      batch.swap(r.cmds);
-    }
-    for (auto& fn : batch) fn();
   }
 
   // ======================================================================
@@ -618,62 +379,31 @@ struct Coordinator::Impl {
   }
 
   void Loop(Reactor& r) {
-    epoll_event events[128];
     while (!stop_flag.load(std::memory_order_acquire)) {
-      DrainCommands(r);
-      const uint64_t now = NowMs();
-      KickBackendConnects(r, now);
-      const int n = epoll_wait(r.epoll_fd, events, 128, LoopTimeoutMs(r));
-      if (n < 0 && errno != EINTR) break;
-      // Handle accepts last: a close earlier in the batch frees an fd that
-      // accept() may immediately reuse, and stale events for the old fd
-      // must not be misattributed to the new connection.
-      bool accept_ready = false;
-      for (int i = 0; i < n; ++i) {
-        const int fd = events[i].data.fd;
-        if (fd == r.listen_fd) {
-          accept_ready = true;
-        } else if (fd == r.wake_fd) {
-          uint64_t junk;
-          while (read(r.wake_fd, &junk, sizeof(junk)) > 0) {
-          }
-        } else if (auto it = r.backend_by_fd.find(fd);
-                   it != r.backend_by_fd.end()) {
-          HandleBackendEvent(r, r.backends[it->second], events[i].events);
-        } else if (r.clients.count(fd) != 0) {
-          HandleClientEvent(r, fd, events[i].events);
-        }
-      }
-      if (accept_ready) AcceptClients(r);
+      r.loop.RunPosted();
+      KickBackendConnects(r, NowMs());
+      const bool polled = r.loop.Poll(
+          LoopTimeoutMs(r),
+          [&](int fd, uint32_t gen, uint32_t events) {
+            OnEvent(r, fd, gen, events);
+          },
+          [&](int fd) { AdoptClient(r, fd); });
+      if (!polled) break;
       FlushDueCoalesce(r);
     }
     // Unblock a migration worker parked on a fence/flip future: drain the
     // remaining commands (they are stop-aware and fail fast), then fulfill
     // any ack barrier armed before the stop with failure.
-    DrainCommands(r);
+    r.loop.RunPosted();
     if (r.barrier_armed) {
       r.barrier_armed = false;
       r.barrier_promise->set_value(false);
     }
     active_clients.fetch_sub(r.clients.size(), std::memory_order_relaxed);
-    for (auto& [fd, conn] : r.clients) close(fd);
-    r.clients.clear();
-    for (Backend& b : r.backends) {
-      if (b.fd >= 0) close(b.fd);
-      b.fd = -1;
-      b.outq.Clear();
-      b.co_buf.Reset();
-      UpdateQueuedGauge(b);
-#if QF_METRICS
-      const size_t depth = b.ledger.depth();
-      if (depth > 0) {
-        ClusterMetrics::Get().ledger_depth.Add(
-            -static_cast<int64_t>(depth));
-      }
-#endif
-      b.ledger.TakeAll();
-    }
-    r.backend_by_fd.clear();
+    r.clients.clear();  // each Connection closes its socket
+    // With no clients left, failing a backend just drops its link, buffers
+    // and ledger (keeping the gauges balanced).
+    for (Backend& b : r.backends) FailBackend(r, b, NowMs());
     // listen/wake/epoll stay open: Wake() writes wake_fd from other
     // threads, so Stop() closes them only after every waker has joined.
     live_reactors.fetch_sub(1, std::memory_order_release);
@@ -682,122 +412,75 @@ struct Coordinator::Impl {
   // ======================================================================
   // Client plane
 
-  void AcceptClients(Reactor& r) {
-    while (true) {
-      const int fd = accept4(r.listen_fd, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) break;
-      SetNoDelay(fd);
-      auto conn = std::make_unique<ClientConn>(DecoderOpts());
-      conn->fd = fd;
-      conn->gen = r.next_gen++;
-      r.clients[fd] = std::move(conn);
-      EpollAdd(r, fd, EPOLLIN);
-      accepts.fetch_add(1, std::memory_order_relaxed);
-      active_clients.fetch_add(1, std::memory_order_relaxed);
+  /// Routes one epoll event by fd, dropping it unless its generation is
+  /// the live connection's (a stale event for a closed-and-reused fd).
+  void OnEvent(Reactor& r, int fd, uint32_t gen, uint32_t events) {
+    if (ClientConn* c = FindClient(r, {fd, gen})) {
+      ServeClient(r, c, events);
+      return;
+    }
+    for (Backend& b : r.backends) {
+      if (b.link != nullptr && b.link->fd() == fd && b.link->gen() == gen) {
+        HandleBackendEvent(r, b, events);
+        return;
+      }
     }
   }
 
-  ClientConn* FindClient(Reactor& r, int fd, uint64_t gen) {
-    auto it = r.clients.find(fd);
-    if (it == r.clients.end() || it->second->gen != gen) return nullptr;
-    return it->second.get();
+  void AdoptClient(Reactor& r, int fd) {
+    auto conn = std::make_unique<ClientConn>(r.loop, fd, DecoderOpts());
+    if (!conn->io.registered()) return;  // destroying conn closes the fd
+    r.clients.emplace(fd, std::move(conn));
+    accepts.fetch_add(1, std::memory_order_relaxed);
+    active_clients.fetch_add(1, std::memory_order_relaxed);
   }
 
-  void CloseClient(Reactor& r, int fd) {
-    auto it = r.clients.find(fd);
-    if (it == r.clients.end()) return;
-    EpollDel(r, fd);
-    close(fd);
-    r.clients.erase(it);
+  ClientConn* FindClient(Reactor& r, ClientRef ref) {
+    auto it = r.clients.find(ref.fd);
+    return it != r.clients.end() && it->second->io.gen() == ref.gen
+               ? it->second.get()
+               : nullptr;
+  }
+
+  /// Acts on a Connection status: closes the client it ends (counting a
+  /// slow consumer). Returns false unless the client is still open.
+  bool SettleClient(Reactor& r, ClientConn* c, Connection::Status status) {
+    if (status == Connection::Status::kOpen) return true;
+    if (status == Connection::Status::kStopped) return false;
+    if (status == Connection::Status::kSlow) {
+      slow_disconnects.fetch_add(1, std::memory_order_relaxed);
+    }
+    r.clients.erase(c->io.fd());  // frees c; its Connection closes the fd
     active_clients.fetch_sub(1, std::memory_order_relaxed);
-  }
-
-  void UpdateClientInterest(Reactor& r, ClientConn* c) {
-    const bool want = !c->outq.empty();
-    if (want != c->want_write) {
-      c->want_write = want;
-      EpollMod(r, c->fd, EPOLLIN | (want ? EPOLLOUT : 0u));
-    }
+    return false;
   }
 
   /// Flushes as much queued output as the socket takes. Returns false if
-  /// the connection died (already closed).
-  bool FlushClient(Reactor& r, ClientConn* c) {
-    switch (c->outq.FlushTo(c->fd)) {
-      case WriteQueue::FlushResult::kError:
-        CloseClient(r, c->fd);
-        return false;
-      case WriteQueue::FlushResult::kDrained:
-        if (c->closing) {
-          CloseClient(r, c->fd);
-          return false;
-        }
-        break;
-      case WriteQueue::FlushResult::kBlocked:
-        if (c->outq.bytes() > opts.max_write_queue_bytes) {
-          slow_disconnects.fetch_add(1, std::memory_order_relaxed);
-          CloseClient(r, c->fd);
-          return false;
-        }
-        break;
-    }
-    UpdateClientInterest(r, c);
-    return true;
+  /// the client was closed.
+  bool SendQueued(Reactor& r, ClientConn* c) {
+    return SettleClient(r, c, c->io.Flush(opts.max_write_queue_bytes,
+                                          /*io=*/nullptr));
   }
 
   /// Terminal per connection, like QfServer: queue the ERROR frame, stop
   /// processing input, drop once it flushed.
   void SendClientError(Reactor& r, ClientConn* c, ErrorCode code,
                        const std::string& message) {
-    if (c->closing) return;
-    c->outq.Append([&](std::vector<uint8_t>* out) {
-      net::EncodeErrorTo(code, message, out);
-    });
-    c->closing = true;
-    FlushClient(r, c);
+    c->io.QueueError(code, message);
+    SendQueued(r, c);
   }
 
-  void HandleClientEvent(Reactor& r, int fd, uint32_t events) {
-    ClientConn* c = r.clients[fd].get();
-    if (events & (EPOLLERR | EPOLLHUP)) {
-      CloseClient(r, fd);
-      return;
-    }
-    if (events & EPOLLOUT) {
-      if (!FlushClient(r, c)) return;
-    }
-    if ((events & EPOLLIN) == 0) return;
-    uint8_t buf[65536];
-    while (true) {
-      const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-      if (n == 0) {
-        CloseClient(r, fd);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        CloseClient(r, fd);
-        return;
-      }
-      if (!c->decoder.Append(buf, static_cast<size_t>(n))) {
-        SendClientError(r, c, ErrorCode::kMalformedFrame,
-                        c->decoder.error());
-        return;
-      }
-      FrameView frame;
-      while (!c->closing &&
-             c->decoder.NextView(&frame) == FrameDecoder::Result::kFrame) {
-        DispatchClientFrame(r, c, frame);
-        if (r.clients.count(fd) == 0) return;  // closed mid-dispatch
-      }
-      if (c->decoder.poisoned()) {
-        SendClientError(r, c, ErrorCode::kMalformedFrame,
-                        c->decoder.error());
-        return;
-      }
-    }
+  void ServeClient(Reactor& r, ClientConn* c, uint32_t events) {
+    const ClientRef ref = c->ref();
+    r.reading = c;
+    const Connection::Status status = c->io.OnEvents(
+        events, opts.max_write_queue_bytes, /*io=*/nullptr,
+        [&](const FrameView& frame) {
+          DispatchClientFrame(r, c, frame);
+          return FindClient(r, ref) != nullptr && !c->io.closing();
+        });
+    r.reading = nullptr;
+    SettleClient(r, c, status);
   }
 
   void DispatchClientFrame(Reactor& r, ClientConn* c,
@@ -841,6 +524,11 @@ struct Coordinator::Impl {
     QueueLocalReply(r, c, std::move(frame));
   }
 
+  /// As below, for a client that may have gone since the request.
+  void TryFlushReplies(Reactor& r, ClientRef ref) {
+    if (ClientConn* c = FindClient(r, ref)) TryFlushReplies(r, c);
+  }
+
   void TryFlushReplies(Reactor& r, ClientConn* c) {
     while (!c->replies.empty()) {
       PendingReply& reply = *c->replies.front();
@@ -852,28 +540,27 @@ struct Coordinator::Impl {
       AppendReplyFrame(r, c, reply);
       c->replies.pop_front();
     }
-    FlushClient(r, c);
+    // A client mid-read flushes once, at the end of its recv() chunk.
+    if (c != r.reading) SendQueued(r, c);
   }
 
   void AppendReplyFrame(Reactor&, ClientConn* c, PendingReply& reply) {
     switch (reply.kind) {
       case PendingReply::kLocal:
-        c->outq.PushBlock(std::move(reply.local_frame));
+        c->io.out().PushBlock(std::move(reply.local_frame));
         return;
       case PendingReply::kIngestR: {
         const uint64_t total =
             total_items_acked.fetch_add(reply.count,
                                         std::memory_order_relaxed) +
             reply.count;
-        c->outq.Append([&](std::vector<uint8_t>* out) {
-          net::EncodeIngestAckTo(reply.token, reply.count, total, out);
-        });
+        c->io.out().Encode(net::EncodeIngestAckTo, reply.token, reply.count,
+                           total);
         return;
       }
       case PendingReply::kQueryR:
-        c->outq.Append([&](std::vector<uint8_t>* out) {
-          net::EncodeQueryResultTo(reply.token, reply.answers, out);
-        });
+        c->io.out().Encode(net::EncodeQueryResultTo, reply.token,
+                           reply.answers);
         return;
       case PendingReply::kControlFan: {
         std::vector<uint8_t> payload;
@@ -899,10 +586,8 @@ struct Coordinator::Impl {
             }
           }
         }
-        c->outq.Append([&](std::vector<uint8_t>* out) {
-          net::EncodeControlResultTo(reply.token, reply.op, reply.status,
-                                     payload, out);
-        });
+        c->io.out().Encode(net::EncodeControlResultTo, reply.token, reply.op,
+                           reply.status, payload);
         return;
       }
     }
@@ -914,23 +599,15 @@ struct Coordinator::Impl {
   void MergeLocalClusterMetrics(PendingReply& reply) {
 #if QF_METRICS
     ClusterMetrics::Get();  // ensure the series exist even before traffic
-    const obs::MetricsSnapshot full =
-        obs::MetricsRegistry::Global().Snapshot();
-    obs::MetricsSnapshot mine;
-    mine.wall_ns = full.wall_ns;
-    mine.mono_ns = full.mono_ns;
-    const auto is_cluster = [](const std::string& name) {
-      return name.rfind("qf_cluster_", 0) == 0;
+    obs::MetricsSnapshot mine = obs::MetricsRegistry::Global().Snapshot();
+    const auto keep_cluster = [](auto& samples) {
+      std::erase_if(samples, [](const auto& s) {
+        return s.name.rfind("qf_cluster_", 0) != 0;
+      });
     };
-    for (const auto& s : full.counters) {
-      if (is_cluster(s.name)) mine.counters.push_back(s);
-    }
-    for (const auto& s : full.gauges) {
-      if (is_cluster(s.name)) mine.gauges.push_back(s);
-    }
-    for (const auto& s : full.histograms) {
-      if (is_cluster(s.name)) mine.histograms.push_back(s);
-    }
+    keep_cluster(mine.counters);
+    keep_cluster(mine.gauges);
+    keep_cluster(mine.histograms);
     if (!reply.metrics_any) {
       reply.metrics = std::move(mine);
       reply.metrics_any = true;
@@ -948,7 +625,8 @@ struct Coordinator::Impl {
 #if QF_METRICS
     if (b.queued_gauge == nullptr) return;
     const int64_t cur =
-        static_cast<int64_t>(b.outq.bytes() + b.co_buf.bytes());
+        static_cast<int64_t>(b.co_buf.bytes() +
+                             (b.link != nullptr ? b.link->out().bytes() : 0));
     if (cur != b.queued_reported) {
       b.queued_gauge->Add(cur - b.queued_reported);
       b.queued_reported = cur;
@@ -980,8 +658,8 @@ struct Coordinator::Impl {
     }
     b.last_flush_ns = now_ns;
 #endif
-    b.outq.PushBlock(std::move(block));
-    b.co_buf.Provision(b.outq.TakeSpare());
+    b.link->out().PushBlock(std::move(block));
+    b.co_buf.Provision(b.link->out().TakeSpare());
     FlushBackend(r, b);
   }
 
@@ -1012,7 +690,7 @@ struct Coordinator::Impl {
   void AppendToCoalesce(Reactor& r, Backend& b, const uint8_t* records,
                         size_t n,
                         const std::shared_ptr<PendingReply>& reply,
-                        int client_fd, uint64_t client_gen) {
+                        ClientRef client) {
     while (n > 0 && !reply->failed) {
       if (b.state != BackendState::kReady) {
         reply->failed = true;
@@ -1031,7 +709,7 @@ struct Coordinator::Impl {
       if (b.credit_epoch != r.ingest_epoch) {
         b.credit_epoch = r.ingest_epoch;
         ++reply->outstanding;
-        b.co_credits.push_back(Credit{reply, client_fd, client_gen});
+        b.co_credits.push_back(Credit{reply, client});
       }
       const size_t room =
           (co_cap_bytes - used) / IngestFrameBuilder::kItemBytes;
@@ -1070,8 +748,7 @@ struct Coordinator::Impl {
     // classified, so a reentrant ack/failure mid-loop cannot complete it.
     reply->outstanding = 1;
     c->replies.push_back(reply);
-    const int fd = c->fd;
-    const uint64_t gen = c->gen;
+    const ClientRef ref = c->ref();
     ++r.ingest_epoch;
     r.fenced_scratch.clear();
 
@@ -1083,7 +760,7 @@ struct Coordinator::Impl {
       if (run_backend != UINT32_MAX && end > run_start) {
         AppendToCoalesce(r, r.backends[run_backend],
                          records + run_start * sizeof(Item),
-                         end - run_start, reply, fd, gen);
+                         end - run_start, reply, ref);
       }
       run_start = end;
     };
@@ -1115,16 +792,14 @@ struct Coordinator::Impl {
       ++reply->outstanding;
       FencedBatch batch;
       batch.reply = reply;
-      batch.client_fd = fd;
-      batch.client_gen = gen;
+      batch.client = ref;
       batch.items.assign(r.fenced_scratch.begin(), r.fenced_scratch.end());
       r.fence_buffer.push_back(std::move(batch));
     }
     --reply->outstanding;  // drop the guard credit
     // A failing backend flush can close this client reentrantly (earlier
     // credits fail and flush an ERROR), so re-resolve the pointer.
-    c = FindClient(r, fd, gen);
-    if (c != nullptr) TryFlushReplies(r, c);
+    TryFlushReplies(r, ref);
   }
 
   // ---- QUERY ------------------------------------------------------------
@@ -1158,8 +833,7 @@ struct Coordinator::Impl {
     reply->outstanding = static_cast<int>(r.scatter_touched.size());
     c->replies.push_back(reply);
 
-    const int fd = c->fd;
-    const uint64_t gen = c->gen;
+    const ClientRef ref = c->ref();
     for (const uint32_t bi : r.scatter_touched) {
       Backend& be = r.backends[bi];
       if (be.state != BackendState::kReady) {
@@ -1167,33 +841,33 @@ struct Coordinator::Impl {
         reply->fail_msg = "backend " + opts.backends[bi] + " unavailable";
         break;
       }
-      // Buffered INGEST items must reach the backend before the QUERY
-      // (frames process in connection order).
-      FlushCoalesce(r, be);
-      if (be.state != BackendState::kReady) {
-        reply->failed = true;
-        reply->fail_msg = "backend " + opts.backends[bi] + " dropped";
-        break;
-      }
-      const uint64_t token = be.next_token++;
-      be.outq.Append([&](std::vector<uint8_t>* out) {
-        net::EncodeQueryTo(token, r.scatter_keys[bi], out);
-      });
-      SubOp op;
-      op.kind = SubOp::kQuery;
-      op.client_fd = fd;
-      op.client_gen = gen;
-      op.reply = reply;
-      op.positions = std::move(r.scatter_pos[bi]);
-      be.inflight.emplace(token, std::move(op));
-      if (!FlushBackend(r, be)) {
-        reply->failed = true;
-        reply->fail_msg = "backend " + opts.backends[bi] + " dropped";
+      const SubOp op{SubOp::kQuery, ref, reply,
+                     std::move(r.scatter_pos[bi])};
+      if (!SendSubOp(r, be, op, [&](uint64_t token, auto* out) {
+            net::EncodeQueryTo(token, r.scatter_keys[bi], out);
+          })) {
         break;
       }
     }
-    c = FindClient(r, fd, gen);
-    if (c != nullptr) TryFlushReplies(r, c);
+    TryFlushReplies(r, ref);
+  }
+
+  /// Sends one QUERY/CONTROL sub-request to a ready backend, behind its
+  /// buffered INGEST items (frames process in connection order). Returns
+  /// false, with op.reply failed, if the backend dropped.
+  template <typename Encode>
+  bool SendSubOp(Reactor& r, Backend& b, const SubOp& op, Encode&& encode) {
+    FlushCoalesce(r, b);
+    if (b.state == BackendState::kReady) {
+      const uint64_t token = b.next_token++;
+      b.link->out().Append(
+          [&](std::vector<uint8_t>* out) { encode(token, out); });
+      b.inflight.emplace(token, op);
+      if (FlushBackend(r, b)) return true;
+    }
+    op.reply->failed = true;
+    op.reply->fail_msg = "backend " + opts.backends[b.idx] + " dropped";
+    return false;
   }
 
   // ---- SUBSCRIBE / CONTROL ----------------------------------------------
@@ -1252,20 +926,19 @@ struct Coordinator::Impl {
         StartMigration(r, c, req);
         return;
       case ControlOp::kShutdown: {
-        const int fd = c->fd;
-        const uint64_t gen = c->gen;
+        const ClientRef ref = c->ref();
         QueueControlStatus(r, c, req.token, req.op, ControlStatus::kOk);
         // Best-effort synchronous flush of the ack before the loops exit.
         const uint64_t deadline = NowMs() + 500;
         while (NowMs() < deadline) {
-          ClientConn* cc = FindClient(r, fd, gen);
-          if (cc == nullptr || cc->outq.empty()) break;
-          pollfd p{fd, POLLOUT, 0};
+          ClientConn* cc = FindClient(r, ref);
+          if (cc == nullptr || cc->io.out().empty()) break;
+          pollfd p{ref.fd, POLLOUT, 0};
           poll(&p, 1, 10);
-          if (!FlushClient(r, cc)) break;
+          if (!SendQueued(r, cc)) break;
         }
         stop_flag.store(true, std::memory_order_release);
-        for (auto& other : reactors) Wake(*other);
+        for (auto& other : reactors) other->loop.Wake();
         return;
       }
       default:
@@ -1294,34 +967,17 @@ struct Coordinator::Impl {
     reply->op = req.op;
     reply->outstanding = static_cast<int>(r.backends.size());
     c->replies.push_back(reply);
-    const int fd = c->fd;
-    const uint64_t gen = c->gen;
+    const ClientRef ref = c->ref();
+    const SubOp op{SubOp::kControl, ref, reply, {}};
     for (Backend& b : r.backends) {
       // Control must observe every item this loop already accepted.
-      FlushCoalesce(r, b);
-      if (b.state != BackendState::kReady) {
-        reply->failed = true;
-        reply->fail_msg = "backend " + opts.backends[b.idx] + " dropped";
-        break;
-      }
-      const uint64_t token = b.next_token++;
-      b.outq.Append([&](std::vector<uint8_t>* out) {
-        net::EncodeControlTo(token, req.op, {}, out);
-      });
-      SubOp op;
-      op.kind = SubOp::kControl;
-      op.client_fd = fd;
-      op.client_gen = gen;
-      op.reply = reply;
-      b.inflight.emplace(token, std::move(op));
-      if (!FlushBackend(r, b)) {
-        reply->failed = true;
-        reply->fail_msg = "backend " + opts.backends[b.idx] + " dropped";
+      if (!SendSubOp(r, b, op, [&](uint64_t token, auto* out) {
+            net::EncodeControlTo(token, req.op, {}, out);
+          })) {
         break;
       }
     }
-    ClientConn* cc = FindClient(r, fd, gen);
-    if (cc != nullptr) TryFlushReplies(r, cc);
+    TryFlushReplies(r, ref);
   }
 
   // ======================================================================
@@ -1329,11 +985,12 @@ struct Coordinator::Impl {
 
   void KickBackendConnects(Reactor& r, uint64_t now) {
     for (Backend& b : r.backends) {
-      if (b.fd >= 0 && b.connecting && now >= b.connect_deadline_ms) {
+      if (b.link != nullptr && b.connecting &&
+          now >= b.connect_deadline_ms) {
         FailBackend(r, b, now);
         continue;
       }
-      if (b.fd >= 0 || now < b.next_attempt_ms) continue;
+      if (b.link != nullptr || now < b.next_attempt_ms) continue;
       BeginConnect(r, b, now);
     }
   }
@@ -1357,54 +1014,37 @@ struct Coordinator::Impl {
       ScheduleRetry(r, b, now);
       return;
     }
-    SetNoDelay(fd);
     const int rc = connect(fd, res->ai_addr, res->ai_addrlen);
     freeaddrinfo(res);
-    if (rc == 0) {
-      AdoptBackendSocket(r, b, fd);
-      StartHandshake(r, b);
-      return;
-    }
-    if (errno != EINPROGRESS) {
+    if (rc != 0 && errno != EINPROGRESS) {
       close(fd);
       ScheduleRetry(r, b, now);
       return;
     }
-    AdoptBackendSocket(r, b, fd);
-    b.connecting = true;
-    b.connect_deadline_ms =
-        now + static_cast<uint64_t>(opts.backend_connect_timeout_ms);
-    SetBackendState(r, b, BackendState::kConnecting);
-    EpollMod(r, b.fd, EPOLLIN | EPOLLOUT);
-  }
-
-  void AdoptBackendSocket(Reactor& r, Backend& b, int fd) {
-    b.fd = fd;
-    b.decoder = FrameDecoder(DecoderOpts());
-    b.outq.Clear();
-    b.want_write = false;
-    b.connecting = false;
-    b.inflight.clear();
-    b.co_buf.Reset();
-    b.co_credits.clear();
-    b.credit_epoch = 0;
-    b.ledger.TakeAll();
+    b.link = std::make_unique<Connection>(r.loop, fd, DecoderOpts());
+    if (!b.link->registered()) {
+      b.link.reset();  // closes fd
+      ScheduleRetry(r, b, now);
+      return;
+    }
+    // FailBackend already emptied the ledger, buffers and in-flight table.
     b.last_flush_ns = 0;
     b.alert_rx_seq = 0;
     b.ingest_sent = 0;
     b.ingest_acked = 0;
-    UpdateQueuedGauge(b);
-    r.backend_by_fd[fd] = b.idx;
-    EpollAdd(r, fd, EPOLLIN);
+    // Even an immediate connect completes through EPOLLOUT.
+    b.connecting = true;
+    b.connect_deadline_ms =
+        now + static_cast<uint64_t>(opts.backend_connect_timeout_ms);
+    SetBackendState(r, b, BackendState::kConnecting);
+    r.loop.Modify(fd, b.link->gen(), EPOLLIN | EPOLLOUT);
   }
 
   void StartHandshake(Reactor& r, Backend& b) {
     b.connecting = false;
     SetBackendState(r, b, BackendState::kConnecting);
     b.subscribe_token = b.next_token++;
-    b.outq.Append([&](std::vector<uint8_t>* out) {
-      net::EncodeSubscribeTo(b.subscribe_token, true, out);
-    });
+    b.link->out().Encode(net::EncodeSubscribeTo, b.subscribe_token, true);
     FlushBackend(r, b);
   }
 
@@ -1420,12 +1060,7 @@ struct Coordinator::Impl {
   /// discarded with its credits, the fence barrier aborts, and a backoff
   /// reconnect starts.
   void FailBackend(Reactor& r, Backend& b, uint64_t now) {
-    if (b.fd >= 0) {
-      EpollDel(r, b.fd);
-      r.backend_by_fd.erase(b.fd);
-      close(b.fd);
-      b.fd = -1;
-    }
+    b.link.reset();  // deregisters and closes the socket
     ScheduleRetry(r, b, now);
     if (r.barrier_armed && r.barrier_backend == b.idx) {
       r.barrier_armed = false;
@@ -1442,8 +1077,6 @@ struct Coordinator::Impl {
     b.co_credits.clear();
     b.credit_epoch = 0;
     b.co_buf.Reset();
-    b.outq.Clear();
-    b.want_write = false;
     UpdateQueuedGauge(b);
     auto inflight = std::move(b.inflight);
     b.inflight.clear();
@@ -1452,10 +1085,7 @@ struct Coordinator::Impl {
       if (credit.reply == nullptr) return;
       credit.reply->failed = true;
       if (credit.reply->fail_msg.empty()) credit.reply->fail_msg = msg;
-      if (ClientConn* c =
-              FindClient(r, credit.client_fd, credit.client_gen)) {
-        TryFlushReplies(r, c);
-      }
+      TryFlushReplies(r, credit.client);
     };
     for (auto& entry : entries) {
       for (Credit& credit : entry.credits) fail_credit(credit);
@@ -1464,30 +1094,15 @@ struct Coordinator::Impl {
     for (auto& [token, op] : inflight) {
       op.reply->failed = true;
       if (op.reply->fail_msg.empty()) op.reply->fail_msg = msg;
-      if (ClientConn* c = FindClient(r, op.client_fd, op.client_gen)) {
-        TryFlushReplies(r, c);
-      }
+      TryFlushReplies(r, op.client);
     }
   }
 
   bool FlushBackend(Reactor& r, Backend& b) {
-    switch (b.outq.FlushTo(b.fd)) {
-      case WriteQueue::FlushResult::kError:
-        FailBackend(r, b, NowMs());
-        return false;
-      case WriteQueue::FlushResult::kDrained:
-        break;
-      case WriteQueue::FlushResult::kBlocked:
-        if (b.outq.bytes() > opts.max_write_queue_bytes) {
-          FailBackend(r, b, NowMs());
-          return false;
-        }
-        break;
-    }
-    const bool want = !b.outq.empty();
-    if (want != b.want_write) {
-      b.want_write = want;
-      EpollMod(r, b.fd, EPOLLIN | (want ? EPOLLOUT : 0u));
+    if (b.link->Flush(opts.max_write_queue_bytes, /*io=*/nullptr) !=
+        Connection::Status::kOpen) {
+      FailBackend(r, b, NowMs());
+      return false;
     }
     UpdateQueuedGauge(b);
     return true;
@@ -1502,49 +1117,24 @@ struct Coordinator::Impl {
       if (events & EPOLLOUT) {
         int err = 0;
         socklen_t len = sizeof(err);
-        getsockopt(b.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+        getsockopt(b.link->fd(), SOL_SOCKET, SO_ERROR, &err, &len);
         if (err != 0) {
           FailBackend(r, b, NowMs());
           return;
         }
-        EpollMod(r, b.fd, EPOLLIN);
+        r.loop.Modify(b.link->fd(), b.link->gen(), EPOLLIN);
         StartHandshake(r, b);
       }
       return;
     }
-    if (events & (EPOLLERR | EPOLLHUP)) {
+    // DispatchBackendFrame returns false once it failed the backend (the
+    // link is gone: kStopped); every other non-open status fails it here.
+    const Connection::Status status = b.link->OnEvents(
+        events, opts.max_write_queue_bytes, /*io=*/nullptr,
+        [&](const FrameView& frame) { return DispatchBackendFrame(r, b, frame); });
+    if (status != Connection::Status::kOpen &&
+        status != Connection::Status::kStopped) {
       FailBackend(r, b, NowMs());
-      return;
-    }
-    if (events & EPOLLOUT) {
-      if (!FlushBackend(r, b)) return;
-    }
-    if ((events & EPOLLIN) == 0) return;
-    uint8_t buf[65536];
-    while (true) {
-      const ssize_t n = recv(b.fd, buf, sizeof(buf), 0);
-      if (n == 0) {
-        FailBackend(r, b, NowMs());
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        FailBackend(r, b, NowMs());
-        return;
-      }
-      if (!b.decoder.Append(buf, static_cast<size_t>(n))) {
-        FailBackend(r, b, NowMs());
-        return;
-      }
-      FrameView frame;
-      while (b.decoder.NextView(&frame) == FrameDecoder::Result::kFrame) {
-        if (!DispatchBackendFrame(r, b, frame)) return;  // backend failed
-      }
-      if (b.decoder.poisoned()) {
-        FailBackend(r, b, NowMs());
-        return;
-      }
     }
   }
 
@@ -1573,10 +1163,7 @@ struct Coordinator::Impl {
         }
         for (Credit& credit : credits) {
           --credit.reply->outstanding;
-          if (ClientConn* c =
-                  FindClient(r, credit.client_fd, credit.client_gen)) {
-            TryFlushReplies(r, c);
-          }
+          TryFlushReplies(r, credit.client);
         }
         return true;
       }
@@ -1592,9 +1179,7 @@ struct Coordinator::Impl {
           op.reply->answers[op.positions[i]] = res.answers[i];
         }
         --op.reply->outstanding;
-        if (ClientConn* c = FindClient(r, op.client_fd, op.client_gen)) {
-          TryFlushReplies(r, c);
-        }
+        TryFlushReplies(r, op.client);
         return true;
       }
       case FrameType::kSubscribe: {
@@ -1614,9 +1199,7 @@ struct Coordinator::Impl {
         SubOp op = std::move(it->second);
         b.inflight.erase(it);
         AccumulateControl(op, res);
-        if (ClientConn* c = FindClient(r, op.client_fd, op.client_gen)) {
-          TryFlushReplies(r, c);
-        }
+        TryFlushReplies(r, op.client);
         return true;
       }
       case FrameType::kAlert: {
@@ -1684,27 +1267,20 @@ struct Coordinator::Impl {
   /// subscriber; `reserved` carries the backend index.
   void ForwardAlert(Reactor& r, const Backend& b,
                     const net::WireAlert& alert) {
-    // Snapshot fds first: FlushClient can close (erase) a slow subscriber,
-    // which would invalidate a live map iterator.
-    std::vector<int> fds;
-    fds.reserve(r.clients.size());
+    // Snapshot subscribers first: SendQueued can close (erase) a slow one,
+    // which would invalidate a live map iterator (never another client).
+    std::vector<ClientConn*> subscribers;
     for (const auto& [fd, conn] : r.clients) {
-      if (conn->subscribed && !conn->closing) fds.push_back(fd);
+      if (conn->subscribed && !conn->io.closing()) {
+        subscribers.push_back(conn.get());
+      }
     }
-    for (const int fd : fds) {
-      auto it = r.clients.find(fd);
-      if (it == r.clients.end()) continue;
-      ClientConn* c = it->second.get();
-      net::WireAlert out;
+    net::WireAlert out = alert;
+    out.reserved = b.idx;
+    for (ClientConn* c : subscribers) {
       out.seq = c->alert_seq++;
-      out.key = alert.key;
-      out.value = alert.value;
-      out.shard = alert.shard;
-      out.reserved = b.idx;
-      c->outq.Append([&](std::vector<uint8_t>* buf) {
-        net::EncodeAlertTo(out, buf);
-      });
-      FlushClient(r, c);
+      c->io.out().Encode(net::EncodeAlertTo, out);
+      SendQueued(r, c);
     }
   }
 
@@ -1748,8 +1324,7 @@ struct Coordinator::Impl {
     migrate_reply->token = req.token;
     migrate_reply->op = ControlOp::kMigrate;
     migrate_reply->outstanding = 1;
-    migrate_client_fd = c->fd;
-    migrate_client_gen = c->gen;
+    migrate_client = c->ref();
     c->replies.push_back(migrate_reply);
     const uint32_t slot = m.slot;
     const uint32_t target = m.target_backend;
@@ -1765,7 +1340,7 @@ struct Coordinator::Impl {
   std::future<bool> FenceSlot(Reactor& r, uint32_t slot, uint32_t donor) {
     auto prom = std::make_shared<std::promise<bool>>();
     std::future<bool> fut = prom->get_future();
-    RunInLoop(r, [this, &r, slot, donor, prom] {
+    r.loop.Post([this, &r, slot, donor, prom] {
       if (stop_flag.load(std::memory_order_acquire)) {
         prom->set_value(false);
         return;
@@ -1791,11 +1366,15 @@ struct Coordinator::Impl {
   /// clear. Loops fence independently (a loop stays fenced until its own
   /// flip, so no post-barrier item can reach the donor from any loop).
   bool FenceAll(uint32_t slot, uint32_t donor) {
+    return OnEveryLoop([&](Reactor& r) { return FenceSlot(r, slot, donor); });
+  }
+
+  /// Starts `step` (returning a loop-side future) on every reactor, then
+  /// waits for all of them; true iff every loop reported true.
+  template <typename Step>
+  bool OnEveryLoop(Step&& step) {
     std::vector<std::future<bool>> futures;
-    futures.reserve(reactors.size());
-    for (auto& r : reactors) {
-      futures.push_back(FenceSlot(*r, slot, donor));
-    }
+    for (auto& r : reactors) futures.push_back(step(*r));
     bool ok = true;
     for (auto& f : futures) ok = f.get() && ok;
     return ok;
@@ -1808,7 +1387,7 @@ struct Coordinator::Impl {
                                 bool commit) {
     auto prom = std::make_shared<std::promise<bool>>();
     std::future<bool> fut = prom->get_future();
-    RunInLoop(r, [this, &r, slot, target, commit, prom] {
+    r.loop.Post([this, &r, slot, target, commit, prom] {
       if (stop_flag.load(std::memory_order_acquire)) {
         r.fenced = false;
         r.fence_buffer.clear();
@@ -1822,15 +1401,14 @@ struct Coordinator::Impl {
       auto buffered = std::move(r.fence_buffer);
       r.fence_buffer.clear();
       for (FencedBatch& batch : buffered) {
-        ClientConn* c = FindClient(r, batch.client_fd, batch.client_gen);
+        ClientConn* c = FindClient(r, batch.client);
         bool sent = false;
         if (c != nullptr && b.state == BackendState::kReady &&
             !batch.reply->failed) {
           ++r.ingest_epoch;  // one fresh credit epoch per replayed batch
           AppendToCoalesce(
               r, b, reinterpret_cast<const uint8_t*>(batch.items.data()),
-              batch.items.size(), batch.reply, batch.client_fd,
-              batch.client_gen);
+              batch.items.size(), batch.reply, batch.client);
           sent = !batch.reply->failed;
         }
         // The fence pre-paid one outstanding count at buffer time; the
@@ -1840,10 +1418,7 @@ struct Coordinator::Impl {
           batch.reply->failed = true;
           batch.reply->fail_msg = "fenced batch lost: owner unavailable";
         }
-        if (ClientConn* cc =
-                FindClient(r, batch.client_fd, batch.client_gen)) {
-          TryFlushReplies(r, cc);
-        }
+        TryFlushReplies(r, batch.client);
       }
       if (b.state == BackendState::kReady) FlushCoalesce(r, b);
       prom->set_value(true);
@@ -1852,27 +1427,18 @@ struct Coordinator::Impl {
   }
 
   bool FinishFenceAll(uint32_t slot, uint32_t target, bool commit) {
-    std::vector<std::future<bool>> futures;
-    futures.reserve(reactors.size());
-    for (auto& r : reactors) {
-      futures.push_back(FinishFence(*r, slot, target, commit));
-    }
-    bool ok = true;
-    for (auto& f : futures) ok = f.get() && ok;
-    return ok;
+    return OnEveryLoop(
+        [&](Reactor& r) { return FinishFence(r, slot, target, commit); });
   }
 
   void CompleteMigration(bool ok) {
     Reactor& r = *migrate_reactor;
-    RunInLoop(r, [this, &r, ok] {
+    r.loop.Post([this, &r, ok] {
       migrate_reply->status =
           ok ? ControlStatus::kOk : ControlStatus::kRejected;
       migrate_reply->outstanding = 0;
       if (ok) migrations_completed.fetch_add(1, std::memory_order_relaxed);
-      if (ClientConn* c =
-              FindClient(r, migrate_client_fd, migrate_client_gen)) {
-        TryFlushReplies(r, c);
-      }
+      TryFlushReplies(r, migrate_client);
       migrate_reply.reset();
       migration_active.store(false, std::memory_order_release);
     });

@@ -22,22 +22,22 @@
 //              kCheckpoint/kRestore and the shard-handoff ops answer
 //              kBadRequest — they are backend-plane operations.
 //
-// Threading: `reactors` SO_REUSEPORT event-loop threads (default 1) each
-// own a disjoint set of accepted clients, their own backend connection
-// pool, their own copy of the slot table, and all routing state for the
-// clients they accepted — no locks on the data path (DESIGN.md §16.5).
+// Threading: `reactors` event-loop threads (default 1), each one
+// net::EventLoop (net/reactor.h, shared with QfServer) with a disjoint set
+// of accepted clients, its own backend links, its own copy of the slot
+// table and all routing state for its clients — no locks on the data path
+// (DESIGN.md §16.5). Clients and backend links are net::Connections.
 // INGEST items are classified straight out of the receive buffer into
 // per-backend coalescing buffers (preformatted INGEST frames) that flush
 // bytes-or-deadline as one large backend frame; a per-backend FIFO credit
 // ledger maps each backend ack back to the originating client replies, so
 // per-connection ack order is preserved exactly. A migration runs on its
-// own worker thread with private blocking QfClient connections to the
-// donor and recipient, synchronizing with every reactor through per-loop
-// command queues — fence, ack-barrier, flip/abort run as a rendezvous
-// across all loops — so ownership changes are atomic with respect to
-// scattering. Backends that drop are reconnected with bounded exponential
-// backoff; requests touching a dead backend fail the issuing client
-// connection fast (ERROR + close) rather than stalling it.
+// own worker thread with private blocking QfClient connections; it
+// rendezvouses with every loop through EventLoop::Post — fence,
+// ack-barrier, flip/abort — so ownership changes are atomic with respect
+// to scattering. Backends that drop reconnect with bounded exponential
+// backoff; requests touching a dead backend fail the issuing client fast
+// (ERROR + close) rather than stalling it.
 
 #ifndef QUANTILEFILTER_CLUSTER_COORDINATOR_H_
 #define QUANTILEFILTER_CLUSTER_COORDINATOR_H_

@@ -72,14 +72,7 @@ CrcStatus UnwrapCrc(const uint8_t* data, size_t size,
   *payload_size = 0;
   uint32_t magic = 0;
   if (size >= 4) std::memcpy(&magic, data, 4);
-  if (size < 4 || magic != kCrcEnvelopeMagic) {
-    // Not enveloped: a legacy frame (or garbage that RestoreState's own
-    // magic checks will reject).
-    *payload = data;
-    *payload_size = size;
-    return CrcStatus::kMissing;
-  }
-  if (size < 8) return CrcStatus::kCorrupt;
+  if (size < 8 || magic != kCrcEnvelopeMagic) return CrcStatus::kCorrupt;
   uint32_t expected = 0;
   std::memcpy(&expected, data + 4, 4);
   if (Crc32(data + 8, size - 8) != expected) return CrcStatus::kCorrupt;

@@ -9,15 +9,15 @@
 //
 //   [u32 kCrcEnvelopeMagic "QFCK"] [u32 crc32(payload)] [payload...]
 //
-// UnwrapCrc recognizes three cases:
-//   * enveloped, CRC matches      -> kOk, *payload points at the inner frame
-//   * enveloped, CRC mismatches   -> kCorrupt (reject)
-//   * no envelope (legacy blob)   -> kMissing, *payload is the whole input
-//     (callers accept it with a warning so pre-CRC v2 checkpoints restore)
+// UnwrapCrc recognizes two cases:
+//   * enveloped, CRC matches   -> kOk, *payload points at the inner frame
+//   * anything else            -> kCorrupt (reject): a CRC mismatch, a
+//     truncated envelope, or no envelope at all
 //
-// Detection is exact, not heuristic: the envelope magic occupies the first
-// four bytes, where every legacy checkpoint carries its own distinct frame
-// magic ("QFS2"/"QSH2"), so no legacy blob can alias an envelope.
+// A blob without the envelope fails closed. Every checkpoint written since
+// the envelope exists carries it, and every older one predates key-mapping
+// scheme 3 and is rejected by the scheme check anyway, so the only blobs a
+// CRC-less path could still admit are stripped, unverified bytes.
 
 #ifndef QUANTILEFILTER_COMMON_CRC32_H_
 #define QUANTILEFILTER_COMMON_CRC32_H_
@@ -39,11 +39,10 @@ inline uint32_t Crc32(const std::vector<uint8_t>& bytes, uint32_t seed = 0) {
 /// First word of a CRC-wrapped checkpoint ("QFCK", little-endian).
 inline constexpr uint32_t kCrcEnvelopeMagic = 0x4B434651;
 
-/// Result of UnwrapCrc; kMissing is the accept-with-warning legacy path.
+/// Result of UnwrapCrc.
 enum class CrcStatus {
   kOk,       // envelope present, CRC verified
-  kMissing,  // no envelope: a pre-CRC checkpoint frame
-  kCorrupt,  // envelope present but CRC mismatch, or truncated envelope
+  kCorrupt,  // no envelope, truncated envelope, or CRC mismatch
 };
 
 /// Wraps `payload` in the CRC envelope (by value; the common producer call
@@ -51,8 +50,7 @@ enum class CrcStatus {
 std::vector<uint8_t> WrapCrc(std::vector<uint8_t> payload);
 
 /// Classifies `data` and locates the inner payload. On kOk the outputs
-/// reference the bytes after the envelope; on kMissing they alias the whole
-/// input; on kCorrupt they are null/0.
+/// reference the bytes after the envelope; on kCorrupt they are null/0.
 CrcStatus UnwrapCrc(const uint8_t* data, size_t size,
                     const uint8_t** payload, size_t* payload_size);
 

@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <vector>
 
@@ -363,17 +362,13 @@ class QuantileFilter {
   /// written under an incompatible format/hash scheme — including v1 "QFST"
   /// checkpoints from the modulo-era BucketOf, whose entries cannot be
   /// relocated to their fast-range buckets because only fingerprints are
-  /// stored. CRC-less v2 blobs (pre-envelope) are accepted with a warning.
+  /// stored. A blob without the CRC envelope fails closed.
   bool RestoreState(const std::vector<uint8_t>& bytes) {
     CrcStatus crc = CrcStatus::kOk;
-    if (!RestoreState(bytes, &crc)) return false;
-    if (crc == CrcStatus::kMissing) WarnCrcMissing("QuantileFilter");
-    return true;
+    return RestoreState(bytes, &crc);
   }
 
-  /// As above, but reports the envelope status instead of warning, for
-  /// callers (ShardedQuantileFilter, tests, the serving layer) that handle
-  /// the legacy-blob path themselves.
+  /// As above, also reporting the envelope status.
   bool RestoreState(const std::vector<uint8_t>& bytes, CrcStatus* crc) {
     const uint8_t* payload = nullptr;
     size_t payload_size = 0;
@@ -407,19 +402,6 @@ class QuantileFilter {
       return false;
     }
     return true;
-  }
-
-  /// Warning side of the CRC-less legacy path: stderr note plus the
-  /// qf_checkpoint_crc_missing_total counter (when metrics are compiled in).
-  static void WarnCrcMissing(const char* what) {
-    std::fprintf(stderr,
-                 "warning: %s: restoring a CRC-less (pre-envelope) "
-                 "checkpoint; integrity not verified\n",
-                 what);
-    QF_OBS(obs::MetricsRegistry::Global()
-               .GetCounter("qf_checkpoint_crc_missing_total",
-                           "CRC-less legacy checkpoints accepted on restore")
-               .Add(1));
   }
 
  private:

@@ -135,19 +135,15 @@ class ShardedQuantileFilter {
   /// with the same options and shard count. Returns false on malformed
   /// input, an envelope CRC mismatch, or a mapping-scheme/shard-count
   /// mismatch; a failure mid-restore resets all shards so no half-restored
-  /// partition survives. A CRC-less legacy blob restores with one warning.
+  /// partition survives. A blob without the CRC envelope fails closed.
   bool RestoreState(const std::vector<uint8_t>& bytes) {
     CrcStatus crc = CrcStatus::kOk;
-    if (!RestoreState(bytes, &crc)) return false;
-    if (crc == CrcStatus::kMissing) {
-      Filter::WarnCrcMissing("ShardedQuantileFilter");
-    }
-    return true;
+    return RestoreState(bytes, &crc);
   }
 
-  /// As above, reporting the envelope status instead of warning. The outer
-  /// envelope covers the per-shard frames too, so inner statuses are not
-  /// surfaced separately.
+  /// As above, also reporting the envelope status. The outer envelope
+  /// covers the per-shard frames too, so inner statuses are not surfaced
+  /// separately.
   bool RestoreState(const std::vector<uint8_t>& bytes, CrcStatus* crc) {
     const uint8_t* payload = nullptr;
     size_t payload_size = 0;
@@ -180,8 +176,7 @@ class ShardedQuantileFilter {
   /// whether a failed delta application invalidates the whole restore.
   bool RestoreShardState(int s, const std::vector<uint8_t>& bytes) {
     if (s < 0 || s >= num_shards_) return false;
-    CrcStatus crc = CrcStatus::kOk;
-    return shards_[s]->RestoreState(bytes, &crc) && crc == CrcStatus::kOk;
+    return shards_[s]->RestoreState(bytes);
   }
 
   /// Publishes every shard's unflushed stats deltas to the global metrics

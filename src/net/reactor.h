@@ -1,0 +1,278 @@
+// The one event loop and one connection type behind every epoll front end
+// (DESIGN.md §11): QfServer reactors, and the cluster coordinator's client
+// connections and backend links, are thin users of these classes.
+//
+// Policies every user gets:
+//   * Event tokens are fd | gen << 32 with a fresh gen per registration;
+//     owners drop events whose gen is not the live connection's, so a
+//     stale event for a closed-and-reused fd is never misapplied.
+//   * Accept never spins: under EMFILE/ENFILE the loop spends its reserve
+//     fd to accept and close the pending connection (the client reads
+//     EOF), then reopens the reserve.
+//   * One flush per recv() chunk, early once the queue passes the cap;
+//     reading stops when recv() returns less than its buffer.
+//   * One slow-consumer rule: a queue still above the cap after a flush
+//     reports kSlow, and the owner closes the connection.
+//
+// Linux-only (epoll + eventfd + SO_REUSEPORT).
+
+#ifndef QUANTILEFILTER_NET_REACTOR_H_
+#define QUANTILEFILTER_NET_REACTOR_H_
+
+#include <errno.h>
+#include <sys/epoll.h>
+#include <sys/socket.h>
+#include <sys/types.h>
+
+#include <cstddef>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <mutex>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "net/protocol.h"
+
+namespace qf::net {
+
+/// Socket traffic of one call, for the server's qf_net_* counters (the
+/// coordinator passes nullptr).
+struct IoStats {
+  uint64_t bytes_read = 0;
+  uint64_t bytes_written = 0;
+  uint64_t write_calls = 0;      // sendmsg() calls, including EAGAIN ones
+  uint64_t protocol_errors = 0;  // streams poisoned by malformed frames
+};
+
+/// Iovec write queue: frames append into the tail block or arrive as whole
+/// moved-in blocks (zero copy), and FlushTo hands the kernel up to kMaxIov
+/// blocks per sendmsg. Spent blocks are recycled as spares.
+class WriteQueue {
+ public:
+  enum class FlushResult { kDrained, kBlocked, kError };
+
+  static constexpr size_t kMaxIov = 64;
+  static constexpr size_t kTailSoftCapBytes = 64u << 10;
+  static constexpr size_t kMaxSpares = 4;
+  static constexpr size_t kMaxSpareCapacity = 1u << 20;
+
+  bool empty() const { return bytes_ == 0; }
+  size_t bytes() const { return bytes_; }
+  size_t spares() const { return spares_.size(); }
+
+  /// Appends frames via `encode(std::vector<uint8_t>*)`.
+  template <typename Fn>
+  void Append(Fn&& encode) {
+    std::vector<uint8_t>& tail = TailBlock();
+    const size_t before = tail.size();
+    encode(&tail);
+    bytes_ += tail.size() - before;
+  }
+  /// Appends one frame via a protocol encoder: encode(args..., out).
+  template <typename... Args, typename... Params>
+  void Encode(void (*encode)(Params...), const Args&... args) {
+    Append([&](std::vector<uint8_t>* out) { encode(args..., out); });
+  }
+
+  /// Takes ownership of a fully formed frame block.
+  void PushBlock(std::vector<uint8_t> block);
+  /// Hands back a spent block (cleared, capacity kept) for reuse.
+  std::vector<uint8_t> TakeSpare();
+  /// Sends as much as the socket takes, in queue order.
+  FlushResult FlushTo(int fd, IoStats* io);
+
+ private:
+  std::vector<uint8_t>& TailBlock();
+  void Consume(size_t n);
+
+  std::deque<std::vector<uint8_t>> blocks_;
+  size_t head_off_ = 0;  // flushed bytes of blocks_.front()
+  size_t bytes_ = 0;
+  std::vector<std::vector<uint8_t>> spares_;
+};
+
+/// One reactor thread's epoll loop. Everything except Wake() and Post() is
+/// called from the owning thread.
+class EventLoop {
+ public:
+  EventLoop() = default;
+  ~EventLoop() { Close(); }
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
+
+  /// Creates epoll, the wake eventfd and the accept reserve fd, and binds
+  /// a listen socket on host:port (0 = ephemeral; see port()). With
+  /// `reuseport` it joins a SO_REUSEPORT group: loop 0 binds the configured
+  /// port, later loops pass loop 0's port(), and the kernel spreads
+  /// connections over the group. Returns false with *error set.
+  bool Open(const std::string& host, uint16_t port, bool reuseport,
+            std::string* error);
+
+  /// Closes every fd the loop owns. Only once no thread can Wake() it.
+  void Close();
+
+  uint16_t port() const { return port_; }
+
+  /// Registers `fd` for `events` under a fresh generation and returns it
+  /// (never 0); returns 0 if epoll refuses the fd.
+  uint32_t Add(int fd, uint32_t events);
+  void Modify(int fd, uint32_t gen, uint32_t events);
+  void Remove(int fd);
+
+  /// Interrupts a Poll in progress (any thread).
+  void Wake();
+  /// Queues `fn` for the loop thread's next RunPosted and wakes the loop
+  /// (any thread).
+  void Post(std::function<void()> fn);
+  void RunPosted();
+
+  /// One epoll_wait of up to `timeout_ms`: on_event(fd, gen, events) per
+  /// ready connection, then on_accept(fd) per accepted socket (nonblocking;
+  /// the callback owns it). Returns false if epoll itself failed.
+  template <typename OnEvent, typename OnAccept>
+  bool Poll(int timeout_ms, OnEvent&& on_event, OnAccept&& on_accept) {
+    const int n = epoll_wait(epoll_fd_, events_, kMaxEvents, timeout_ms);
+    if (n < 0) return errno == EINTR;
+    bool accept_ready = false;
+    for (int i = 0; i < n; ++i) {
+      const uint64_t token = events_[i].data.u64;
+      const int fd = static_cast<int>(token & 0xffffffffu);
+      if (fd == wake_fd_) {
+        DrainWake();
+      } else if (fd == listen_fd_) {
+        accept_ready = true;
+      } else {
+        on_event(fd, static_cast<uint32_t>(token >> 32), events_[i].events);
+      }
+    }
+    if (accept_ready) {
+      for (int fd = AcceptOne(); fd >= 0; fd = AcceptOne()) on_accept(fd);
+    }
+    return true;
+  }
+
+ private:
+  static constexpr int kMaxEvents = 128;
+
+  /// Next pending connection, or -1 once none is left.
+  int AcceptOne();
+  void DrainWake();
+
+  int listen_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  int reserve_fd_ = -1;  // spent to refuse a connection under EMFILE
+  uint16_t port_ = 0;
+  uint32_t next_gen_ = 0;
+  epoll_event events_[kMaxEvents];
+
+  std::mutex posted_mu_;
+  std::vector<std::function<void()>> posted_;
+};
+
+/// One nonblocking TCP_NODELAY socket on an EventLoop. The constructor
+/// registers the fd (check registered()); the destructor deregisters and
+/// closes it.
+class Connection {
+ public:
+  enum class Status {
+    kOpen,       // alive, nothing for the owner to do
+    kStopped,    // on_frame returned false; the connection may be gone
+    kClosed,     // peer EOF or socket error
+    kSlow,       // queue still above the cap after a flush
+    kDone,       // closing, and the queue has drained
+  };
+
+  Connection(EventLoop& loop, int fd, const FrameDecoder::Options& dopts);
+  ~Connection();
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  /// False if epoll refused the fd; the owner then drops the connection.
+  bool registered() const { return gen_ != 0; }
+  int fd() const { return fd_; }
+  uint32_t gen() const { return gen_; }
+  WriteQueue& out() { return out_; }
+
+  /// True once a terminal ERROR is queued: later input is discarded and
+  /// the drained flush reports kDone.
+  bool closing() const { return closing_; }
+  /// Queues the terminal ERROR frame (once); the next Flush sends it.
+  void QueueError(ErrorCode code, std::string_view message);
+
+  /// Sends what the socket takes, applies the slow-consumer rule, and keeps
+  /// EPOLLOUT armed exactly while bytes remain queued.
+  Status Flush(size_t cap, IoStats* io);
+
+  /// The per-event step. EPOLLHUP/EPOLLERR → kClosed; EPOLLOUT → Flush;
+  /// EPOLLIN → ReadFrames: read until the socket would block, handing each
+  /// frame to on_frame(const FrameView&) (the view dies when the decoder
+  /// is next fed). on_frame returns false once the owner closed this
+  /// connection or stopped wanting its frames; kStopped then returns
+  /// without touching it again. A malformed stream gets one ERROR.
+  template <typename OnFrame>
+  Status OnEvents(uint32_t events, size_t cap, IoStats* io,
+                  OnFrame&& on_frame) {
+    if (events & (EPOLLHUP | EPOLLERR)) return Status::kClosed;
+    if (events & EPOLLOUT) {
+      const Status s = Flush(cap, io);
+      if (s != Status::kOpen) return s;
+    }
+    return (events & EPOLLIN) ? ReadFrames(cap, io, on_frame) : Status::kOpen;
+  }
+
+ private:
+  static constexpr size_t kReadChunkBytes = 64u << 10;
+
+  template <typename OnFrame>
+  Status ReadFrames(size_t cap, IoStats* io, OnFrame& on_frame) {
+    uint8_t buf[kReadChunkBytes];
+    while (true) {
+      const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
+      if (n == 0) return Status::kClosed;
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return errno == EAGAIN || errno == EWOULDBLOCK ? Status::kOpen
+                                                       : Status::kClosed;
+      }
+      if (io != nullptr) io->bytes_read += static_cast<uint64_t>(n);
+      if (!closing_) {
+        FrameView frame;
+        FrameDecoder::Result r = FrameDecoder::Result::kError;
+        if (decoder_.Append(buf, static_cast<size_t>(n))) {
+          while ((r = decoder_.NextView(&frame)) ==
+                 FrameDecoder::Result::kFrame) {
+            if (!on_frame(frame)) return Status::kStopped;
+            // Past the cap, flush now: a chunk of small requests for large
+            // replies must not grow the queue without bound.
+            if (out_.bytes() > cap) {
+              const Status s = Flush(cap, io);
+              if (s != Status::kOpen) return s;
+            }
+          }
+        }
+        if (r == FrameDecoder::Result::kError) {
+          if (io != nullptr) ++io->protocol_errors;
+          QueueError(ErrorCode::kMalformedFrame, decoder_.error());
+        }
+      }
+      const Status s = Flush(cap, io);
+      if (s != Status::kOpen) return s;
+      if (static_cast<size_t>(n) < sizeof(buf)) return Status::kOpen;
+    }
+  }
+
+  EventLoop& loop_;
+  const int fd_;
+  uint32_t gen_ = 0;
+  bool want_write_ = false;  // EPOLLOUT armed
+  bool closing_ = false;
+  FrameDecoder decoder_;
+  WriteQueue out_;
+};
+
+}  // namespace qf::net
+
+#endif  // QUANTILEFILTER_NET_REACTOR_H_

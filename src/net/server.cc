@@ -1,18 +1,9 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <string.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -29,18 +20,8 @@ namespace qf::net {
 
 namespace {
 
-bool SetNonBlocking(int fd) {
-  const int flags = fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// epoll user data: fd in the low 32 bits, a per-accept generation in the
-/// high 32 (0 for the listen/wake fds, which are never reused while the
-/// loop runs). Events are matched against the live Conn's generation so a
-/// stale event for a closed-and-reused fd is dropped, not misapplied.
-uint64_t EventToken(int fd, uint32_t gen) {
-  return (static_cast<uint64_t>(gen) << 32) | static_cast<uint32_t>(fd);
-}
+/// CONTROL_RESULT payload prefix: token(8) + op(1) + status(1).
+constexpr size_t kControlResultHeader = 10;
 
 #if QF_METRICS
 /// Serving-layer metric bundle (names per DESIGN.md §10/§11). Per-frame-type
@@ -143,6 +124,19 @@ struct DurableMetrics {
 };
 #endif  // QF_METRICS
 
+/// Adds one call's socket traffic to the qf_net_* counters.
+void RecordIo([[maybe_unused]] const IoStats& io) {
+  QF_OBS({
+    NetMetrics& m = NetMetrics::Get();
+    if (io.bytes_read != 0) m.bytes_read.Add(io.bytes_read);
+    if (io.protocol_errors != 0) m.protocol_errors.Add(io.protocol_errors);
+    if (io.write_calls != 0) {
+      m.write_calls.Add(io.write_calls);
+      m.bytes_written.Add(io.bytes_written);
+    }
+  });
+}
+
 /// Per-shard RNG snapshot accompanying a durable checkpoint: SerializeState
 /// blobs exclude the rounding generator, but WAL-tail replay must resume its
 /// draw sequence exactly (durable/checkpoint.h).
@@ -160,19 +154,12 @@ std::vector<durable::RngState> GatherRngStates(const ShardedT& filter) {
 
 /// Per-connection state, owned by the accepting reactor.
 struct QfServer::Conn {
-  int fd = -1;
-  FrameDecoder decoder;
-  std::vector<uint8_t> out;  // pending write bytes [out_off, out.size())
-  size_t out_off = 0;
-  bool want_write = false;   // EPOLLOUT currently armed
+  Connection io;
   bool subscribed = false;
-  bool closing = false;      // close once `out` drains
-  uint32_t gen = 0;          // per-accept generation (see EventToken)
   uint64_t alert_seq = 0;
 
-  explicit Conn(int fd_in, const FrameDecoder::Options& dopts)
-      : fd(fd_in), decoder(dopts) {}
-  size_t pending() const { return out.size() - out_off; }
+  Conn(EventLoop& loop, int fd, const FrameDecoder::Options& dopts)
+      : io(loop, fd, dopts) {}
 };
 
 QfServer::Sharded QfServer::MakeFilter(const Options& options) {
@@ -205,14 +192,7 @@ QfServer::QfServer(const Options& options)
                 }()),
       num_reactors_(options.reactors < 1 ? 1 : options.reactors) {}
 
-QfServer::~QfServer() {
-  Stop();
-  for (auto& rx : reactors_) {
-    if (rx->listen_fd >= 0) close(rx->listen_fd);
-    if (rx->epoll_fd >= 0) close(rx->epoll_fd);
-    if (rx->wake_fd >= 0) close(rx->wake_fd);
-  }
-}
+QfServer::~QfServer() { Stop(); }
 
 bool QfServer::Start() {
   if (running_.load(std::memory_order_acquire)) return true;
@@ -221,69 +201,17 @@ bool QfServer::Start() {
   // refuse to boot (fail closed) before any socket accepts traffic.
   if (options_.durable.enabled() && !SetupDurable()) return false;
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    error_ = "bad host: " + options_.host;
-    return false;
-  }
-
   reactors_.clear();
   for (int r = 0; r < num_reactors_; ++r) {
     auto rx = std::make_unique<Reactor>();
     rx->idx = r;
-    rx->listen_fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (rx->listen_fd < 0) {
-      error_ = "socket: " + std::string(strerror(errno));
+    // Reactor 0 may bind port 0 (ephemeral); later reactors join the
+    // SO_REUSEPORT group on the port it was actually assigned.
+    if (!rx->loop.Open(options_.host, r == 0 ? options_.port : port_,
+                       num_reactors_ > 1, &error_)) {
       return false;
     }
-    const int one = 1;
-    setsockopt(rx->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (num_reactors_ > 1) {
-      // One listen socket per reactor in a single SO_REUSEPORT group: the
-      // kernel hashes incoming connections across the group, so accepts
-      // (and everything after them) spread over the reactors with no
-      // shared accept lock.
-      if (setsockopt(rx->listen_fd, SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof(one)) != 0) {
-        error_ = "SO_REUSEPORT: " + std::string(strerror(errno));
-        return false;
-      }
-    }
-    // Reactor 0 may bind port 0 (ephemeral); later reactors join the port
-    // it was actually assigned.
-    addr.sin_port = htons(r == 0 ? options_.port : port_);
-    if (bind(rx->listen_fd, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-      error_ = "bind: " + std::string(strerror(errno));
-      return false;
-    }
-    if (listen(rx->listen_fd, 128) != 0) {
-      error_ = "listen: " + std::string(strerror(errno));
-      return false;
-    }
-    if (r == 0) {
-      socklen_t len = sizeof(addr);
-      getsockname(rx->listen_fd, reinterpret_cast<sockaddr*>(&addr), &len);
-      port_ = ntohs(addr.sin_port);
-    }
-    if (!SetNonBlocking(rx->listen_fd)) {
-      error_ = "fcntl: " + std::string(strerror(errno));
-      return false;
-    }
-    rx->epoll_fd = epoll_create1(EPOLL_CLOEXEC);
-    rx->wake_fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (rx->epoll_fd < 0 || rx->wake_fd < 0) {
-      error_ = "epoll/eventfd: " + std::string(strerror(errno));
-      return false;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = EventToken(rx->listen_fd, 0);
-    epoll_ctl(rx->epoll_fd, EPOLL_CTL_ADD, rx->listen_fd, &ev);
-    ev.data.u64 = EventToken(rx->wake_fd, 0);
-    epoll_ctl(rx->epoll_fd, EPOLL_CTL_ADD, rx->wake_fd, &ev);
+    port_ = rx->loop.port();
     reactors_.push_back(std::move(rx));
   }
 
@@ -316,9 +244,7 @@ bool QfServer::Start() {
 
 void QfServer::Stop() {
   stop_requested_.store(true, std::memory_order_release);
-  for (auto& rx : reactors_) {
-    if (rx->wake_fd >= 0) WakeReactor(*rx);
-  }
+  for (auto& rx : reactors_) rx->loop.Wake();
   Wait();
 }
 
@@ -326,11 +252,6 @@ void QfServer::Wait() {
   for (auto& rx : reactors_) {
     if (rx->thread.joinable()) rx->thread.join();
   }
-}
-
-void QfServer::WakeReactor(Reactor& rx) {
-  const uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = write(rx.wake_fd, &one, sizeof(one));
 }
 
 WireStats QfServer::StatsSnapshot() const {
@@ -488,8 +409,8 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
   std::vector<int> touched;
   for (const DeferredAck& ack : rx.deferred_acks) {
     auto it = rx.conns.find(ack.fd);
-    if (it == rx.conns.end() || it->second->gen != ack.gen ||
-        it->second->closing) {
+    if (it == rx.conns.end() || it->second->io.gen() != ack.gen ||
+        it->second->io.closing()) {
       continue;
     }
     if (!synced) {
@@ -499,12 +420,12 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
       CloseConn(rx, it->second.get(), /*slow=*/false);
       continue;
     }
-    std::vector<uint8_t>& out = it->second->out;
-    [[maybe_unused]] const size_t queued = out.size();
-    EncodeIngestAckTo(ack.token, ack.count, ack.total_items, &out);
+    WriteQueue& out = it->second->io.out();
+    [[maybe_unused]] const size_t queued = out.bytes();
+    out.Encode(EncodeIngestAckTo, ack.token, ack.count, ack.total_items);
     touched.push_back(ack.fd);
     QF_OBS({
-      ack_bytes += out.size() - queued;
+      ack_bytes += out.bytes() - queued;
       if (ack.append_ns != 0) {
         // Two views of the same deferral: sync latency ends when the data
         // is durable, ack latency when the ack bytes hit the write queue.
@@ -517,7 +438,7 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
   rx.deferred_acks.clear();
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const int fd : touched) FlushWrites(rx, rx.conns.at(fd).get());
+  for (const int fd : touched) Flush(rx, rx.conns.at(fd).get());
   QF_OBS({
     obs::TraceRing& tr = obs::TraceRing::Global();
     if (tr.enabled() && obs::StageTraceSampleHit()) {
@@ -617,21 +538,35 @@ void QfServer::WriteFinalCheckpoint() {
   if (!durable_enabled_ || final_checkpoint_written_) return;
   final_checkpoint_written_ = true;
   std::lock_guard<std::mutex> lock(wal_mu_);
-  const uint64_t covered = wal_->next_seq() - 1;
+  // On failure the log still covers everything; next boot replays it.
+  AnchorFullCheckpoint(wal_->next_seq() - 1, filter_.SerializeState());
+}
+
+bool QfServer::AnchorFullCheckpoint(uint64_t covered,
+                                    const std::vector<uint8_t>& blob) {
   const uint64_t id = next_checkpoint_id_;
-  if (!checkpoints_->WriteFull(id, wal_->wal_gen(), covered,
-                               filter_.SerializeState(),
+  if (!checkpoints_->WriteFull(id, wal_->wal_gen(), covered, blob,
                                GatherRngStates(filter_))) {
-    return;  // the log still covers everything; next boot replays it
+    return false;
   }
   next_checkpoint_id_ = id + 1;
   last_checkpoint_id_ = id;
   chain_base_id_ = id;
+  checkpoints_since_full_ = 0;
   wal_checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   QF_OBS(DurableMetrics::Get().checkpoints_written.Add(1));
   wal_->Retain(
       std::min(covered, ship_floor_.load(std::memory_order_acquire)));
   checkpoints_->Retain(id);
+  return true;
+}
+
+void QfServer::ResetCheckpointBaselines() {
+  for (int s = 0; s < filter_.num_shards(); ++s) {
+    shard_items_at_checkpoint_[static_cast<size_t>(s)] =
+        pipeline_.shard_items(s);
+  }
+  items_at_last_checkpoint_ = items_ingested_.load(std::memory_order_relaxed);
 }
 
 void QfServer::ServiceQuiesce(Reactor& rx) {
@@ -670,7 +605,7 @@ void QfServer::WithGlobalQuiesce(Reactor& rx, Fn&& fn) {
   // by control_owner_) ever flips the parity.
   quiesce_word_.fetch_add(1, std::memory_order_acq_rel);
   for (auto& peer : reactors_) {
-    if (peer->idx != rx.idx) WakeReactor(*peer);
+    if (peer->idx != rx.idx) peer->loop.Wake();
   }
   // Wait for every LIVE peer (an exiting reactor flushes its producer on
   // the way out, which is all the fence needs from it; waiting on exited
@@ -698,28 +633,18 @@ void QfServer::Loop(Reactor& rx) {
         PlacementCore(options_.placement, filter_.num_shards() + rx.idx));
   }
 
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-
   while (true) {
     if (stop_requested_.load(std::memory_order_acquire)) break;
     ServiceQuiesce(rx);
-    // Deliver alerts forwarded by reactor 0 to this reactor's subscribers.
-    if (rx.idx != 0) {
-      std::vector<DrainedAlert> mail;
-      {
-        std::lock_guard<std::mutex> lock(rx.mail_mu);
-        mail.swap(rx.mail);
-      }
-      if (!mail.empty()) DeliverAlerts(rx, mail);
-    }
+    // Alert batches BroadcastAlerts posted for this reactor's subscribers.
+    rx.loop.RunPosted();
     if (stopping_.load(std::memory_order_acquire)) {
       // kShutdown acked: the acking reactor leaves once the ack has
       // drained (or the client vanished); every other reactor leaves
       // immediately — the fence already ran under the shutdown quiesce.
       if (rx.shutdown_fd < 0) break;
       auto it = rx.conns.find(rx.shutdown_fd);
-      if (it == rx.conns.end() || it->second->pending() == 0) break;
+      if (it == rx.conns.end() || it->second->io.out().empty()) break;
     }
 
     // Short timeout while alert fan-out is pending; otherwise sleep long —
@@ -731,40 +656,17 @@ void QfServer::Loop(Reactor& rx) {
         (alert_duty || rx.pushed || stopping_.load(std::memory_order_relaxed))
             ? 1
             : 200;
-    const int n = epoll_wait(rx.epoll_fd, events, kMaxEvents, timeout_ms);
-    if (n < 0 && errno != EINTR) break;
-
-    for (int i = 0; i < n; ++i) {
-      const uint64_t token = events[i].data.u64;
-      const int fd = static_cast<int>(token & 0xffffffffu);
-      const uint32_t gen = static_cast<uint32_t>(token >> 32);
-      if (fd == rx.wake_fd) {
-        uint64_t drain;
-        while (read(rx.wake_fd, &drain, sizeof(drain)) > 0) {
-        }
-        continue;
-      }
-      if (fd == rx.listen_fd) {
-        AcceptReady(rx);
-        continue;
-      }
-      auto it = rx.conns.find(fd);
-      if (it == rx.conns.end()) continue;  // closed earlier in this batch
-      Conn* conn = it->second.get();
-      if (conn->gen != gen) continue;  // stale event: fd was reused
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        CloseConn(rx, conn, /*slow=*/false);
-        continue;
-      }
-      if (events[i].events & EPOLLOUT) {
-        WriteReady(rx, conn);
-        if (rx.conns.find(fd) == rx.conns.end()) continue;
-      }
-      if (events[i].events & EPOLLIN) {
-        ReadReady(rx, conn);
-        rx.pushed = true;  // conservatively: INGEST frames stage items
-      }
-    }
+    const bool polled = rx.loop.Poll(
+        timeout_ms,
+        [&](int fd, uint32_t gen, uint32_t events) {
+          auto it = rx.conns.find(fd);
+          // Closed earlier in this batch, or a stale event for a reused fd.
+          if (it == rx.conns.end() || it->second->io.gen() != gen) return;
+          if (events & EPOLLIN) rx.pushed = true;  // INGEST may stage items
+          Serve(rx, it->second.get(), events);
+        },
+        [&](int fd) { Accept(rx, fd); });
+    if (!polled) break;
 
     // Ship partial batches so staged items never wait on a quiet socket.
     if (rx.pushed) {
@@ -792,10 +694,9 @@ void QfServer::Loop(Reactor& rx) {
 
   for (auto& [fd, conn] : rx.conns) {
     if (conn->subscribed) subscribers_.fetch_sub(1, std::memory_order_relaxed);
-    close(fd);
   }
   active_connections_.fetch_sub(rx.conns.size(), std::memory_order_relaxed);
-  rx.conns.clear();
+  rx.conns.clear();  // each Connection closes its socket
 
   // Last reactor out joins the shard workers (all producer slots are
   // released by now) and marks the server stopped.
@@ -807,101 +708,45 @@ void QfServer::Loop(Reactor& rx) {
   }
 }
 
-void QfServer::AcceptReady(Reactor& rx) {
-  while (true) {
-    const int fd = accept4(rx.listen_fd, nullptr, nullptr,
-                           SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;  // EAGAIN or transient error: try next wakeup
-    const size_t per_reactor_cap = static_cast<size_t>(
-        options_.max_connections < 1 ? 1 : options_.max_connections);
-    if (rx.conns.size() >= per_reactor_cap) {
-      close(fd);
-      continue;
-    }
-    const int one = 1;
-    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    if (options_.so_sndbuf > 0) {
-      setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.so_sndbuf,
-                 sizeof(options_.so_sndbuf));
-    }
-    FrameDecoder::Options dopts;
-    dopts.max_frame_bytes = options_.max_frame_bytes;
-    auto conn = std::make_unique<Conn>(fd, dopts);
-    conn->gen = ++rx.conn_gen;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = EventToken(fd, conn->gen);
-    if (epoll_ctl(rx.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      close(fd);
-      continue;
-    }
-    rx.conns.emplace(fd, std::move(conn));
-    accepts_.fetch_add(1, std::memory_order_relaxed);
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
-    QF_OBS({
-      NetMetrics::Get().accepts.Add(1);
-      NetMetrics::Get().active_connections.Set(static_cast<int64_t>(
-          active_connections_.load(std::memory_order_relaxed)));
-    });
+void QfServer::Accept(Reactor& rx, int fd) {
+  const size_t per_reactor_cap = static_cast<size_t>(
+      options_.max_connections < 1 ? 1 : options_.max_connections);
+  if (rx.conns.size() >= per_reactor_cap) {
+    close(fd);
+    return;
   }
+  if (options_.so_sndbuf > 0) {
+    setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.so_sndbuf,
+               sizeof(options_.so_sndbuf));
+  }
+  FrameDecoder::Options dopts;
+  dopts.max_frame_bytes = options_.max_frame_bytes;
+  auto conn = std::make_unique<Conn>(rx.loop, fd, dopts);
+  if (!conn->io.registered()) return;  // destroying conn closes the fd
+  rx.conns.emplace(fd, std::move(conn));
+  accepts_.fetch_add(1, std::memory_order_relaxed);
+  active_connections_.fetch_add(1, std::memory_order_relaxed);
+  QF_OBS({
+    NetMetrics::Get().accepts.Add(1);
+    NetMetrics::Get().active_connections.Set(static_cast<int64_t>(
+        active_connections_.load(std::memory_order_relaxed)));
+  });
 }
 
-void QfServer::ReadReady(Reactor& rx, Conn* conn) {
-  const int fd = conn->fd;  // survives CloseConn for liveness re-checks
-  uint8_t buf[64 * 1024];
-  while (true) {
-    const ssize_t n = recv(conn->fd, buf, sizeof(buf), 0);
-    if (n == 0) {
-      CloseConn(rx, conn, /*slow=*/false);
-      return;
-    }
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      CloseConn(rx, conn, /*slow=*/false);
-      return;
-    }
-    QF_OBS(NetMetrics::Get().bytes_read.Add(static_cast<uint64_t>(n)));
-    if (!conn->decoder.Append(buf, static_cast<size_t>(n))) {
-      QF_OBS(NetMetrics::Get().protocol_errors.Add(1));
-      SendError(rx, conn, ErrorCode::kMalformedFrame, conn->decoder.error());
-      return;
-    }
-    FrameView frame;
-    while (true) {
-      const FrameDecoder::Result r = conn->decoder.NextView(&frame);
-      if (r == FrameDecoder::Result::kNeedMore) break;
-      if (r == FrameDecoder::Result::kError) {
-        QF_OBS(NetMetrics::Get().protocol_errors.Add(1));
-        SendError(rx, conn, ErrorCode::kMalformedFrame,
-                  conn->decoder.error());
-        return;
-      }
-      HandleFrame(rx, conn, frame);
-      // HandleFrame may close the connection (bad payload, failed sync,
-      // slow consumer).
-      if (rx.conns.find(fd) == rx.conns.end()) return;
-      if (conn->closing) return;  // post-shutdown: ignore pipelined frames
-      // Replies wait for the flush below, unless the queue is already past
-      // the cap: then the slow-consumer check runs now, so a chunk of small
-      // requests for large replies cannot grow the queue without bound.
-      if (conn->pending() > options_.max_write_queue_bytes &&
-          !FlushWrites(rx, conn)) {
-        return;
-      }
-    }
-    // The flush point: every reply this chunk produced leaves in as few
-    // send() calls as the socket takes, not one send() per frame.
-    if (!FlushWrites(rx, conn)) return;
-    if (static_cast<size_t>(n) < sizeof(buf)) break;  // drained the socket
-  }
-}
-
-void QfServer::WriteReady(Reactor& rx, Conn* conn) {
-  if (!FlushWrites(rx, conn)) return;
-  if (conn->closing && conn->pending() == 0) {
-    CloseConn(rx, conn, /*slow=*/false);
-  }
+void QfServer::Serve(Reactor& rx, Conn* conn, uint32_t events) {
+  const int fd = conn->io.fd();  // survives CloseConn for liveness checks
+  IoStats io;
+  const Connection::Status status = conn->io.OnEvents(
+      events, options_.max_write_queue_bytes, &io,
+      [&](const FrameView& frame) {
+        HandleFrame(rx, conn, frame);
+        // HandleFrame may close the connection (bad payload, failed sync,
+        // slow consumer), or queue a terminal ERROR (post-shutdown: ignore
+        // pipelined frames).
+        return rx.conns.count(fd) != 0 && !conn->io.closing();
+      });
+  RecordIo(io);
+  Settle(rx, conn, status);
 }
 
 void QfServer::HandleFrame(Reactor& rx, Conn* conn, const FrameView& frame) {
@@ -917,7 +762,7 @@ void QfServer::HandleFrame(Reactor& rx, Conn* conn, const FrameView& frame) {
   // them before handling any non-ingest frame.
   if (durable_enabled_ && frame.type != FrameType::kIngest &&
       !rx.deferred_acks.empty()) {
-    const int fd = conn->fd;
+    const int fd = conn->io.fd();
     FlushGroupCommit(rx);
     // A failed sync or a slow-consumer flush may have closed this conn.
     if (rx.conns.find(fd) == rx.conns.end()) return;
@@ -1029,7 +874,8 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
     wal_records_appended_.fetch_add(1, std::memory_order_relaxed);
     QF_OBS(DurableMetrics::Get().records_appended.Add(1));
     if (options_.durable.fsync == durable::FsyncMode::kGroup) {
-      DeferredAck deferred{conn->fd, conn->gen, token, count, total_items, 0};
+      DeferredAck deferred{conn->io.fd(), conn->io.gen(), token, count,
+                           total_items, 0};
       QF_OBS(deferred.append_ns = MonotonicNanos());
       rx.deferred_acks.push_back(deferred);
       QF_OBS({
@@ -1039,7 +885,7 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
       return;
     }
   }
-  EncodeIngestAckTo(token, count, total_items, &conn->out);
+  conn->io.out().Encode(EncodeIngestAckTo, token, count, total_items);
   QF_OBS({
     NetMetrics::Get().ingest_items.Add(count);
     NetMetrics::Get().ingest_frame_ns.Record(MonotonicNanos() - t0);
@@ -1077,7 +923,7 @@ void QfServer::HandleQuery(Reactor& rx, Conn* conn, const FrameView& frame) {
     answers.push_back(
         QueryAnswer{a.qweight, static_cast<uint8_t>(a.is_candidate ? 1 : 0)});
   }
-  EncodeQueryResultTo(req.token, answers, &conn->out);
+  conn->io.out().Encode(EncodeQueryResultTo, req.token, answers);
   QF_OBS(NetMetrics::Get().query_frame_ns.Record(MonotonicNanos() - t0));
 }
 
@@ -1093,7 +939,7 @@ void QfServer::HandleSubscribe(Reactor& rx, Conn* conn,
   }
   conn->subscribed = req.enable;
   // Echo as the acknowledgment; alerts start streaming after this frame.
-  EncodeSubscribeTo(req.token, req.enable, &conn->out);
+  conn->io.out().Encode(EncodeSubscribeTo, req.token, req.enable);
 }
 
 void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
@@ -1105,20 +951,32 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
     SendError(rx, conn, ErrorCode::kBadPayload, "malformed CONTROL payload");
     return;
   }
-  std::vector<uint8_t>* const out = &conn->out;
+  const auto reply = [&](ControlStatus status,
+                         std::span<const uint8_t> payload = {}) {
+    conn->io.out().Encode(EncodeControlResultTo, req.token, req.op, status,
+                          payload);
+  };
+  // A payload past max_frame_bytes would produce a frame every compliant
+  // decoder (including our client's) rejects, poisoning the stream of a
+  // successful op — refuse instead.
+  const auto reply_payload = [&](std::span<const uint8_t> payload) {
+    if (payload.size() + kControlResultHeader > options_.max_frame_bytes) {
+      reply(ControlStatus::kRejected);
+    } else {
+      reply(ControlStatus::kOk, payload);
+    }
+  };
   switch (req.op) {
     case ControlOp::kStats: {
       const WireStats stats = StatsSnapshot();
       std::vector<uint8_t> payload(sizeof(WireStats));
-      memcpy(payload.data(), &stats, sizeof(WireStats));
-      EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, payload,
-                            out);
+      std::memcpy(payload.data(), &stats, sizeof(WireStats));
+      reply(ControlStatus::kOk, payload);
       break;
     }
     case ControlOp::kDrain: {
       WithGlobalQuiesce(rx, [] {});
-      EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, {},
-                            out);
+      reply(ControlStatus::kOk);
       break;
     }
     case ControlOp::kCheckpoint: {
@@ -1126,21 +984,9 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       // by ANY reactor so far, and the quiescent shards are safe to
       // serialize from this thread.
       WithGlobalQuiesce(rx, [&] {
-        const std::vector<uint8_t> blob = filter_.SerializeState();
-        // CONTROL_RESULT payload = token(8) + op(1) + status(1) + blob. A
-        // blob past max_frame_bytes would produce a frame every compliant
-        // decoder (including our client's) rejects, poisoning the stream
-        // of a successful checkpoint — refuse instead. Size
-        // max_frame_bytes to at least the filter memory budget (Options
-        // comment, DESIGN.md §11).
-        constexpr size_t kControlResultHeader = 10;
-        if (blob.size() + kControlResultHeader > options_.max_frame_bytes) {
-          EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                                {}, out);
-        } else {
-          EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, blob,
-                                out);
-        }
+        // Size max_frame_bytes to at least the filter memory budget
+        // (Options comment, DESIGN.md §11), or this answers kRejected.
+        reply_payload(filter_.SerializeState());
       });
       break;
     }
@@ -1162,17 +1008,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
           // fails closed on the generation check, so drop its pin too.
           ship_floor_.store(~0ull, std::memory_order_release);
           wal_segments_observed_ = wal_->segments_written();
-          const uint64_t id = next_checkpoint_id_;
-          if (checkpoints_->WriteFull(id, wal_->wal_gen(), 0, req.op_payload,
-                                      GatherRngStates(filter_))) {
-            next_checkpoint_id_ = id + 1;
-            last_checkpoint_id_ = id;
-            chain_base_id_ = id;
-            checkpoints_since_full_ = 0;
-            wal_checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
-            QF_OBS(DurableMetrics::Get().checkpoints_written.Add(1));
-            checkpoints_->Retain(id);
-          } else {
+          if (!AnchorFullCheckpoint(0, req.op_payload)) {
             // Anchor write failed: drop the old chain entirely rather than
             // let a next boot pair old-generation checkpoints with the new
             // log. An empty store plus the fresh log replays from scratch.
@@ -1181,16 +1017,9 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
             chain_base_id_ = 0;
             checkpoints_since_full_ = 0;
           }
-          for (int s = 0; s < filter_.num_shards(); ++s) {
-            shard_items_at_checkpoint_[static_cast<size_t>(s)] =
-                pipeline_.shard_items(s);
-          }
-          items_at_last_checkpoint_ =
-              items_ingested_.load(std::memory_order_relaxed);
+          ResetCheckpointBaselines();
         }
-        EncodeControlResultTo(
-            req.token, req.op,
-            ok ? ControlStatus::kOk : ControlStatus::kRejected, {}, out);
+        reply(ok ? ControlStatus::kOk : ControlStatus::kRejected);
       });
       break;
     }
@@ -1202,30 +1031,21 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       std::vector<uint8_t> payload;
       EncodeMetricsPayloadTo(obs::MetricsRegistry::Global().Snapshot(),
                              &payload);
-      constexpr size_t kControlResultHeader = 10;
-      if (payload.size() + kControlResultHeader > options_.max_frame_bytes) {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                              {}, out);
-      } else {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, payload,
-                              out);
-      }
+      reply_payload(payload);
       break;
     }
     case ControlOp::kTopology:
     case ControlOp::kMigrate: {
       // Coordinator-plane ops (DESIGN.md §16); a backend answering them
       // would hand out a topology it does not own.
-      EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                            {}, out);
+      reply(ControlStatus::kBadRequest);
       break;
     }
     case ControlOp::kShardExport: {
       ShardExportRequest sreq;
       if (!ParseShardExportRequest(req.op_payload, &sreq) ||
           sreq.shard >= static_cast<uint32_t>(filter_.num_shards())) {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, out);
+        reply(ControlStatus::kBadRequest);
         break;
       }
       // Quiesce + fence first: every acked item is then in the filter, so
@@ -1248,15 +1068,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
         }
         std::vector<uint8_t> payload;
         EncodeShardExportPayloadTo(exp, &payload);
-        constexpr size_t kControlResultHeader = 10;
-        if (payload.size() + kControlResultHeader >
-            options_.max_frame_bytes) {
-          EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                                {}, out);
-        } else {
-          EncodeControlResultTo(req.token, req.op, ControlStatus::kOk,
-                                payload, out);
-        }
+        reply_payload(payload);
       });
       break;
     }
@@ -1264,8 +1076,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       ShardImport imp;
       if (!ParseShardImportPayload(req.op_payload, &imp) ||
           imp.shard >= static_cast<uint32_t>(filter_.num_shards())) {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, out);
+        reply(ControlStatus::kBadRequest);
         break;
       }
       WithGlobalQuiesce(rx, [&] {
@@ -1284,35 +1095,12 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
             // and this muted, traffic-less shard is simply overwritten by
             // the next attempt.
             std::lock_guard<std::mutex> lock(wal_mu_);
-            const uint64_t covered = wal_->next_seq() - 1;
-            const uint64_t id = next_checkpoint_id_;
-            if (checkpoints_->WriteFull(id, wal_->wal_gen(), covered,
-                                        filter_.SerializeState(),
-                                        GatherRngStates(filter_))) {
-              next_checkpoint_id_ = id + 1;
-              last_checkpoint_id_ = id;
-              chain_base_id_ = id;
-              checkpoints_since_full_ = 0;
-              wal_checkpoints_written_.fetch_add(1,
-                                                 std::memory_order_relaxed);
-              QF_OBS(DurableMetrics::Get().checkpoints_written.Add(1));
-              wal_->Retain(std::min(
-                  covered, ship_floor_.load(std::memory_order_acquire)));
-              checkpoints_->Retain(id);
-              for (int i = 0; i < filter_.num_shards(); ++i) {
-                shard_items_at_checkpoint_[static_cast<size_t>(i)] =
-                    pipeline_.shard_items(i);
-              }
-              items_at_last_checkpoint_ =
-                  items_ingested_.load(std::memory_order_relaxed);
-            } else {
-              ok = false;
-            }
+            ok = AnchorFullCheckpoint(wal_->next_seq() - 1,
+                                      filter_.SerializeState());
+            if (ok) ResetCheckpointBaselines();
           }
         }
-        EncodeControlResultTo(
-            req.token, req.op,
-            ok ? ControlStatus::kOk : ControlStatus::kRejected, {}, out);
+        reply(ok ? ControlStatus::kOk : ControlStatus::kRejected);
       });
       break;
     }
@@ -1320,8 +1108,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       ShardActivateRequest areq;
       if (!ParseShardActivateRequest(req.op_payload, &areq) ||
           areq.shard >= static_cast<uint32_t>(filter_.num_shards())) {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, out);
+        reply(ControlStatus::kBadRequest);
         break;
       }
       // The quiesce drains every ring first: all catch-up items are in the
@@ -1329,21 +1116,18 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       // no stale detection can slip out after the unmute.
       WithGlobalQuiesce(rx, [&] {
         pipeline_.SetAlertMuted(static_cast<int>(areq.shard), false);
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, {},
-                              out);
+        reply(ControlStatus::kOk);
       });
       break;
     }
     case ControlOp::kSegmentShip: {
       SegmentShipRequest sreq;
       if (!ParseSegmentShipRequest(req.op_payload, &sreq)) {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, out);
+        reply(ControlStatus::kBadRequest);
         break;
       }
       if (!durable_enabled_) {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                              {}, out);
+        reply(ControlStatus::kRejected);
         break;
       }
       if (sreq.after_seq == kSegmentShipRelease) {
@@ -1353,18 +1137,15 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
         res.exhausted = 1;
         std::vector<uint8_t> payload;
         EncodeSegmentShipPayloadTo(res, &payload);
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kOk,
-                              payload, out);
+        reply(ControlStatus::kOk, payload);
         break;
       }
       if (sreq.shard != kSegmentShipAllShards &&
           sreq.shard >= static_cast<uint32_t>(filter_.num_shards())) {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kBadRequest,
-                              {}, out);
+        reply(ControlStatus::kBadRequest);
         break;
       }
       // Bound the reply to both the caller's ask and what fits one frame.
-      constexpr size_t kControlResultHeader = 10;
       const size_t frame_cap =
           (options_.max_frame_bytes - kControlResultHeader - 16) /
           sizeof(Item);
@@ -1400,8 +1181,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
         }
       }
       if (!wr.ok) {
-        EncodeControlResultTo(req.token, req.op, ControlStatus::kRejected,
-                              {}, out);
+        reply(ControlStatus::kRejected);
         break;
       }
       SegmentShipResult res;
@@ -1410,19 +1190,17 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       res.items = std::move(wr.items);
       std::vector<uint8_t> payload;
       EncodeSegmentShipPayloadTo(res, &payload);
-      EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, payload,
-                            out);
+      reply(ControlStatus::kOk, payload);
       break;
     }
     case ControlOp::kShutdown: {
       WithGlobalQuiesce(rx, [] {});
-      EncodeControlResultTo(req.token, req.op, ControlStatus::kOk, {},
-                            out);
+      reply(ControlStatus::kOk);
       stopping_.store(true, std::memory_order_release);
-      rx.shutdown_fd = conn->fd;
+      rx.shutdown_fd = conn->io.fd();
       // Peers exit on their next loop iteration.
       for (auto& peer : reactors_) {
-        if (peer->idx != rx.idx) WakeReactor(*peer);
+        if (peer->idx != rx.idx) peer->loop.Wake();
       }
       break;
     }
@@ -1439,50 +1217,52 @@ void QfServer::BroadcastAlerts(Reactor& rx) {
     drained.push_back(DrainedAlert{shard, rec});
   });
   if (drained.empty()) return;
-  // Forward to peers first (their subscribers shouldn't wait on our socket
-  // writes), then deliver locally.
-  for (auto& peer : reactors_) {
-    if (peer->idx == rx.idx) continue;
-    {
-      std::lock_guard<std::mutex> lock(peer->mail_mu);
-      peer->mail.insert(peer->mail.end(), drained.begin(), drained.end());
+  // Post to peers first (their subscribers shouldn't wait on our socket
+  // writes), then deliver locally. Every socket write stays on the reactor
+  // that owns the socket.
+  if (num_reactors_ > 1) {
+    auto shared = std::make_shared<const std::vector<DrainedAlert>>(drained);
+    for (auto& peer : reactors_) {
+      if (peer->idx == rx.idx) continue;
+      Reactor* p = peer.get();
+      p->loop.Post([this, p, shared] { DeliverAlerts(*p, *shared); });
     }
-    WakeReactor(*peer);
   }
   DeliverAlerts(rx, drained);
 }
 
 void QfServer::DeliverAlerts(Reactor& rx,
                              const std::vector<DrainedAlert>& drained) {
-  // Records are staged first because fanning out can close a slow
-  // subscriber, which mutates conns — never iterate conns while flushing.
-  // Each subscriber gets the whole batch appended, then one flush.
-  std::vector<int> subscriber_fds;
+  // Subscribers are staged first because a flush can close a slow one,
+  // which mutates conns (never another connection) — never iterate conns
+  // while flushing. Each gets the whole batch appended, then one flush.
+  std::vector<Conn*> subscribers;
   for (const auto& [fd, conn] : rx.conns) {
-    if (conn->subscribed && !conn->closing) subscriber_fds.push_back(fd);
-  }
-  for (const int fd : subscriber_fds) {
-    auto it = rx.conns.find(fd);
-    if (it == rx.conns.end()) continue;
-    Conn* conn = it->second.get();
-    for (const DrainedAlert& d : drained) {
-      WireAlert alert;
-      alert.seq = conn->alert_seq++;
-      alert.key = d.rec.key;
-      alert.value = d.rec.value;
-      alert.shard = static_cast<uint32_t>(d.shard);
-      EncodeAlertTo(alert, &conn->out);
+    if (conn->subscribed && !conn->io.closing()) {
+      subscribers.push_back(conn.get());
     }
+  }
+  for (Conn* conn : subscribers) {
+    conn->io.out().Append([&](std::vector<uint8_t>* out) {
+      for (const DrainedAlert& d : drained) {
+        WireAlert alert;
+        alert.seq = conn->alert_seq++;
+        alert.key = d.rec.key;
+        alert.value = d.rec.value;
+        alert.shard = static_cast<uint32_t>(d.shard);
+        EncodeAlertTo(alert, out);
+      }
+    });
     alerts_streamed_.fetch_add(drained.size(), std::memory_order_relaxed);
     QF_OBS(NetMetrics::Get().alerts_streamed.Add(drained.size()));
-    FlushWrites(rx, conn);  // may disconnect a slow subscriber
+    Flush(rx, conn);  // may disconnect a slow subscriber
   }
   QF_OBS({
     // Alert-delivery lag: detection stamp (worker) -> subscriber write
     // queued (reactor 0 or a forwarded peer). Last-write-wins gauge over
     // the newest drained record; a growing value means the alert path is
     // falling behind ingest. Only meaningful when someone subscribed.
-    if (subscriber_fds.empty()) return;
+    if (subscribers.empty()) return;
     const uint64_t now = MonotonicNanos();
     uint64_t newest = 0;
     for (const DrainedAlert& d : drained) {
@@ -1502,69 +1282,35 @@ void QfServer::DeliverAlerts(Reactor& rx,
   });
 }
 
-bool QfServer::FlushWrites(Reactor& rx, Conn* conn) {
-  while (conn->out_off < conn->out.size()) {
-    const ssize_t n =
-        send(conn->fd, conn->out.data() + conn->out_off,
-             conn->out.size() - conn->out_off, MSG_NOSIGNAL);
-    QF_OBS(NetMetrics::Get().write_calls.Add(1));
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      CloseConn(rx, conn, /*slow=*/false);
-      return false;
-    }
-    conn->out_off += static_cast<size_t>(n);
-    QF_OBS(NetMetrics::Get().bytes_written.Add(static_cast<uint64_t>(n)));
-  }
-  if (conn->pending() > options_.max_write_queue_bytes) {
-    // Slow consumer: the socket cannot drain what we owe it. Disconnect
-    // rather than buffer without bound or stall ingest for everyone else.
-    CloseConn(rx, conn, /*slow=*/true);
-    return false;
-  }
-  if (conn->pending() == 0) {
-    conn->out.clear();
-    conn->out_off = 0;
-  } else if (conn->out_off > (64u << 10)) {
-    // Compact the sent prefix so later appends do not grow the buffer.
-    conn->out.erase(conn->out.begin(),
-                    conn->out.begin() +
-                        static_cast<std::ptrdiff_t>(conn->out_off));
-    conn->out_off = 0;
-  }
-  const bool need_write = conn->pending() > 0;
-  if (need_write != conn->want_write) {
-    conn->want_write = need_write;
-    UpdateEpoll(rx, conn);
-  }
-  return true;
+bool QfServer::Flush(Reactor& rx, Conn* conn) {
+  IoStats io;
+  const Connection::Status status =
+      conn->io.Flush(options_.max_write_queue_bytes, &io);
+  RecordIo(io);
+  return Settle(rx, conn, status);
 }
 
-void QfServer::UpdateEpoll(Reactor& rx, Conn* conn) {
-  epoll_event ev{};
-  ev.events = EPOLLIN | (conn->want_write ? EPOLLOUT : 0u);
-  ev.data.u64 = EventToken(conn->fd, conn->gen);
-  epoll_ctl(rx.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+bool QfServer::Settle(Reactor& rx, Conn* conn, Connection::Status status) {
+  if (status == Connection::Status::kOpen) return true;
+  if (status != Connection::Status::kStopped) {
+    CloseConn(rx, conn, /*slow=*/status == Connection::Status::kSlow);
+  }
+  return false;
 }
 
 void QfServer::SendError(Reactor& rx, Conn* conn, ErrorCode code,
                          const std::string& message) {
-  EncodeErrorTo(code, message, &conn->out);
-  conn->closing = true;
-  if (!FlushWrites(rx, conn)) return;  // already closed
-  if (conn->pending() == 0) CloseConn(rx, conn, /*slow=*/false);
-  // Otherwise EPOLLOUT drains the error frame, then WriteReady closes.
+  conn->io.QueueError(code, message);
+  // Closes at once if the frame drained; otherwise EPOLLOUT drains it and
+  // the drained flush (kDone) closes.
+  Flush(rx, conn);
 }
 
 void QfServer::CloseConn(Reactor& rx, Conn* conn, bool slow) {
-  const int fd = conn->fd;
   if (conn->subscribed) {
     subscribers_.fetch_sub(1, std::memory_order_relaxed);
   }
-  epoll_ctl(rx.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  close(fd);
-  rx.conns.erase(fd);  // frees conn
+  rx.conns.erase(conn->io.fd());  // frees conn; its Connection closes the fd
   active_connections_.fetch_sub(1, std::memory_order_relaxed);
   if (slow) slow_disconnects_.fetch_add(1, std::memory_order_relaxed);
   QF_OBS({

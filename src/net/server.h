@@ -10,16 +10,14 @@
 //                        ▲              └ per-shard alert rings (reactor 0)
 //                        └ SO_REUSEPORT listener group (one socket each)
 //
-// Each reactor owns a listen socket in one SO_REUSEPORT group (the kernel
-// spreads incoming connections across them), an epoll instance, a wake
-// eventfd and the connections it accepted — no fd is ever shared between
-// reactor threads. Reactor r is pipeline producer r: INGEST frames are
-// decoded on the reactor, keys are hashed to shards at decode time
-// (PushBatchFrom's block-hashed scatter), and items land in the reactor's
-// own per-shard arenas. With --reactors=1 this collapses to the classic
-// single-dispatcher shape, whose per-shard bit-identity guarantee tests
-// rely on; with R > 1, N cores feed the shard workers without a central
-// dispatcher on the serving path.
+// Each reactor is one net::EventLoop (net/reactor.h: listen socket in the
+// SO_REUSEPORT group, epoll, wake eventfd, Post() mailbox) plus the
+// net::Connections it accepted — no fd is ever shared between reactor
+// threads. Reactor r is pipeline producer r: INGEST frames are decoded on
+// the reactor, keys are hashed to shards at decode time (PushBatchFrom's
+// block-hashed scatter), and items land in the reactor's own per-shard
+// arenas. With --reactors=1 this collapses to the classic single-dispatcher
+// shape, whose per-shard bit-identity guarantee tests rely on.
 //
 // Global control (kDrain / kCheckpoint / kRestore / kShutdown) quiesces the
 // reactor group: the handling reactor claims the coordinator slot, every
@@ -30,25 +28,17 @@
 // deadlocking. kQuery needs no quiesce: shard workers answer through their
 // control slots regardless of which reactor posted them.
 //
-// Alert delivery is at-most-once, as before: reactor 0 is the alert rings'
-// single consumer; records fan out to local subscribers directly and to
-// other reactors' subscribers through per-reactor mailboxes (mutex +
-// eventfd), keeping every socket write on its owning reactor.
+// Alert delivery is at-most-once: reactor 0 is the alert rings' single
+// consumer; it delivers to local subscribers directly and Post()s each
+// batch to the other reactors, keeping every socket write on its owner.
 //
-// Replies are append-only: every handler encodes into its connection's
-// write queue, and each queue has one flush point per burst of appends —
-// ReadReady flushes once after handling all frames of a recv() chunk, and
-// alert fan-out, the group-commit ack release and SendError each append
-// everything first, then flush every connection they touched once. A 64 KiB
-// chunk of small INGEST frames thus costs a few send() calls, not one per
-// ack.
-//
-// Backpressure and failure policy: bounded per-connection write queues with
-// slow-consumer disconnect, checked at each flush and, within a chunk, as
-// soon as the queue passes the cap — so a queue overshoots
-// max_write_queue_bytes by at most one reply frame (or one fan-out's alert
-// batch). Poisoned decoders close after one best-effort ERROR frame;
-// partial reads/writes are first-class.
+// Replies are append-only: handlers encode into the connection's iovec
+// write queue. A recv() chunk's replies leave in one flush (earlier once
+// the queue passes max_write_queue_bytes, the slow-consumer cap); alert
+// fan-out, the group-commit ack release and SendError append first, then
+// flush each touched connection once. Poisoned decoders close after one
+// best-effort ERROR frame. Server-only socket settings (max_connections,
+// so_sndbuf) apply in the accept callback.
 //
 // Linux-only (epoll + eventfd + SO_REUSEPORT).
 
@@ -69,6 +59,7 @@
 #include "durable/log.h"
 #include "durable/storage.h"
 #include "net/protocol.h"
+#include "net/reactor.h"
 #include "parallel/pipeline.h"
 #include "parallel/placement.h"
 
@@ -218,31 +209,25 @@ class QfServer {
     uint64_t append_ns = 0;
   };
 
-  /// Per-reactor state. Every field is owned by its reactor thread except
-  /// the mailbox (mutex-protected) and wake_fd (written by anyone).
+  /// Per-reactor state, owned by its reactor thread. Other threads only
+  /// Wake() or Post() to the loop.
   struct Reactor {
     int idx = 0;
-    int listen_fd = -1;
-    int epoll_fd = -1;
-    int wake_fd = -1;
+    EventLoop loop;  // declared before conns: connections deregister on it
     std::thread thread;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
-    uint32_t conn_gen = 0;     // bumped per accept (see EventToken)
     bool pushed = false;       // items staged since the last FlushFrom
     int shutdown_fd = -1;      // conn whose kShutdown ack must drain here
     std::vector<Item> scratch; // INGEST decode staging (reused)
     // Ingest acks awaiting the group-commit fsync (durable kGroup mode).
     std::vector<DeferredAck> deferred_acks;
-    // Alerts forwarded from reactor 0 for this reactor's subscribers.
-    std::mutex mail_mu;
-    std::vector<DrainedAlert> mail;
   };
 
   static Sharded MakeFilter(const Options& options);
   void Loop(Reactor& rx);
-  void AcceptReady(Reactor& rx);
-  void ReadReady(Reactor& rx, Conn* conn);
-  void WriteReady(Reactor& rx, Conn* conn);
+  /// Accept callback: applies max_connections and so_sndbuf.
+  void Accept(Reactor& rx, int fd);
+  void Serve(Reactor& rx, Conn* conn, uint32_t events);
   // Frame handlers receive zero-copy payload views into the connection's
   // decoder buffer (FrameDecoder::NextView); the views die when the decoder
   // is next fed, so handlers must consume them before returning. INGEST is
@@ -261,17 +246,18 @@ class QfServer {
   /// Peer side of the quiesce protocol: if a coordinator requested a
   /// quiesce, flush this reactor's producer, ack, and park until released.
   void ServiceQuiesce(Reactor& rx);
-  void WakeReactor(Reactor& rx);
   /// Reactor 0 only: drain the alert rings, deliver to local subscribers,
-  /// forward to peers' mailboxes.
+  /// Post() the batch to every peer reactor.
   void BroadcastAlerts(Reactor& rx);
-  /// Deliver mailbox/locally-drained alerts to this reactor's subscribers.
+  /// Deliver drained or posted alerts to this reactor's subscribers.
   void DeliverAlerts(Reactor& rx, const std::vector<DrainedAlert>& drained);
-  /// The one write path: handlers append encoded replies to Conn::out, and
-  /// this sends what the socket will take, then enforces
-  /// max_write_queue_bytes (slow-consumer disconnect). Returns false if the
-  /// connection was closed.
-  bool FlushWrites(Reactor& rx, Conn* conn);
+  /// The one write path: handlers append encoded replies to the
+  /// connection's write queue, and this sends what the socket takes.
+  /// Returns false if the connection was closed.
+  bool Flush(Reactor& rx, Conn* conn);
+  /// Closes the connection a status ends (counting a slow consumer).
+  /// Returns false unless the connection is still open.
+  bool Settle(Reactor& rx, Conn* conn, Connection::Status status);
   /// Durability (DESIGN.md §14). SetupDurable opens the storage, resolves
   /// checkpoints and scans the log (fail closed on corruption); Replay
   /// re-drives the recovered tail through producer slot 0 before the
@@ -284,10 +270,16 @@ class QfServer {
   void FlushGroupCommit(Reactor& rx);
   void MaybeCheckpoint(Reactor& rx);
   void WriteFinalCheckpoint();
+  /// Writes a full checkpoint of `blob` covering the log up to `covered`
+  /// as a new chain base, then retains to it. Caller holds wal_mu_ with the
+  /// filter quiescent. False (bookkeeping untouched) if the write failed.
+  bool AnchorFullCheckpoint(uint64_t covered,
+                            const std::vector<uint8_t>& blob);
+  /// Marks every shard clean as of now for the delta-checkpoint cadence.
+  void ResetCheckpointBaselines();
   void SendError(Reactor& rx, Conn* conn, ErrorCode code,
                  const std::string& message);
   void CloseConn(Reactor& rx, Conn* conn, bool slow);
-  void UpdateEpoll(Reactor& rx, Conn* conn);
 
   Options options_;
   Sharded filter_;

@@ -1,7 +1,6 @@
 // CRC-32 and the checkpoint integrity envelope (common/crc32.h): known
 // vectors, wrap/unwrap classification, and the RestoreState integration —
-// corrupted blobs rejected, CRC-less legacy v2 blobs accepted with the
-// kMissing warning path.
+// corrupted blobs and CRC-less (stripped or legacy) blobs both rejected.
 
 #include "common/crc32.h"
 
@@ -89,13 +88,13 @@ TEST(CrcEnvelope, TruncatedEnvelopeIsCorrupt) {
             CrcStatus::kCorrupt);
 }
 
-TEST(CrcEnvelope, LegacyBlobClassifiedMissing) {
+TEST(CrcEnvelope, LegacyBlobClassifiedCorrupt) {
   const std::vector<uint8_t> legacy = Bytes("2SFQ legacy checkpoint bytes");
   const uint8_t* inner = nullptr;
   size_t inner_size = 0;
-  EXPECT_EQ(UnwrapCrc(legacy, &inner, &inner_size), CrcStatus::kMissing);
-  EXPECT_EQ(inner, legacy.data());
-  EXPECT_EQ(inner_size, legacy.size());
+  EXPECT_EQ(UnwrapCrc(legacy, &inner, &inner_size), CrcStatus::kCorrupt);
+  EXPECT_EQ(inner, nullptr);
+  EXPECT_EQ(inner_size, 0u);
 }
 
 DefaultQuantileFilter::Options SmallOptions() {
@@ -146,28 +145,21 @@ TEST(CheckpointCrc, CorruptedFilterBlobRejected) {
   EXPECT_EQ(crc, CrcStatus::kCorrupt);
 }
 
-TEST(CheckpointCrc, LegacyCrcLessFilterBlobAcceptedWithWarning) {
+TEST(CheckpointCrc, CrcLessFilterBlobRejected) {
   const Criteria criteria(30, 0.95, 300);
   DefaultQuantileFilter a(SmallOptions(), criteria);
   FeedStream(a, 3);
   std::vector<uint8_t> state = a.SerializeState();
-  // A pre-envelope v2 checkpoint is exactly today's payload without the
-  // 8-byte envelope.
-  std::vector<uint8_t> legacy(state.begin() + 8, state.end());
+  // Today's payload with the 8-byte envelope stripped: well-formed, but
+  // unverified, so it fails closed.
+  std::vector<uint8_t> stripped(state.begin() + 8, state.end());
 
   DefaultQuantileFilter b(SmallOptions(), criteria);
   CrcStatus crc = CrcStatus::kOk;
-  ASSERT_TRUE(b.RestoreState(legacy, &crc));
-  EXPECT_EQ(crc, CrcStatus::kMissing);
-  for (uint64_t key = 0; key < 500; ++key) {
-    EXPECT_EQ(a.QueryQweight(key), b.QueryQweight(key)) << "key " << key;
-  }
-  // The warning overload also accepts it (stderr path).
+  EXPECT_FALSE(b.RestoreState(stripped, &crc));
+  EXPECT_EQ(crc, CrcStatus::kCorrupt);
   DefaultQuantileFilter c(SmallOptions(), criteria);
-  testing::internal::CaptureStderr();
-  ASSERT_TRUE(c.RestoreState(legacy));
-  const std::string warning = testing::internal::GetCapturedStderr();
-  EXPECT_NE(warning.find("CRC-less"), std::string::npos) << warning;
+  EXPECT_FALSE(c.RestoreState(stripped));
 }
 
 TEST(CheckpointCrc, ShardedRoundTripAndLegacyPath) {
@@ -187,11 +179,11 @@ TEST(CheckpointCrc, ShardedRoundTripAndLegacyPath) {
     EXPECT_EQ(a.QueryQweight(key), b.QueryQweight(key));
   }
 
-  // Outer envelope stripped: legacy sharded blob, accepted with kMissing.
+  // Outer envelope stripped: the legacy path is closed, so it is rejected.
   std::vector<uint8_t> legacy(state.begin() + 8, state.end());
   ShardedQuantileFilter<> c(SmallOptions(), criteria, 3);
-  ASSERT_TRUE(c.RestoreState(legacy, &crc));
-  EXPECT_EQ(crc, CrcStatus::kMissing);
+  EXPECT_FALSE(c.RestoreState(legacy, &crc));
+  EXPECT_EQ(crc, CrcStatus::kCorrupt);
 
   // Corrupt a byte inside some shard payload: the outer CRC rejects it.
   std::vector<uint8_t> corrupt = state;

@@ -8,7 +8,9 @@
 #include "net/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -18,17 +20,20 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/coordinator.h"
 #include "common/hash.h"
 #include "core/monitor.h"
 #include "core/sharded_filter.h"
 #include "net/client.h"
 #include "obs/registry.h"
+#include "common/time.h"
 #include "stream/generators.h"
 
 namespace qf::net {
@@ -316,51 +321,6 @@ TEST(NetServerTest, SlowSubscriberIsDisconnectedWhileIngestContinues) {
   server.Stop();
 }
 
-TEST(NetServerTest, MalformedBytesGetErrorFrameThenClose) {
-  QfServer server(ServerOptions(1));
-  ASSERT_TRUE(server.Start()) << server.error();
-
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const uint8_t garbage[] = {0xff, 0xff, 0xff, 0xff, 0xde, 0xad,
-                             0xbe, 0xef, 0x00, 0x11, 0x22, 0x33};
-  ASSERT_EQ(send(fd, garbage, sizeof(garbage), 0),
-            static_cast<ssize_t>(sizeof(garbage)));
-
-  // Expect one well-formed ERROR frame, then EOF.
-  FrameDecoder decoder;
-  Frame frame;
-  bool got_error = false;
-  bool got_eof = false;
-  uint8_t buf[4096];
-  for (int rounds = 0; rounds < 100 && !got_eof; ++rounds) {
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) {
-      got_eof = true;
-      break;
-    }
-    ASSERT_GT(n, 0);
-    ASSERT_TRUE(decoder.Append(buf, static_cast<size_t>(n)));
-    while (decoder.Next(&frame) == FrameDecoder::Result::kFrame) {
-      ASSERT_EQ(frame.type, FrameType::kError);
-      ErrorFrame err;
-      ASSERT_TRUE(ParseError(frame.payload, &err));
-      EXPECT_EQ(err.code, ErrorCode::kMalformedFrame);
-      got_error = true;
-    }
-  }
-  EXPECT_TRUE(got_error);
-  EXPECT_TRUE(got_eof);
-  close(fd);
-  server.Stop();
-}
-
 TEST(NetServerTest, PipelinedIngestOverlapsAcks) {
   QfServer server(ServerOptions(4));
   ASSERT_TRUE(server.Start()) << server.error();
@@ -509,56 +469,6 @@ TEST(NetServerTest, DeferredGroupCommitAcksPrecedeLaterReplies) {
   opts.durable.fsync = durable::FsyncMode::kGroup;
   ExpectRepliesInRequestOrder(opts);
   std::filesystem::remove_all(dir);
-}
-
-TEST(NetServerTest, IngestClientThatNeverReadsAcksIsDisconnected) {
-  QfServer::Options opts = ServerOptions(1);
-  opts.max_write_queue_bytes = 16 * 1024;
-  opts.so_sndbuf = 4096;  // minimal kernel buffering on the server side
-  QfServer server(opts);
-  ASSERT_TRUE(server.Start()) << server.error();
-
-  // Pipelines one-item INGEST frames and never reads an ack: every 44 bytes
-  // it sends leave 28 bytes of acks owed, which its (deliberately tiny)
-  // receive buffer and the server's queue cannot hold for long.
-  QfClient::Options sleeper_opts;
-  sleeper_opts.so_rcvbuf = 4096;
-  QfClient sleeper(sleeper_opts);
-  ASSERT_TRUE(sleeper.Connect("127.0.0.1", server.port())) << sleeper.error();
-  QfClient ingester;
-  ASSERT_TRUE(ingester.Connect("127.0.0.1", server.port()))
-      << ingester.error();
-
-  const Trace trace = MakeTrace(100'000, /*seed=*/13);
-  constexpr size_t kBatch = 512;
-  size_t ingested = 0;
-  const auto ingest_batch = [&] {
-    const size_t begin = ingested % (trace.size() - kBatch);
-    ASSERT_TRUE(ingester.Ingest(Slice(trace, begin, kBatch)))
-        << ingester.error();
-    ingested += kBatch;
-  };
-  // The sleeper's sends start failing once the server has cut it loose;
-  // the ingester on the same reactor keeps getting acks throughout.
-  for (size_t i = 0; i < 50'000; ++i) {
-    if (!sleeper.SendIngest(Slice(trace, i % trace.size(), 1))) break;
-    if (i % 256 == 0) ingest_batch();
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server.StatsSnapshot().slow_disconnects == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    ingest_batch();
-  }
-  for (int i = 0; i < 8; ++i) ingest_batch();
-  ASSERT_TRUE(ingester.Drain()) << ingester.error();
-  WireStats stats;
-  ASSERT_TRUE(ingester.Stats(&stats)) << ingester.error();
-  EXPECT_EQ(stats.slow_disconnects, 1u);
-  EXPECT_EQ(stats.active_connections, 1u);
-  EXPECT_GT(stats.items_ingested, ingested);  // plus the sleeper's items
-  EXPECT_EQ(stats.items_ingested, stats.items_processed);
-  server.Stop();
 }
 
 // --- Multi-reactor (SO_REUSEPORT) coverage --------------------------------
@@ -760,6 +670,241 @@ TEST(NetServerTest, MultiReactorSubscribersGetLockstepAlertsViaMailboxes) {
   ASSERT_TRUE(ingester.Stats(&stats)) << ingester.error();
   EXPECT_EQ(stats.alerts_dropped, 0u);
   server.Stop();
+}
+
+// --- Client-plane contract, against both front ends -----------------------
+//
+// QfServer and the cluster Coordinator share one event loop and connection
+// type (net/reactor.h), so they owe clients the same contract: malformed
+// bytes get one ERROR frame then EOF, a client that never reads is cut
+// loose without stalling others, and running out of fds refuses excess
+// clients instead of spinning. The Coordinator fronts one in-process
+// backend.
+
+enum class FrontEnd { kQfServer, kCoordinator };
+
+const char* FrontEndName(FrontEnd f) {
+  return f == FrontEnd::kQfServer ? "QfServer" : "Coordinator";
+}
+void PrintTo(FrontEnd f, std::ostream* os) { *os << FrontEndName(f); }
+
+class ClientPlaneTest : public ::testing::TestWithParam<FrontEnd> {
+ protected:
+  /// Boots the front end under test with `opts`. The Coordinator takes its
+  /// max_write_queue_bytes and fronts a default backend with the same
+  /// shard count; so_sndbuf is a QfServer-only setting.
+  void Boot(const QfServer::Options& opts) {
+    if (GetParam() == FrontEnd::kQfServer) {
+      server_ = std::make_unique<QfServer>(opts);
+      ASSERT_TRUE(server_->Start()) << server_->error();
+      port_ = server_->port();
+      return;
+    }
+    server_ = std::make_unique<QfServer>(ServerOptions(opts.num_shards));
+    ASSERT_TRUE(server_->Start()) << server_->error();
+    cluster::CoordinatorOptions copts;
+    copts.backends = {"127.0.0.1:" + std::to_string(server_->port())};
+    copts.num_slots = static_cast<uint32_t>(opts.num_shards);
+    copts.max_write_queue_bytes = opts.max_write_queue_bytes;
+    coordinator_ = std::make_unique<cluster::Coordinator>(copts);
+    ASSERT_TRUE(coordinator_->Start()) << coordinator_->error();
+    port_ = coordinator_->port();
+    // Drive load only once the backend link is up.
+    QfClient probe;
+    ASSERT_TRUE(probe.Connect("127.0.0.1", port_)) << probe.error();
+    const uint64_t deadline = MonotonicNanos() + 10'000'000'000ULL;
+    WireTopology topo;
+    while (MonotonicNanos() < deadline) {
+      ASSERT_TRUE(probe.FetchTopology(&topo)) << probe.error();
+      if (topo.backends.size() == 1 &&
+          topo.backends[0].state == BackendState::kReady) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    FAIL() << "backend never became ready";
+  }
+
+  void TearDown() override {
+    if (coordinator_) coordinator_->Stop();
+    if (server_) server_->Stop();
+  }
+
+  uint16_t port_ = 0;
+  std::unique_ptr<QfServer> server_;  // the front end, or its backend
+  std::unique_ptr<cluster::Coordinator> coordinator_;
+};
+
+INSTANTIATE_TEST_SUITE_P(NetServer, ClientPlaneTest,
+                         ::testing::Values(FrontEnd::kQfServer,
+                                           FrontEnd::kCoordinator),
+                         [](const ::testing::TestParamInfo<FrontEnd>& info) {
+                           return std::string(FrontEndName(info.param));
+                         });
+
+TEST_P(ClientPlaneTest, MalformedBytesGetErrorFrameThenClose) {
+  Boot(ServerOptions(1));
+  const int fd = RawConnect(port_);
+  ASSERT_GE(fd, 0);
+  const uint8_t garbage[] = {0xff, 0xff, 0xff, 0xff, 0xde, 0xad,
+                             0xbe, 0xef, 0x00, 0x11, 0x22, 0x33};
+  ASSERT_EQ(send(fd, garbage, sizeof(garbage), 0),
+            static_cast<ssize_t>(sizeof(garbage)));
+
+  // Expect one well-formed ERROR frame, then EOF.
+  FrameDecoder decoder;
+  Frame frame;
+  bool got_error = false;
+  bool got_eof = false;
+  uint8_t buf[4096];
+  for (int rounds = 0; rounds < 100 && !got_eof; ++rounds) {
+    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) {
+      got_eof = true;
+      break;
+    }
+    ASSERT_GT(n, 0);
+    ASSERT_TRUE(decoder.Append(buf, static_cast<size_t>(n)));
+    while (decoder.Next(&frame) == FrameDecoder::Result::kFrame) {
+      ASSERT_EQ(frame.type, FrameType::kError);
+      ErrorFrame err;
+      ASSERT_TRUE(ParseError(frame.payload, &err));
+      EXPECT_EQ(err.code, ErrorCode::kMalformedFrame);
+      got_error = true;
+    }
+  }
+  EXPECT_TRUE(got_error);
+  EXPECT_TRUE(got_eof);
+  close(fd);
+}
+
+TEST_P(ClientPlaneTest, IngestClientThatNeverReadsAcksIsDisconnected) {
+  QfServer::Options opts = ServerOptions(1);
+  opts.max_write_queue_bytes = 16 * 1024;
+  opts.so_sndbuf = 4096;  // minimal kernel buffering on the server side
+  Boot(opts);
+
+  // Pipelines one-item INGEST frames and never reads an ack: every 44 bytes
+  // it sends leave 28 bytes of acks owed, which its (deliberately tiny)
+  // receive buffer and the server's queue cannot hold for long.
+  QfClient::Options sleeper_opts;
+  sleeper_opts.so_rcvbuf = 4096;
+  QfClient sleeper(sleeper_opts);
+  ASSERT_TRUE(sleeper.Connect("127.0.0.1", port_)) << sleeper.error();
+  QfClient ingester;
+  ASSERT_TRUE(ingester.Connect("127.0.0.1", port_)) << ingester.error();
+
+  const Trace trace = MakeTrace(100'000, /*seed=*/13);
+  constexpr size_t kBatch = 512;
+  size_t ingested = 0;
+  const auto ingest_batch = [&] {
+    const size_t begin = ingested % (trace.size() - kBatch);
+    ASSERT_TRUE(ingester.Ingest(Slice(trace, begin, kBatch)))
+        << ingester.error();
+    ingested += kBatch;
+  };
+  // The sleeper's sends start failing once the server has cut it loose;
+  // the ingester on the same reactor keeps getting acks throughout. The
+  // bound is generous because the Coordinator has no so_sndbuf: its kernel
+  // send buffer autotunes up to tcp_wmem's max before the queue fills.
+  for (size_t i = 0; i < 1'000'000; ++i) {
+    if (!sleeper.SendIngest(Slice(trace, i % trace.size(), 1))) break;
+    if (i % 256 == 0) ingest_batch();
+  }
+  WireStats stats;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(ingester.Stats(&stats)) << ingester.error();
+    if (stats.slow_disconnects != 0) break;
+    ingest_batch();
+  }
+  for (int i = 0; i < 8; ++i) ingest_batch();
+  ASSERT_TRUE(ingester.Drain()) << ingester.error();
+  ASSERT_TRUE(ingester.Stats(&stats)) << ingester.error();
+  EXPECT_EQ(stats.slow_disconnects, 1u);
+  EXPECT_EQ(stats.active_connections, 1u);
+  EXPECT_GT(stats.items_ingested, ingested);  // plus the sleeper's items
+  EXPECT_EQ(stats.items_ingested, stats.items_processed);
+}
+
+/// Lowers the soft RLIMIT_NOFILE to the highest fd in use and fills every
+/// free slot below it, so the process's next fd fails with EMFILE. The
+/// destructor restores both: sanitizer_concurrency runs every NetServer*
+/// test in one process.
+class FdExhaustion {
+ public:
+  FdExhaustion() {
+    if (getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    int highest = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      highest = std::max(highest, std::stoi(entry.path().filename()));
+    }
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(highest) + 1;
+    if (setrlimit(RLIMIT_NOFILE, &lowered) != 0) return;
+    lowered_ = true;
+    for (int fd; (fd = open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;) {
+      fillers_.push_back(fd);
+    }
+    exhausted_ = errno == EMFILE;
+  }
+  ~FdExhaustion() {
+    for (const int fd : fillers_) close(fd);
+    if (lowered_) setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  bool ok() const { return exhausted_; }
+
+ private:
+  rlimit saved_{};
+  bool lowered_ = false;
+  bool exhausted_ = false;
+  std::vector<int> fillers_;
+};
+
+TEST_P(ClientPlaneTest, ExcessClientsAreRefusedWhenOutOfFds) {
+  Boot(ServerOptions(1));
+  QfClient accepted;
+  ASSERT_TRUE(accepted.Connect("127.0.0.1", port_)) << accepted.error();
+  const std::vector<uint64_t> keys = {1, 2, 3};
+  std::vector<QueryAnswer> answers;
+  ASSERT_TRUE(accepted.Query(keys, &answers)) << accepted.error();
+
+  // The excess clients' sockets exist before the limit drops; connect()
+  // needs no new fd in this process, but the front end's accept() does.
+  constexpr int kExcess = 3;
+  std::vector<int> excess;
+  for (int i = 0; i < kExcess; ++i) {
+    const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    timeval tv{};
+    tv.tv_sec = 1;
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    excess.push_back(fd);
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port_);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  {
+    FdExhaustion exhausted;
+    ASSERT_TRUE(exhausted.ok());
+    for (const int fd : excess) {
+      ASSERT_EQ(
+          connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    }
+    // Refused, not left pending: each excess client reads EOF within 1 s.
+    for (const int fd : excess) {
+      uint8_t byte = 0;
+      EXPECT_EQ(recv(fd, &byte, 1, 0), 0)
+          << "excess client was neither accepted nor refused";
+    }
+    // The already-accepted client is still served.
+    ASSERT_TRUE(accepted.Query(keys, &answers)) << accepted.error();
+    EXPECT_EQ(answers.size(), keys.size());
+  }
+  for (const int fd : excess) close(fd);
 }
 
 }  // namespace
