@@ -170,10 +170,9 @@ class ShardedQuantileFilter {
   }
 
   /// Restores a single shard from a per-shard SerializeState frame (the
-  /// unit a delta checkpoint stores for each dirty shard — see
-  /// src/durable/checkpoint.h). Fails closed on a CRC-less or corrupt
-  /// frame; other shards are untouched either way, so the caller decides
-  /// whether a failed delta application invalidates the whole restore.
+  /// unit a live migration ships — CONTROL kShardImport, DESIGN.md §16.3).
+  /// Fails closed on a CRC-less or corrupt frame; other shards are
+  /// untouched either way.
   bool RestoreShardState(int s, const std::vector<uint8_t>& bytes) {
     if (s < 0 || s >= num_shards_) return false;
     return shards_[s]->RestoreState(bytes);

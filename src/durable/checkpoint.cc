@@ -1,8 +1,5 @@
 #include "durable/checkpoint.h"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <map>
 
@@ -15,40 +12,13 @@ namespace {
 
 constexpr char kCkptPrefix[] = "ckpt-";
 constexpr char kCkptSuffix[] = ".qfck";
-constexpr size_t kHexDigits = 16;
+constexpr size_t kRngBytes = sizeof(RngState);
 
-struct ParsedCheckpoint {
-  uint64_t id = 0;
-  uint64_t parent_id = 0;
-  uint64_t wal_gen = 0;
-  uint64_t covered_seq = 0;
-  CheckpointKind kind = CheckpointKind::kFull;
-  std::vector<uint8_t> base;              // kFull
-  std::vector<RngState> base_rng;         // kFull
-  std::vector<ShardDelta> dirty;          // kDelta
-  uint32_t total_shards = 0;              // kDelta
-};
-
-constexpr size_t kRngBytes = sizeof(uint64_t) * 4;
-
-std::vector<uint8_t> BuildEnvelope(uint64_t id, uint64_t parent_id,
-                                   uint64_t wal_gen, uint64_t covered_seq,
-                                   CheckpointKind kind) {
-  std::vector<uint8_t> payload;
-  AppendPod(kCheckpointMagic, &payload);
-  AppendPod(kCheckpointVersion, &payload);
-  AppendPod(id, &payload);
-  AppendPod(parent_id, &payload);
-  AppendPod(wal_gen, &payload);
-  AppendPod(covered_seq, &payload);
-  AppendPod(static_cast<uint8_t>(kind), &payload);
-  return payload;
-}
-
-// CRC-unwraps and parses one checkpoint file; false on any inconsistency
-// (including an id that disagrees with the file name).
-bool ParseCheckpointFile(const std::vector<uint8_t>& bytes,
-                         uint64_t name_id, ParsedCheckpoint* out) {
+// CRC-unwraps and parses one checkpoint file into `out`; false on any
+// inconsistency (including an id that disagrees with the file name, or the
+// parent link / kind byte of an older build's delta file).
+bool ParseCheckpointFile(const std::vector<uint8_t>& bytes, uint64_t name_id,
+                         LoadedCheckpoint* out) {
   const uint8_t* payload = nullptr;
   size_t payload_size = 0;
   if (UnwrapCrc(bytes, &payload, &payload_size) != CrcStatus::kOk) {
@@ -57,134 +27,65 @@ bool ParseCheckpointFile(const std::vector<uint8_t>& bytes,
   ByteReader reader(payload, payload_size);
   uint32_t magic = 0;
   uint32_t version = 0;
-  uint8_t kind_byte = 0;
-  if (!reader.Read(&magic) || !reader.Read(&version) || !reader.Read(&out->id) ||
-      !reader.Read(&out->parent_id) || !reader.Read(&out->wal_gen) ||
-      !reader.Read(&out->covered_seq) || !reader.Read(&kind_byte)) {
+  uint64_t parent_id = 0;
+  uint8_t kind = 0;
+  uint32_t rng_shards = 0;
+  if (!reader.Read(&magic) || !reader.Read(&version) ||
+      !reader.Read(&out->id) || !reader.Read(&parent_id) ||
+      !reader.Read(&out->wal_gen) ||
+      !reader.Read(&out->covered_seq) || !reader.Read(&kind) ||
+      !reader.Read(&rng_shards)) {
     return false;
   }
   if (magic != kCheckpointMagic || version != kCheckpointVersion ||
-      out->id != name_id || kind_byte > 1) {
+      out->id != name_id || parent_id != 0 || kind != 0 ||
+      reader.remaining() < static_cast<uint64_t>(rng_shards) * kRngBytes) {
     return false;
   }
-  out->kind = static_cast<CheckpointKind>(kind_byte);
-  // Body parsing uses a manual cursor (ByteReader has no raw-span read).
+  // ByteReader has no raw-span read; the body continues at its cursor.
   const uint8_t* cursor = payload + (payload_size - reader.remaining());
-  const uint8_t* end = payload + payload_size;
-  if (out->kind == CheckpointKind::kFull) {
-    uint32_t rng_shards = 0;
-    if (end - cursor < static_cast<ptrdiff_t>(sizeof(uint32_t))) return false;
-    std::memcpy(&rng_shards, cursor, sizeof(uint32_t));
-    cursor += sizeof(uint32_t);
-    if (static_cast<uint64_t>(end - cursor) <
-        static_cast<uint64_t>(rng_shards) * kRngBytes) {
-      return false;
-    }
-    out->base_rng.resize(rng_shards);
-    for (uint32_t s = 0; s < rng_shards; ++s) {
-      std::memcpy(out->base_rng[s].data(), cursor, kRngBytes);
-      cursor += kRngBytes;
-    }
-    out->base.assign(cursor, end);
-    return true;
+  out->rng.resize(rng_shards);
+  for (RngState& rng : out->rng) {
+    std::memcpy(rng.data(), cursor, kRngBytes);
+    cursor += kRngBytes;
   }
-  uint32_t ndirty = 0;
-  if (end - cursor < static_cast<ptrdiff_t>(2 * sizeof(uint32_t))) return false;
-  std::memcpy(&out->total_shards, cursor, sizeof(uint32_t));
-  std::memcpy(&ndirty, cursor + sizeof(uint32_t), sizeof(uint32_t));
-  cursor += 2 * sizeof(uint32_t);
-  out->dirty.resize(ndirty);
-  for (uint32_t i = 0; i < ndirty; ++i) {
-    uint64_t len = 0;
-    if (static_cast<uint64_t>(end - cursor) <
-        sizeof(uint32_t) + kRngBytes + sizeof(uint64_t)) {
-      return false;
-    }
-    std::memcpy(&out->dirty[i].shard, cursor, sizeof(uint32_t));
-    std::memcpy(out->dirty[i].rng.data(), cursor + sizeof(uint32_t),
-                kRngBytes);
-    std::memcpy(&len, cursor + sizeof(uint32_t) + kRngBytes,
-                sizeof(uint64_t));
-    cursor += sizeof(uint32_t) + kRngBytes + sizeof(uint64_t);
-    if (static_cast<uint64_t>(end - cursor) < len ||
-        out->dirty[i].shard >= out->total_shards) {
-      return false;
-    }
-    out->dirty[i].bytes.assign(cursor, cursor + len);
-    cursor += len;
-  }
-  return cursor == end;
+  out->state.assign(cursor, payload + payload_size);
+  return true;
 }
 
 }  // namespace
 
 std::string CheckpointName(uint64_t id) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s%016" PRIx64 "%s", kCkptPrefix, id,
-                kCkptSuffix);
-  return buf;
+  return HexName(kCkptPrefix, id, kCkptSuffix);
 }
 
 bool ParseCheckpointName(const std::string& name, uint64_t* id) {
-  const size_t prefix_len = sizeof(kCkptPrefix) - 1;
-  const size_t suffix_len = sizeof(kCkptSuffix) - 1;
-  if (name.size() != prefix_len + kHexDigits + suffix_len) return false;
-  if (name.compare(0, prefix_len, kCkptPrefix) != 0) return false;
-  if (name.compare(prefix_len + kHexDigits, suffix_len, kCkptSuffix) != 0)
-    return false;
-  uint64_t value = 0;
-  for (size_t i = 0; i < kHexDigits; ++i) {
-    char c = name[prefix_len + i];
-    uint64_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<uint64_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | digit;
-  }
-  *id = value;
-  return true;
+  return ParseHexName(name, kCkptPrefix, kCkptSuffix, id);
 }
 
-bool CheckpointStore::WriteFull(uint64_t id, uint64_t wal_gen,
-                                uint64_t covered_seq,
-                                const std::vector<uint8_t>& blob,
-                                const std::vector<RngState>& rng_states) {
-  std::vector<uint8_t> payload =
-      BuildEnvelope(id, 0, wal_gen, covered_seq, CheckpointKind::kFull);
-  AppendPod(static_cast<uint32_t>(rng_states.size()), &payload);
-  for (const RngState& rng : rng_states) {
-    for (uint64_t word : rng) AppendPod(word, &payload);
+bool CheckpointStore::Write(uint64_t id, uint64_t wal_gen,
+                            uint64_t covered_seq,
+                            const std::vector<uint8_t>& state,
+                            const std::vector<RngState>& rng) {
+  std::vector<uint8_t> payload;
+  AppendPod(kCheckpointMagic, &payload);
+  AppendPod(kCheckpointVersion, &payload);
+  AppendPod(id, &payload);
+  AppendPod(uint64_t{0}, &payload);  // parent_id
+  AppendPod(wal_gen, &payload);
+  AppendPod(covered_seq, &payload);
+  AppendPod(uint8_t{0}, &payload);  // kind
+  AppendPod(static_cast<uint32_t>(rng.size()), &payload);
+  for (const RngState& words : rng) {
+    for (uint64_t word : words) AppendPod(word, &payload);
   }
-  payload.insert(payload.end(), blob.begin(), blob.end());
-  std::vector<uint8_t> wrapped = WrapCrc(std::move(payload));
-  return storage_->AtomicWrite(CheckpointName(id), wrapped);
+  payload.insert(payload.end(), state.begin(), state.end());
+  return storage_->AtomicWrite(CheckpointName(id),
+                               WrapCrc(std::move(payload)));
 }
 
-bool CheckpointStore::WriteDelta(uint64_t id, uint64_t parent_id,
-                                 uint64_t wal_gen, uint64_t covered_seq,
-                                 uint32_t total_shards,
-                                 const std::vector<ShardDelta>& dirty) {
-  std::vector<uint8_t> payload =
-      BuildEnvelope(id, parent_id, wal_gen, covered_seq,
-                    CheckpointKind::kDelta);
-  AppendPod(total_shards, &payload);
-  AppendPod(static_cast<uint32_t>(dirty.size()), &payload);
-  for (const ShardDelta& d : dirty) {
-    AppendPod(d.shard, &payload);
-    for (uint64_t word : d.rng) AppendPod(word, &payload);
-    AppendPod(static_cast<uint64_t>(d.bytes.size()), &payload);
-    payload.insert(payload.end(), d.bytes.begin(), d.bytes.end());
-  }
-  std::vector<uint8_t> wrapped = WrapCrc(std::move(payload));
-  return storage_->AtomicWrite(CheckpointName(id), wrapped);
-}
-
-LoadedCheckpoints CheckpointStore::LoadNewest() {
-  LoadedCheckpoints out;
+LoadedCheckpoint CheckpointStore::LoadNewest() {
+  LoadedCheckpoint out;
   std::vector<std::string> names;
   if (!storage_->List(&names)) {
     out.error = "storage list failed";
@@ -200,70 +101,25 @@ LoadedCheckpoints CheckpointStore::LoadNewest() {
     return out;
   }
 
-  // Try tops from newest down; a top whose chain does not fully validate is
-  // skipped with a warning (recovery will still fail closed if the log
-  // cannot cover the older top's replay gap).
+  // Try tops from newest down; one that does not validate is skipped with a
+  // warning (recovery will still fail closed if the log cannot cover the
+  // older top's replay gap).
+  std::string skipped;
   for (auto top = by_id.rbegin(); top != by_id.rend(); ++top) {
-    std::vector<ParsedCheckpoint> chain;  // newest -> oldest while walking
-    uint64_t want_id = top->first;
-    bool valid = true;
-    while (true) {
-      auto it = by_id.find(want_id);
-      std::vector<uint8_t> bytes;
-      ParsedCheckpoint parsed;
-      if (it == by_id.end() || !storage_->Read(it->second, &bytes) ||
-          !ParseCheckpointFile(bytes, want_id, &parsed)) {
-        valid = false;
-        break;
-      }
-      chain.push_back(std::move(parsed));
-      if (chain.back().kind == CheckpointKind::kFull) break;
-      if (chain.back().parent_id >= want_id) {  // chain must strictly descend
-        valid = false;
-        break;
-      }
-      want_id = chain.back().parent_id;
-    }
-    if (valid) {
-      // All chain members must belong to one WAL generation (kRestore
-      // writes a full checkpoint, so chains never straddle a reset).
-      uint32_t delta_shards = 0;
-      for (const ParsedCheckpoint& c : chain) {
-        if (c.wal_gen != chain.front().wal_gen) {
-          valid = false;
-          break;
-        }
-        if (c.kind == CheckpointKind::kDelta) {
-          if (delta_shards == 0) delta_shards = c.total_shards;
-          if (c.total_shards != delta_shards || c.total_shards == 0) {
-            valid = false;
-            break;
-          }
-        }
-      }
-    }
-    if (!valid) {
-      if (!out.warning.empty()) out.warning += ", ";
-      out.warning += top->second + " (invalid chain)";
+    std::vector<uint8_t> bytes;
+    LoadedCheckpoint parsed;
+    if (!storage_->Read(top->second, &bytes) ||
+        !ParseCheckpointFile(bytes, top->first, &parsed)) {
+      if (!skipped.empty()) skipped += ", ";
+      skipped += top->second + " (invalid)";
       continue;
     }
-    out.ok = true;
-    out.found = true;
-    out.id = chain.front().id;
-    out.wal_gen = chain.front().wal_gen;
-    out.covered_seq = chain.front().covered_seq;
-    out.base_id = chain.back().id;
-    out.base = std::move(chain.back().base);
-    out.base_rng = std::move(chain.back().base_rng);
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (it->kind == CheckpointKind::kDelta) {
-        out.total_shards = it->total_shards;
-        out.deltas.push_back(std::move(it->dirty));
-      }
-    }
-    return out;
+    parsed.ok = true;
+    parsed.found = true;
+    parsed.warning = skipped;
+    return parsed;
   }
-  out.error = "no valid checkpoint chain (" + out.warning + ")";
+  out.error = "no valid checkpoint (" + skipped + ")";
   return out;
 }
 

@@ -1,10 +1,8 @@
 #include "durable/log.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <functional>
 
 #include "common/crc32.h"
 #include "common/serialize.h"
@@ -15,7 +13,6 @@ namespace {
 
 constexpr char kSegmentPrefix[] = "seg-";
 constexpr char kSegmentSuffix[] = ".qfwal";
-constexpr size_t kHexDigits = 16;
 
 // [u32 len][WrapCrc(payload)] — one frame, emitted as a single Append so a
 // torn write is always a strict prefix of exactly one frame.
@@ -28,13 +25,6 @@ std::vector<uint8_t> BuildFrame(std::vector<uint8_t> payload) {
   return frame;
 }
 
-struct SegmentHeader {
-  uint32_t magic;
-  uint32_t version;
-  uint64_t wal_gen;
-  uint64_t first_seq;
-};
-
 std::vector<uint8_t> BuildHeaderFrame(uint64_t gen, uint64_t first_seq) {
   std::vector<uint8_t> payload;
   AppendPod(kWalMagic, &payload);
@@ -44,42 +34,174 @@ std::vector<uint8_t> BuildHeaderFrame(uint64_t gen, uint64_t first_seq) {
   return BuildFrame(std::move(payload));
 }
 
-void Fail(LogScan* scan, const std::string& name, const char* why) {
-  scan->ok = false;
-  scan->error = name.empty() ? why : (name + ": " + why);
+/// One record as WalkWal hands it to its visitor. `items` points into the
+/// frame and may be unaligned: copy before reading.
+struct WalRecord {
+  uint64_t seq = 0;
+  uint32_t count = 0;
+  const uint8_t* items = nullptr;
+};
+
+struct WalWalk {
+  std::string error;         // empty = every rule held
+  uint64_t wal_gen = 0;      // expected_gen, or the first header's when 0
+  uint64_t next_seq = 0;     // 1 + last record seq read (0 = none)
+  uint32_t segments = 0;     // segment files read
+  bool stopped = false;      // the visitor ended the walk early
+  std::string torn_segment;  // set when the log ends in a torn frame...
+  uint64_t torn_offset = 0;  // ...after this many valid bytes
+};
+
+WalWalk Fail(WalWalk walk, const std::string& name, const char* why) {
+  walk.error = name + ": " + why;
+  return walk;
+}
+
+// The one segment walk behind ScanWal and ReadWalRange (log.h rules):
+// every frame's length and CRC, every header's magic/version, generation
+// and first seq, seq contiguity from the first segment read on, and a torn
+// frame only at the very end of the log. Records with seq > after_seq go
+// to `visit`; returning false stops the walk before that record. With
+// `skip_covered`, segments wholly at or below after_seq are not read.
+WalWalk WalkWal(Storage& storage, uint64_t expected_gen, uint64_t after_seq,
+                bool skip_covered,
+                const std::function<bool(const WalRecord&)>& visit) {
+  WalWalk walk;
+  walk.wal_gen = expected_gen;
+  std::vector<std::string> names;
+  if (!storage.List(&names)) {
+    walk.error = "storage list failed";
+    return walk;
+  }
+  std::vector<std::pair<uint64_t, std::string>> segments;
+  for (const std::string& name : names) {
+    uint64_t first_seq = 0;
+    if (ParseSegmentName(name, &first_seq)) {
+      segments.emplace_back(first_seq, name);
+    }
+  }
+  std::sort(segments.begin(), segments.end());
+
+  // Segment si holds seqs [first_seq, next first_seq - 1], so the first one
+  // that can hold after_seq + 1 is the last whose first_seq <= after_seq + 1.
+  size_t start = 0;
+  for (size_t si = 0; skip_covered && si < segments.size(); ++si) {
+    if (segments[si].first <= after_seq + 1) start = si;
+  }
+
+  uint64_t expected = 0;  // next record seq we must see; 0 = not yet anchored
+  for (size_t si = start; si < segments.size(); ++si) {
+    const std::string& name = segments[si].second;
+    const bool last_segment = si + 1 == segments.size();
+    std::vector<uint8_t> bytes;
+    if (!storage.Read(name, &bytes)) {
+      return Fail(std::move(walk), name, "unreadable segment");
+    }
+    ++walk.segments;
+    // A torn-header repair truncates a segment to nothing: only ever
+    // legitimate as the final segment.
+    if (bytes.empty() && !last_segment) {
+      return Fail(std::move(walk), name, "empty non-final segment");
+    }
+
+    size_t pos = 0;
+    bool saw_header = false;
+    while (pos < bytes.size()) {
+      uint32_t len = 0;
+      bool torn = bytes.size() - pos < sizeof(uint32_t);
+      if (!torn) {
+        std::memcpy(&len, bytes.data() + pos, sizeof(uint32_t));
+        torn = bytes.size() - pos - sizeof(uint32_t) < len;
+      }
+      if (torn) {
+        // Incomplete trailing frame: the legitimate residue of a crash
+        // mid-append — but only at the very end of the log.
+        if (!last_segment) {
+          return Fail(std::move(walk), name,
+                      "incomplete frame in non-final segment");
+        }
+        walk.torn_segment = name;
+        walk.torn_offset = pos;
+        return walk;
+      }
+      const uint8_t* payload = nullptr;
+      size_t payload_size = 0;
+      if (UnwrapCrc(bytes.data() + pos + sizeof(uint32_t), len, &payload,
+                    &payload_size) != CrcStatus::kOk) {
+        // A *complete* frame that fails its CRC is corruption, not a torn
+        // write; never guess at it, in any position.
+        return Fail(std::move(walk), name, "frame crc mismatch");
+      }
+      pos += sizeof(uint32_t) + len;
+
+      ByteReader reader(payload, payload_size);
+      if (!saw_header) {
+        uint32_t magic = 0;
+        uint32_t version = 0;
+        uint64_t gen = 0;
+        uint64_t first_seq = 0;
+        if (!reader.Read(&magic) || !reader.Read(&version) ||
+            !reader.Read(&gen) || !reader.Read(&first_seq) ||
+            reader.remaining() != 0) {
+          return Fail(std::move(walk), name, "malformed segment header");
+        }
+        if (magic != kWalMagic || version != kWalVersion) {
+          return Fail(std::move(walk), name, "bad segment magic/version");
+        }
+        if (walk.wal_gen == 0) walk.wal_gen = gen;
+        if (gen != walk.wal_gen) {
+          return Fail(std::move(walk), name, "stale-generation segment");
+        }
+        if (first_seq != segments[si].first) {
+          return Fail(std::move(walk), name,
+                      "segment name/header first-seq mismatch");
+        }
+        if (expected == 0) {
+          // The first segment read must still hold after_seq + 1; anything
+          // later means retention reaped records the caller needs.
+          if (first_seq > after_seq + 1) {
+            return Fail(std::move(walk), name, "replay gap after checkpoint");
+          }
+          expected = first_seq;
+        } else if (first_seq != expected) {
+          return Fail(std::move(walk), name,
+                      "segment sequence discontinuity");
+        }
+        saw_header = true;
+        continue;
+      }
+
+      WalRecord record;
+      uint32_t pad = 0;
+      if (!reader.Read(&record.seq) || !reader.Read(&record.count) ||
+          !reader.Read(&pad) ||
+          reader.remaining() !=
+              static_cast<size_t>(record.count) * sizeof(Item)) {
+        return Fail(std::move(walk), name, "malformed record");
+      }
+      if (record.seq != expected) {
+        return Fail(std::move(walk), name, "record sequence discontinuity");
+      }
+      walk.next_seq = ++expected;
+      if (record.seq <= after_seq) continue;
+      record.items = payload + (payload_size - reader.remaining());
+      if (!visit(record)) {
+        walk.stopped = true;
+        return walk;
+      }
+    }
+  }
+  return walk;
 }
 
 }  // namespace
 
 std::string SegmentName(uint64_t first_seq) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s%016" PRIx64 "%s", kSegmentPrefix,
-                first_seq, kSegmentSuffix);
-  return buf;
+  return HexName(kSegmentPrefix, first_seq, kSegmentSuffix);
 }
 
 bool ParseSegmentName(const std::string& name, uint64_t* first_seq) {
-  const size_t prefix_len = sizeof(kSegmentPrefix) - 1;
-  const size_t suffix_len = sizeof(kSegmentSuffix) - 1;
-  if (name.size() != prefix_len + kHexDigits + suffix_len) return false;
-  if (name.compare(0, prefix_len, kSegmentPrefix) != 0) return false;
-  if (name.compare(prefix_len + kHexDigits, suffix_len, kSegmentSuffix) != 0)
-    return false;
-  uint64_t seq = 0;
-  for (size_t i = 0; i < kHexDigits; ++i) {
-    char c = name[prefix_len + i];
-    uint64_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<uint64_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    seq = (seq << 4) | digit;
-  }
-  *first_seq = seq;
-  return true;
+  return ParseHexName(name, kSegmentPrefix, kSegmentSuffix, first_seq);
 }
 
 bool ParseFsyncMode(const std::string& text, FsyncMode* mode) {
@@ -87,24 +209,10 @@ bool ParseFsyncMode(const std::string& text, FsyncMode* mode) {
     *mode = FsyncMode::kNone;
   } else if (text == "group") {
     *mode = FsyncMode::kGroup;
-  } else if (text == "ingest") {
-    *mode = FsyncMode::kIngest;
   } else {
     return false;
   }
   return true;
-}
-
-const char* FsyncModeName(FsyncMode mode) {
-  switch (mode) {
-    case FsyncMode::kNone:
-      return "none";
-    case FsyncMode::kGroup:
-      return "group";
-    case FsyncMode::kIngest:
-      return "ingest";
-  }
-  return "?";
 }
 
 WalWriter::WalWriter(Storage* storage, WalOptions options)
@@ -139,9 +247,6 @@ bool WalWriter::OpenSegment() {
   if (!storage_->Append(active_name_, frame)) return false;
   active_bytes_ = frame.size();
   ++segments_written_;
-  if (options_.fsync == FsyncMode::kIngest) {
-    return storage_->Sync(active_name_);
-  }
   return true;
 }
 
@@ -159,10 +264,6 @@ bool WalWriter::Append(std::span<const Item> items, uint64_t* seq_out) {
   active_bytes_ += frame.size();
   if (seq_out != nullptr) *seq_out = next_seq_;
   ++next_seq_;
-  if (options_.fsync == FsyncMode::kIngest &&
-      !storage_->Sync(active_name_)) {
-    return false;
-  }
   if (active_bytes_ >= options_.segment_bytes) {
     // Seal before rotating so a sealed segment is fully durable (kNone
     // deliberately skips the barrier everywhere).
@@ -205,142 +306,32 @@ bool WalWriter::ResetTimeline(uint64_t new_gen) {
 LogScan ScanWal(Storage& storage, uint64_t expected_gen, uint64_t applied_seq,
                 bool repair_torn_tail) {
   LogScan scan;
-  scan.ok = true;
-  scan.next_seq = applied_seq + 1;
-  scan.wal_gen = expected_gen;
-
-  std::vector<std::string> names;
-  if (!storage.List(&names)) {
-    Fail(&scan, "", "storage list failed");
-    return scan;
-  }
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  for (const std::string& name : names) {
-    uint64_t first_seq = 0;
-    if (ParseSegmentName(name, &first_seq)) {
-      segments.emplace_back(first_seq, name);
-    }
-  }
-  std::sort(segments.begin(), segments.end());
-
-  uint64_t expected = 0;  // next record seq we must see; 0 = not yet anchored
-  for (size_t si = 0; si < segments.size(); ++si) {
-    const std::string& name = segments[si].second;
-    const bool last_segment = si + 1 == segments.size();
-    std::vector<uint8_t> bytes;
-    if (!storage.Read(name, &bytes)) {
-      Fail(&scan, name, "unreadable segment");
-      return scan;
-    }
-    ++scan.segments_scanned;
-    if (bytes.empty()) {
-      // A previous torn-header repair truncated it to nothing. Only ever
-      // legitimate as the final segment.
-      if (!last_segment) {
-        Fail(&scan, name, "empty non-final segment");
-        return scan;
-      }
-      continue;
-    }
-
-    size_t pos = 0;
-    bool saw_header = false;
-    while (pos < bytes.size()) {
-      uint32_t len = 0;
-      bool torn = bytes.size() - pos < sizeof(uint32_t);
-      if (!torn) {
-        std::memcpy(&len, bytes.data() + pos, sizeof(uint32_t));
-        torn = bytes.size() - pos - sizeof(uint32_t) < len;
-      }
-      if (torn) {
-        // Incomplete trailing frame: the legitimate residue of a crash
-        // mid-append — but only at the very end of the log.
-        if (!last_segment) {
-          Fail(&scan, name, "incomplete frame in non-final segment");
-          return scan;
-        }
-        ++scan.torn_truncations;
-        if (repair_torn_tail) storage.Truncate(name, pos);
-        break;
-      }
-      const uint8_t* payload = nullptr;
-      size_t payload_size = 0;
-      CrcStatus status =
-          UnwrapCrc(bytes.data() + pos + sizeof(uint32_t), len, &payload,
-                    &payload_size);
-      if (status != CrcStatus::kOk) {
-        // A *complete* frame that fails its CRC is corruption, not a torn
-        // write; never guess at it, in any position.
-        Fail(&scan, name, "frame crc mismatch");
-        return scan;
-      }
-      pos += sizeof(uint32_t) + len;
-
-      ByteReader reader(payload, payload_size);
-      if (!saw_header) {
-        SegmentHeader header{};
-        if (!reader.Read(&header.magic) || !reader.Read(&header.version) ||
-            !reader.Read(&header.wal_gen) || !reader.Read(&header.first_seq) ||
-            reader.remaining() != 0) {
-          Fail(&scan, name, "malformed segment header");
-          return scan;
-        }
-        if (header.magic != kWalMagic || header.version != kWalVersion) {
-          Fail(&scan, name, "bad segment magic/version");
-          return scan;
-        }
-        if (scan.wal_gen == 0) scan.wal_gen = header.wal_gen;
-        if (header.wal_gen != scan.wal_gen) {
-          Fail(&scan, name, "stale-generation segment");
-          return scan;
-        }
-        if (header.first_seq != segments[si].first) {
-          Fail(&scan, name, "segment name/header first-seq mismatch");
-          return scan;
-        }
-        if (expected == 0) {
-          if (header.first_seq > applied_seq + 1) {
-            Fail(&scan, name, "replay gap after checkpoint");
-            return scan;
-          }
-          expected = header.first_seq;
-        } else if (header.first_seq != expected) {
-          Fail(&scan, name, "segment sequence discontinuity");
-          return scan;
-        }
-        saw_header = true;
-        continue;
-      }
-
-      uint64_t seq = 0;
-      uint32_t count = 0;
-      uint32_t pad = 0;
-      if (!reader.Read(&seq) || !reader.Read(&count) || !reader.Read(&pad) ||
-          reader.remaining() != static_cast<size_t>(count) * sizeof(Item)) {
-        Fail(&scan, name, "malformed record");
-        return scan;
-      }
-      if (seq != expected) {
-        Fail(&scan, name, "record sequence discontinuity");
-        return scan;
-      }
-      ++expected;
-      if (seq > applied_seq) {
-        const uint8_t* items_bytes =
-            payload + sizeof(uint64_t) + 2 * sizeof(uint32_t);
-        size_t old_size = scan.tail.size();
-        scan.tail.resize(old_size + count);
-        if (count > 0) {
-          std::memcpy(scan.tail.data() + old_size, items_bytes,
-                      static_cast<size_t>(count) * sizeof(Item));
+  const WalWalk walk = WalkWal(
+      storage, expected_gen, applied_seq, /*skip_covered=*/false,
+      [&scan](const WalRecord& record) {
+        const size_t old_size = scan.tail.size();
+        scan.tail.resize(old_size + record.count);
+        if (record.count > 0) {
+          std::memcpy(scan.tail.data() + old_size, record.items,
+                      static_cast<size_t>(record.count) * sizeof(Item));
         }
         ++scan.tail_records;
-      }
-    }
-    if (scan.torn_truncations > 0) break;  // torn tail ends the log
+        return true;
+      });
+  scan.segments_scanned = walk.segments;
+  if (!walk.error.empty()) {
+    scan.error = walk.error;
+    return scan;
   }
-
-  if (expected != 0) scan.next_seq = std::max(scan.next_seq, expected);
+  if (!walk.torn_segment.empty()) {
+    scan.torn_truncations = 1;
+    if (repair_torn_tail) {
+      storage.Truncate(walk.torn_segment, walk.torn_offset);
+    }
+  }
+  scan.ok = true;
+  scan.wal_gen = walk.wal_gen;
+  scan.next_seq = std::max(applied_seq + 1, walk.next_seq);
   return scan;
 }
 
@@ -349,160 +340,34 @@ WalRange ReadWalRange(Storage& storage, uint64_t expected_gen,
                       bool (*keep)(const Item&, void* ctx), void* keep_ctx) {
   WalRange range;
   range.next_after = after_seq;
-
-  std::vector<std::string> names;
-  if (!storage.List(&names)) {
-    range.error = "storage list failed";
+  std::vector<Item> kept;
+  const WalWalk walk = WalkWal(
+      storage, expected_gen, after_seq, /*skip_covered=*/true,
+      [&](const WalRecord& record) {
+        kept.clear();
+        for (uint32_t i = 0; i < record.count; ++i) {
+          Item item{};
+          std::memcpy(&item, record.items + i * sizeof(Item), sizeof(Item));
+          if (keep == nullptr || keep(item, keep_ctx)) kept.push_back(item);
+        }
+        // Stop before a record whose items would cross the bound (never
+        // split one) — unless nothing was shipped yet: one oversized record
+        // must still make progress. The walk stops only at a record it
+        // leaves unread, so `exhausted` below is exact.
+        const size_t have = range.items.size();
+        if (max_items > 0 && have > 0 && have + kept.size() > max_items) {
+          return false;
+        }
+        range.items.insert(range.items.end(), kept.begin(), kept.end());
+        range.next_after = record.seq;
+        return true;
+      });
+  if (!walk.error.empty()) {
+    range.error = walk.error;
     return range;
   }
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  for (const std::string& name : names) {
-    uint64_t first_seq = 0;
-    if (ParseSegmentName(name, &first_seq)) {
-      segments.emplace_back(first_seq, name);
-    }
-  }
-  std::sort(segments.begin(), segments.end());
-
-  // Skip whole segments that end at or before after_seq: segment si covers
-  // [first_seq, next first_seq - 1], so start from the last segment whose
-  // first_seq <= after_seq + 1.
-  size_t start = 0;
-  for (size_t si = 0; si < segments.size(); ++si) {
-    if (segments[si].first <= after_seq + 1) start = si;
-  }
-
-  uint64_t expected = 0;  // next record seq; 0 = not yet anchored
-  std::vector<Item> kept;
-  for (size_t si = start; si < segments.size(); ++si) {
-    const std::string& name = segments[si].second;
-    const bool last_segment = si + 1 == segments.size();
-    std::vector<uint8_t> bytes;
-    if (!storage.Read(name, &bytes)) {
-      range.error = name + ": unreadable segment";
-      return range;
-    }
-    if (bytes.empty()) {
-      if (!last_segment) {
-        range.error = name + ": empty non-final segment";
-        return range;
-      }
-      continue;
-    }
-
-    size_t pos = 0;
-    bool saw_header = false;
-    bool torn_tail = false;
-    while (pos < bytes.size()) {
-      uint32_t len = 0;
-      bool torn = bytes.size() - pos < sizeof(uint32_t);
-      if (!torn) {
-        std::memcpy(&len, bytes.data() + pos, sizeof(uint32_t));
-        torn = bytes.size() - pos - sizeof(uint32_t) < len;
-      }
-      if (torn) {
-        // Read-only pass: a torn trailing frame only legitimately exists
-        // at the very end of the log, and the writer owns repairing it.
-        if (!last_segment) {
-          range.error = name + ": incomplete frame in non-final segment";
-          return range;
-        }
-        torn_tail = true;
-        break;
-      }
-      const uint8_t* payload = nullptr;
-      size_t payload_size = 0;
-      if (UnwrapCrc(bytes.data() + pos + sizeof(uint32_t), len, &payload,
-                    &payload_size) != CrcStatus::kOk) {
-        range.error = name + ": frame crc mismatch";
-        return range;
-      }
-      pos += sizeof(uint32_t) + len;
-
-      ByteReader reader(payload, payload_size);
-      if (!saw_header) {
-        SegmentHeader header{};
-        if (!reader.Read(&header.magic) || !reader.Read(&header.version) ||
-            !reader.Read(&header.wal_gen) ||
-            !reader.Read(&header.first_seq) || reader.remaining() != 0) {
-          range.error = name + ": malformed segment header";
-          return range;
-        }
-        if (header.magic != kWalMagic || header.version != kWalVersion) {
-          range.error = name + ": bad segment magic/version";
-          return range;
-        }
-        if (header.wal_gen != expected_gen) {
-          range.error = name + ": wrong-generation segment";
-          return range;
-        }
-        if (header.first_seq != segments[si].first) {
-          range.error = name + ": segment name/header first-seq mismatch";
-          return range;
-        }
-        if (expected != 0 && header.first_seq != expected) {
-          range.error = name + ": segment sequence discontinuity";
-          return range;
-        }
-        if (expected == 0) {
-          // The earliest surviving segment must still cover after_seq + 1;
-          // anything later means retention reaped records the caller still
-          // needs — fail closed rather than ship a gapped range.
-          if (header.first_seq > after_seq + 1) {
-            range.error = name + ": range gap (requested seq reaped)";
-            return range;
-          }
-          expected = header.first_seq;
-        }
-        saw_header = true;
-        continue;
-      }
-
-      uint64_t seq = 0;
-      uint32_t count = 0;
-      uint32_t pad = 0;
-      if (!reader.Read(&seq) || !reader.Read(&count) || !reader.Read(&pad) ||
-          reader.remaining() != static_cast<size_t>(count) * sizeof(Item)) {
-        range.error = name + ": malformed record";
-        return range;
-      }
-      if (seq != expected) {
-        range.error = name + ": record sequence discontinuity";
-        return range;
-      }
-      ++expected;
-      if (seq <= after_seq) continue;
-
-      const Item* items = reinterpret_cast<const Item*>(
-          payload + sizeof(uint64_t) + 2 * sizeof(uint32_t));
-      kept.clear();
-      for (uint32_t i = 0; i < count; ++i) {
-        // The on-disk items may be unaligned within the frame; copy first.
-        Item item;
-        std::memcpy(&item, &items[i], sizeof(Item));
-        if (keep == nullptr || keep(item, keep_ctx)) kept.push_back(item);
-      }
-      // Records are never split; stop *before* a record that would push the
-      // kept total past the bound (unless nothing was shipped yet — one
-      // oversized record must still make progress).
-      if (max_items > 0 && !range.items.empty() &&
-          range.items.size() + kept.size() > max_items) {
-        range.ok = true;
-        return range;  // next_after already points at the previous record
-      }
-      range.items.insert(range.items.end(), kept.begin(), kept.end());
-      range.next_after = seq;
-      if (max_items > 0 && range.items.size() >= max_items &&
-          !(torn_tail || (last_segment && pos >= bytes.size()))) {
-        range.ok = true;
-        return range;
-      }
-    }
-    if (torn_tail) break;  // torn tail ends the log
-  }
-
   range.ok = true;
-  range.exhausted = true;
+  range.exhausted = !walk.stopped;
   return range;
 }
 

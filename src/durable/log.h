@@ -2,7 +2,7 @@
 //
 // kivaloo-lbs shape: an append-only sequence of segment files under one
 // Storage namespace, each a stream of CRC-framed records, with group commit
-// riding the serving layer's fence cadence. The log records *inputs* (ingest
+// riding the serving reactor loop. The log records *inputs* (ingest
 // batches), not filter state — replaying the tail through the normal
 // pipeline producers after restoring a checkpoint reconstructs the filter
 // bit-identically (single-hash scheme 3 makes insertion deterministic).
@@ -22,13 +22,16 @@
 // WAL generation; the generation is bumped (and the log reset) only on
 // CONTROL kRestore, which rewrites filter state out-of-band.
 //
-// Recovery rules (ScanWal):
+// Reading rules, enforced by the one segment walk behind both ScanWal
+// (boot recovery) and ReadWalRange (segment ship):
 //   * a segment whose name disagrees with its header first_seq, whose
 //     generation is stale, or whose seqs break contiguity  -> fail closed
 //   * a complete frame with a bad CRC, in any position     -> fail closed
+//   * a first segment that starts past the caller's start
+//     seq + 1 (retention reaped records it still needs)    -> fail closed
 //   * an incomplete trailing frame in the LAST segment     -> torn tail:
-//     truncate to the valid prefix and recover it (a power cut mid-append
-//     legitimately leaves this shape; anything else does not)
+//     the log ends at the valid prefix (a power cut mid-append legitimately
+//     leaves this shape; anything else does not). Boot truncates it.
 // "Fail closed" means boot refuses rather than serving a partial replay —
 // never a mix of valid and guessed records.
 
@@ -55,13 +58,12 @@ std::string SegmentName(uint64_t first_seq);
 bool ParseSegmentName(const std::string& name, uint64_t* first_seq);
 
 enum class FsyncMode {
-  kNone,    // page cache only: survives SIGKILL, not power loss
-  kGroup,   // fsync on the serving fence cadence (group commit)
-  kIngest,  // fsync every append (durability per ack, slowest)
+  kNone,   // page cache only: survives SIGKILL, not power loss
+  kGroup,  // fsync on the serving fence cadence (group commit)
 };
 
+/// "none" | "group"; false for anything else.
 bool ParseFsyncMode(const std::string& text, FsyncMode* mode);
-const char* FsyncModeName(FsyncMode mode);
 
 struct WalOptions {
   uint64_t segment_bytes = 4u << 20;  // rotate when active segment exceeds
@@ -128,12 +130,13 @@ struct LogScan {
   uint32_t torn_truncations = 0;  // incomplete trailing frames repaired
 };
 
-/// Scans all segments under `storage` against the recovery rules above.
-/// `expected_gen` comes from the newest checkpoint (0 when none);
-/// `applied_seq` is that checkpoint's covered seq — records at or below it
-/// are verified for integrity but not returned. With `repair_torn_tail`
-/// the torn trailing frame is physically truncated (server boot); without
-/// it the scan is read-only (crash-harness oracle pass).
+/// Scans all segments under `storage` against the rules above.
+/// `expected_gen` comes from the newest checkpoint (0 when none: the first
+/// segment's generation is adopted); `applied_seq` is that checkpoint's
+/// covered seq — records at or below it are verified for integrity but not
+/// returned. With `repair_torn_tail` the torn trailing frame is physically
+/// truncated (server boot); without it the scan is read-only (crash-harness
+/// oracle pass).
 LogScan ScanWal(Storage& storage, uint64_t expected_gen, uint64_t applied_seq,
                 bool repair_torn_tail);
 
@@ -147,14 +150,17 @@ struct WalRange {
 };
 
 /// Reads records with seq in (after_seq, ...] back out of the log, in
-/// order, stopping once `items` would exceed max_items at a record
-/// boundary (records are never split: replaying a prefix of a batch would
-/// diverge from the donor's insertion order). `keep` filters items —
-/// segment ship passes the moving slot's ShardFor predicate so catch-up
-/// traffic is proportional to one shard; null keeps everything. Filtered
-/// records still advance next_after and count toward no bound. Same
-/// fail-closed integrity rules as ScanWal; a torn trailing frame in the
-/// last segment is skipped (never repaired — the writer owns the tail).
+/// order, stopping before the first record whose kept items would push
+/// `items` past max_items (0 = no bound). Records are never split:
+/// replaying a prefix of a batch would diverge from the donor's insertion
+/// order; a first record larger than the bound still ships whole. `keep`
+/// filters items — segment ship passes the moving slot's ShardFor
+/// predicate so catch-up traffic is proportional to one shard; null keeps
+/// everything. Records with no kept item still advance next_after, even
+/// past a reached bound.
+/// Same rules as ScanWal, but segments wholly at or below after_seq are
+/// not read, and a torn trailing frame is left alone (the writer owns the
+/// tail).
 WalRange ReadWalRange(Storage& storage, uint64_t expected_gen,
                       uint64_t after_seq, size_t max_items,
                       bool (*keep)(const Item&, void* ctx), void* keep_ctx);

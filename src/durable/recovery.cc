@@ -8,7 +8,7 @@ Recovered Recover(Storage& storage, const RecoverOptions& options) {
   Recovered out;
 
   CheckpointStore checkpoints(&storage);
-  LoadedCheckpoints loaded = checkpoints.LoadNewest();
+  LoadedCheckpoint loaded = checkpoints.LoadNewest();
   if (!loaded.ok) {
     out.error = "checkpoint resolution failed: " + loaded.error;
     return out;
@@ -19,11 +19,9 @@ Recovered Recover(Storage& storage, const RecoverOptions& options) {
   if (loaded.found) {
     out.had_checkpoint = true;
     out.checkpoint_id = loaded.id;
-    out.base_id = loaded.base_id;
     out.covered_seq = loaded.covered_seq;
-    out.base = std::move(loaded.base);
-    out.base_rng = std::move(loaded.base_rng);
-    out.deltas = std::move(loaded.deltas);
+    out.state = std::move(loaded.state);
+    out.rng = std::move(loaded.rng);
     expected_gen = loaded.wal_gen;
     applied_seq = loaded.covered_seq;
   }

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 
@@ -30,7 +31,42 @@ bool WriteAll(int fd, const uint8_t* data, size_t len) {
   return true;
 }
 
+constexpr size_t kHexDigits = 16;
+
 }  // namespace
+
+std::string HexName(const char* prefix, uint64_t value, const char* suffix) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s%016" PRIx64 "%s", prefix, value,
+                suffix);
+  return buf;
+}
+
+bool ParseHexName(const std::string& name, const char* prefix,
+                  const char* suffix, uint64_t* value) {
+  const size_t prefix_len = std::strlen(prefix);
+  const size_t suffix_len = std::strlen(suffix);
+  if (name.size() != prefix_len + kHexDigits + suffix_len ||
+      name.compare(0, prefix_len, prefix) != 0 ||
+      name.compare(prefix_len + kHexDigits, suffix_len, suffix) != 0) {
+    return false;
+  }
+  uint64_t out = 0;
+  for (size_t i = 0; i < kHexDigits; ++i) {
+    const char c = name[prefix_len + i];
+    uint64_t digit;
+    if (c >= '0' && c <= '9') {
+      digit = static_cast<uint64_t>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      digit = static_cast<uint64_t>(c - 'a') + 10;
+    } else {
+      return false;
+    }
+    out = (out << 4) | digit;
+  }
+  *value = out;
+  return true;
+}
 
 FsStorage::FsStorage(std::string dir) : dir_(std::move(dir)) {
   if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {

@@ -40,6 +40,14 @@
 
 namespace qf::durable {
 
+/// `prefix` + `value` as 16 lowercase hex digits + `suffix`: how log
+/// segments and checkpoints are named (zero-padded, so lexicographic order
+/// is numeric order).
+std::string HexName(const char* prefix, uint64_t value, const char* suffix);
+/// Inverse of HexName; false unless `name` has exactly that shape.
+bool ParseHexName(const std::string& name, const char* prefix,
+                  const char* suffix, uint64_t* value);
+
 class Storage {
  public:
   virtual ~Storage() = default;

@@ -110,7 +110,7 @@ struct WireStats {
   uint64_t wal_records_replayed = 0;   // log-tail records re-driven at boot
   uint64_t wal_torn_truncations = 0;   // torn trailing frames repaired
   uint64_t wal_segments_written = 0;   // segment files opened since boot
-  uint64_t wal_checkpoints_written = 0;  // full + delta checkpoints
+  uint64_t wal_checkpoints_written = 0;  // checkpoints written since boot
 };
 static_assert(sizeof(WireStats) == 13 * sizeof(uint64_t));
 

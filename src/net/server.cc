@@ -112,7 +112,7 @@ struct DurableMetrics {
           r.GetCounter("qf_durable_torn_truncations_total",
                        "torn trailing WAL frames truncated during recovery"),
           r.GetCounter("qf_durable_checkpoints_written_total",
-                       "full + delta checkpoints written"),
+                       "checkpoints written"),
           r.GetHistogram("qf_durable_sync_latency_ns",
                          "WAL append to durable (group-commit sync "
                          "complete), per deferred ack",
@@ -135,19 +135,6 @@ void RecordIo([[maybe_unused]] const IoStats& io) {
       m.bytes_written.Add(io.bytes_written);
     }
   });
-}
-
-/// Per-shard RNG snapshot accompanying a durable checkpoint: SerializeState
-/// blobs exclude the rounding generator, but WAL-tail replay must resume its
-/// draw sequence exactly (durable/checkpoint.h).
-template <typename ShardedT>
-std::vector<durable::RngState> GatherRngStates(const ShardedT& filter) {
-  std::vector<durable::RngState> out(
-      static_cast<size_t>(filter.num_shards()));
-  for (int s = 0; s < filter.num_shards(); ++s) {
-    filter.shard(s).GetRngState(out[static_cast<size_t>(s)].data());
-  }
-  return out;
 }
 
 }  // namespace
@@ -197,7 +184,7 @@ QfServer::~QfServer() { Stop(); }
 bool QfServer::Start() {
   if (running_.load(std::memory_order_acquire)) return true;
 
-  // Durable recovery runs first: a corrupt log or checkpoint chain must
+  // Durable recovery runs first: a corrupt log or checkpoint must
   // refuse to boot (fail closed) before any socket accepts traffic.
   if (options_.durable.enabled() && !SetupDurable()) return false;
 
@@ -300,7 +287,7 @@ bool QfServer::SetupDurable() {
     return false;
   }
   std::string apply_error;
-  if (!durable::ApplyCheckpoints(rec, &filter_, &apply_error)) {
+  if (!durable::ApplyCheckpoint(rec, &filter_, &apply_error)) {
     error_ = "durable recovery refused to boot (fail closed): " + apply_error;
     return false;
   }
@@ -317,15 +304,7 @@ bool QfServer::SetupDurable() {
   replay_tail_ = std::move(rec.tail);
 
   next_checkpoint_id_ = rec.checkpoint_id + 1;
-  last_checkpoint_id_ = rec.checkpoint_id;
-  chain_base_id_ = rec.had_checkpoint ? rec.base_id : 0;
-  checkpoints_since_full_ = 0;
   items_at_last_checkpoint_ = 0;
-  // Pipeline counters start at zero each boot; a delta against the
-  // recovered checkpoint must treat the replayed tail as dirtying its
-  // shards, which a zero baseline does exactly.
-  shard_items_at_checkpoint_.assign(
-      static_cast<size_t>(filter_.num_shards()), 0);
   final_checkpoint_written_ = false;
 
   wal_records_appended_.store(0, std::memory_order_relaxed);
@@ -452,84 +431,28 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
 
 void QfServer::MaybeCheckpoint(Reactor& rx) {
   const uint64_t interval = options_.durable.checkpoint_interval_items;
-  if (interval == 0) return;
-  if (items_ingested_.load(std::memory_order_relaxed) -
-          items_at_last_checkpoint_ <
-      interval) {
+  if (interval == 0 ||
+      items_ingested_.load(std::memory_order_relaxed) -
+              items_at_last_checkpoint_ <
+          interval) {
     return;
   }
-  // Capture under the global quiesce (shards quiescent, WAL position
-  // exact); write + fsync the checkpoint file OUTSIDE it so the slow part
-  // never stalls the reactor group — this is what lets delta checkpoints
-  // replace the full-"QFS4"-under-quiesce pattern.
+  // Serialize under the global quiesce (shards quiescent, WAL position
+  // exact); write + fsync the checkpoint file OUTSIDE it, so the slow part
+  // never stalls the reactor group.
   uint64_t covered = 0;
-  bool full = false;
-  std::vector<uint8_t> full_blob;
-  std::vector<durable::RngState> full_rng;
-  std::vector<durable::ShardDelta> dirty;
-  std::vector<uint64_t> new_baseline(shard_items_at_checkpoint_.size(), 0);
-  uint64_t new_items_baseline = 0;
+  std::vector<uint8_t> blob;
+  std::vector<durable::RngState> rng;
   WithGlobalQuiesce(rx, [&] {
-    std::lock_guard<std::mutex> lock(wal_mu_);
-    covered = wal_->next_seq() - 1;
-    full = chain_base_id_ == 0 ||
-           (options_.durable.full_checkpoint_every > 0 &&
-            checkpoints_since_full_ + 1 >=
-                options_.durable.full_checkpoint_every);
-    for (int s = 0; s < filter_.num_shards(); ++s) {
-      const uint64_t processed = pipeline_.shard_items(s);
-      new_baseline[static_cast<size_t>(s)] = processed;
-      if (!full &&
-          processed != shard_items_at_checkpoint_[static_cast<size_t>(s)]) {
-        durable::ShardDelta d;
-        d.shard = static_cast<uint32_t>(s);
-        filter_.shard(s).GetRngState(d.rng.data());
-        d.bytes = filter_.shard(s).SerializeState();
-        dirty.push_back(std::move(d));
-      }
+    {
+      std::lock_guard<std::mutex> lock(wal_mu_);
+      covered = wal_->next_seq() - 1;
     }
-    if (full) {
-      full_blob = filter_.SerializeState();
-      full_rng = GatherRngStates(filter_);
-    }
-    new_items_baseline = items_ingested_.load(std::memory_order_relaxed);
+    blob = filter_.SerializeState();
+    rng = durable::GatherRngStates(filter_);
   });
-  if (!full && dirty.empty()) {
-    // Interval elapsed but no shard advanced past the fence (all counted
-    // items were already covered); just restart the cadence.
-    items_at_last_checkpoint_ = new_items_baseline;
-    return;
-  }
-  const uint64_t id = next_checkpoint_id_;
-  bool ok;
-  if (full) {
-    ok = checkpoints_->WriteFull(id, wal_->wal_gen(), covered, full_blob,
-                                 full_rng);
-  } else {
-    ok = checkpoints_->WriteDelta(id, last_checkpoint_id_, wal_->wal_gen(),
-                                  covered,
-                                  static_cast<uint32_t>(filter_.num_shards()),
-                                  dirty);
-  }
-  if (!ok) return;  // baselines untouched: shards stay dirty, retried later
-  next_checkpoint_id_ = id + 1;
-  last_checkpoint_id_ = id;
-  if (full) {
-    chain_base_id_ = id;
-    checkpoints_since_full_ = 0;
-  } else {
-    ++checkpoints_since_full_;
-  }
-  shard_items_at_checkpoint_ = new_baseline;
-  items_at_last_checkpoint_ = new_items_baseline;
-  wal_checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
-  QF_OBS(DurableMetrics::Get().checkpoints_written.Add(1));
-  {
-    std::lock_guard<std::mutex> lock(wal_mu_);
-    wal_->Retain(
-        std::min(covered, ship_floor_.load(std::memory_order_acquire)));
-  }
-  checkpoints_->Retain(chain_base_id_);
+  // On failure the cadence stays due: the next loop iteration retries.
+  AnchorFullCheckpoint(covered, blob, rng);
 }
 
 void QfServer::WriteFinalCheckpoint() {
@@ -537,36 +460,29 @@ void QfServer::WriteFinalCheckpoint() {
   // quiescent and no other thread touches the WAL.
   if (!durable_enabled_ || final_checkpoint_written_) return;
   final_checkpoint_written_ = true;
-  std::lock_guard<std::mutex> lock(wal_mu_);
   // On failure the log still covers everything; next boot replays it.
-  AnchorFullCheckpoint(wal_->next_seq() - 1, filter_.SerializeState());
+  AnchorFullCheckpoint(wal_->next_seq() - 1, filter_.SerializeState(),
+                       durable::GatherRngStates(filter_));
 }
 
-bool QfServer::AnchorFullCheckpoint(uint64_t covered,
-                                    const std::vector<uint8_t>& blob) {
+bool QfServer::AnchorFullCheckpoint(
+    uint64_t covered, const std::vector<uint8_t>& blob,
+    const std::vector<durable::RngState>& rng) {
   const uint64_t id = next_checkpoint_id_;
-  if (!checkpoints_->WriteFull(id, wal_->wal_gen(), covered, blob,
-                               GatherRngStates(filter_))) {
+  if (!checkpoints_->Write(id, wal_->wal_gen(), covered, blob, rng)) {
     return false;
   }
   next_checkpoint_id_ = id + 1;
-  last_checkpoint_id_ = id;
-  chain_base_id_ = id;
-  checkpoints_since_full_ = 0;
+  items_at_last_checkpoint_ = items_ingested_.load(std::memory_order_relaxed);
   wal_checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
   QF_OBS(DurableMetrics::Get().checkpoints_written.Add(1));
-  wal_->Retain(
-      std::min(covered, ship_floor_.load(std::memory_order_acquire)));
+  {
+    std::lock_guard<std::mutex> lock(wal_mu_);
+    wal_->Retain(
+        std::min(covered, ship_floor_.load(std::memory_order_acquire)));
+  }
   checkpoints_->Retain(id);
   return true;
-}
-
-void QfServer::ResetCheckpointBaselines() {
-  for (int s = 0; s < filter_.num_shards(); ++s) {
-    shard_items_at_checkpoint_[static_cast<size_t>(s)] =
-        pipeline_.shard_items(s);
-  }
-  items_at_last_checkpoint_ = items_ingested_.load(std::memory_order_relaxed);
 }
 
 void QfServer::ServiceQuiesce(Reactor& rx) {
@@ -675,7 +591,7 @@ void QfServer::Loop(Reactor& rx) {
     }
     if (durable_enabled_) {
       // Group commit: one fsync covers every ingest ack deferred during
-      // this loop iteration. Checkpoint duty lives on reactor 0 so delta
+      // this loop iteration. Checkpoint duty lives on reactor 0 so the
       // cadence is single-threaded.
       FlushGroupCommit(rx);
       if (rx.idx == 0 && !stopping_.load(std::memory_order_relaxed)) {
@@ -846,8 +762,8 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
     // Log-before-ack: the batch (even an empty one — it consumes a seq, so
     // ack order stays aligned with log order) is appended to the WAL before
     // the client can observe the ack. In kGroup mode the ack is deferred to
-    // the fsync at the bottom of this loop iteration (group commit); kIngest
-    // synced inside Append; kNone promises SIGKILL-durability only.
+    // the fsync at the bottom of this loop iteration (group commit); kNone
+    // promises SIGKILL-durability only.
     bool appended;
     uint64_t new_segments = 0;
     {
@@ -1002,22 +918,22 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
           // the WAL generation (stale segments from the old timeline fail
           // closed if they somehow survive) and anchor the new timeline
           // with a full checkpoint of the restored blob at covered_seq 0.
-          std::lock_guard<std::mutex> lock(wal_mu_);
-          wal_->ResetTimeline(wal_->wal_gen() + 1);
-          // The old timeline is gone; any in-flight segment ship against it
-          // fails closed on the generation check, so drop its pin too.
-          ship_floor_.store(~0ull, std::memory_order_release);
-          wal_segments_observed_ = wal_->segments_written();
-          if (!AnchorFullCheckpoint(0, req.op_payload)) {
-            // Anchor write failed: drop the old chain entirely rather than
-            // let a next boot pair old-generation checkpoints with the new
-            // log. An empty store plus the fresh log replays from scratch.
-            checkpoints_->RemoveAll();
-            last_checkpoint_id_ = 0;
-            chain_base_id_ = 0;
-            checkpoints_since_full_ = 0;
+          {
+            std::lock_guard<std::mutex> lock(wal_mu_);
+            wal_->ResetTimeline(wal_->wal_gen() + 1);
+            // The old timeline is gone; any in-flight segment ship against
+            // it fails closed on the generation check, so drop its pin too.
+            ship_floor_.store(~0ull, std::memory_order_release);
+            wal_segments_observed_ = wal_->segments_written();
           }
-          ResetCheckpointBaselines();
+          if (!AnchorFullCheckpoint(0, req.op_payload,
+                                    durable::GatherRngStates(filter_))) {
+            // Anchor write failed: drop the old checkpoints entirely rather
+            // than let a next boot pair old-generation checkpoints with the
+            // new log. An empty store plus the fresh log replays from
+            // scratch.
+            checkpoints_->RemoveAll();
+          }
         }
         reply(ok ? ControlStatus::kOk : ControlStatus::kRejected);
       });
@@ -1094,10 +1010,13 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
             // write failure reject the import — the donor stays the owner
             // and this muted, traffic-less shard is simply overwritten by
             // the next attempt.
-            std::lock_guard<std::mutex> lock(wal_mu_);
-            ok = AnchorFullCheckpoint(wal_->next_seq() - 1,
-                                      filter_.SerializeState());
-            if (ok) ResetCheckpointBaselines();
+            uint64_t covered = 0;
+            {
+              std::lock_guard<std::mutex> lock(wal_mu_);
+              covered = wal_->next_seq() - 1;
+            }
+            ok = AnchorFullCheckpoint(covered, filter_.SerializeState(),
+                                      durable::GatherRngStates(filter_));
           }
         }
         reply(ok ? ControlStatus::kOk : ControlStatus::kRejected);

@@ -113,7 +113,7 @@ class QfServer {
     /// or a Storage is injected. When on, Start() recovers the newest valid
     /// checkpoint + log tail (refusing to boot on corruption — fail
     /// closed), every INGEST batch is logged before its ack, and reactor 0
-    /// writes delta checkpoints on an item cadence.
+    /// writes full checkpoints on an item cadence.
     struct Durable {
       std::string wal_dir;  // FsStorage directory (created if missing)
       /// Test injection: use this Storage instead of wal_dir (non-owning;
@@ -124,9 +124,6 @@ class QfServer {
       /// Ingested items between background checkpoints (0 = only the final
       /// checkpoint written by a clean Stop()).
       uint64_t checkpoint_interval_items = 0;
-      /// Every Nth background checkpoint is full instead of delta, bounding
-      /// chain length (the final shutdown checkpoint is always full).
-      uint64_t full_checkpoint_every = 8;
 
       bool enabled() const { return !wal_dir.empty() || storage != nullptr; }
     };
@@ -164,7 +161,7 @@ class QfServer {
   /// when the server runs without Options::durable.
   struct RecoveryInfo {
     bool durable = false;         // durability active for this run
-    bool had_checkpoint = false;  // restored a checkpoint chain
+    bool had_checkpoint = false;  // restored a checkpoint
     uint64_t checkpoint_id = 0;
     uint64_t replayed_records = 0;
     uint64_t replayed_items = 0;
@@ -262,7 +259,7 @@ class QfServer {
   /// checkpoints and scans the log (fail closed on corruption); Replay
   /// re-drives the recovered tail through producer slot 0 before the
   /// reactors spawn. FlushGroupCommit fsyncs the log and releases the
-  /// reactor's deferred acks; MaybeCheckpoint runs the background delta-
+  /// reactor's deferred acks; MaybeCheckpoint runs the background
   /// checkpoint cadence on reactor 0; WriteFinalCheckpoint runs once after
   /// the pipeline stops on a clean shutdown.
   bool SetupDurable();
@@ -270,13 +267,14 @@ class QfServer {
   void FlushGroupCommit(Reactor& rx);
   void MaybeCheckpoint(Reactor& rx);
   void WriteFinalCheckpoint();
-  /// Writes a full checkpoint of `blob` covering the log up to `covered`
-  /// as a new chain base, then retains to it. Caller holds wal_mu_ with the
-  /// filter quiescent. False (bookkeeping untouched) if the write failed.
+  /// Writes a full checkpoint of `blob` + `rng` (captured together with
+  /// the filter quiescent) covering the log up to `covered`, restarts the
+  /// cadence, and retains log and checkpoints to it. Takes wal_mu_ itself,
+  /// only for the log retention. False (bookkeeping untouched) if the
+  /// write failed.
   bool AnchorFullCheckpoint(uint64_t covered,
-                            const std::vector<uint8_t>& blob);
-  /// Marks every shard clean as of now for the delta-checkpoint cadence.
-  void ResetCheckpointBaselines();
+                            const std::vector<uint8_t>& blob,
+                            const std::vector<durable::RngState>& rng);
   void SendError(Reactor& rx, Conn* conn, ErrorCode code,
                  const std::string& message);
   void CloseConn(Reactor& rx, Conn* conn, bool slow);
@@ -339,15 +337,12 @@ class QfServer {
   /// kSegmentShipRelease request or a timeline reset.
   std::atomic<uint64_t> ship_floor_{~0ull};
 
-  // Checkpoint-chain bookkeeping. Written only with the filter quiescent
-  // (under a global quiesce on reactor 0, or after the pipeline stops), so
-  // plain fields suffice.
+  // Checkpoint bookkeeping. Written by one thread at a time: inside a
+  // global quiesce, by reactor 0 between quiesces (a control op's quiesce
+  // waits for reactor 0 to come back to its loop), or after the pipeline
+  // stops — so plain fields suffice.
   uint64_t next_checkpoint_id_ = 1;
-  uint64_t last_checkpoint_id_ = 0;  // delta parent (last successful write)
-  uint64_t chain_base_id_ = 0;
-  uint64_t checkpoints_since_full_ = 0;
   uint64_t items_at_last_checkpoint_ = 0;
-  std::vector<uint64_t> shard_items_at_checkpoint_;
   bool final_checkpoint_written_ = false;
 
   // Durable counters mirrored into WireStats + qf_durable_* metrics.

@@ -478,10 +478,7 @@ class IngestPipeline {
   }
 
   /// Items processed by shard `s`'s worker. Exact only behind a fence or
-  /// global quiesce; the durable layer samples it there to decide which
-  /// shards are dirty since the last delta checkpoint (a shard whose count
-  /// did not advance cannot have mutated — each shard is single-writer and
-  /// queries are const).
+  /// global quiesce; qfbench's shard-skew probe reads it there.
   uint64_t shard_items(int s) const {
     return workers_[static_cast<size_t>(s)].items.load(
         std::memory_order_relaxed);

@@ -53,7 +53,6 @@ QfServer::Options ServerOptions(const CrashTrialOptions& options) {
   // land before, on and after segment boundaries.
   so.durable.segment_bytes = 1024;
   so.durable.checkpoint_interval_items = options.checkpoint_interval_items;
-  so.durable.full_checkpoint_every = 2;
   return so;
 }
 
@@ -259,7 +258,7 @@ bool RunCrashTrial(const CrashTrialOptions& options,
     const QfServer::Options so = ServerOptions(options);
     QfServer::Sharded mirror(so.filter, so.criteria, so.num_shards);
     std::string apply_error;
-    if (!durable::ApplyCheckpoints(rec, &mirror, &apply_error)) {
+    if (!durable::ApplyCheckpoint(rec, &mirror, &apply_error)) {
       return fail("mirror checkpoint apply failed: " + apply_error);
     }
     for (const Item& item : rec.tail) mirror.Insert(item.key, item.value);

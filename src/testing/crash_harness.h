@@ -12,10 +12,10 @@
 //      SIGKILL from inside the storage layer.
 //   3. Recover the storage read-only in the parent (the same bytes the
 //      restarted server will read) and build two oracles:
-//        * a mirror ShardedQuantileFilter (checkpoint chain + tail replay),
-//          the bit-identity oracle;
-//        * when the log alone covers history (no background checkpoint
-//          chain), an ExactDetector over the acked prefix, the semantic
+//        * a mirror ShardedQuantileFilter (checkpoint + tail replay), the
+//          bit-identity oracle;
+//        * when the log alone covers history (no background checkpoint),
+//          an ExactDetector over the acked prefix, the semantic
 //          oracle — acked batches must be a prefix of the recovered log,
 //          per connection.
 //   4. Fork a second child over the same directory, and require: QUERY

@@ -116,8 +116,8 @@ struct FuzzConfig {
   /// (recovers checkpoint + log tail into a fresh sharded filter) and the
   /// recovered state must match the sequential sharded track bit-for-bit.
   /// A second recovery from a torn copy of the storage checks the
-  /// truncated-tail path replays exactly a prefix. rng-chosen full/delta
-  /// checkpoints and retention run between barriers.
+  /// truncated-tail path replays exactly a prefix. rng-chosen checkpoints
+  /// and retention run between barriers.
   bool durable_replay = false;
 };
 
@@ -192,8 +192,6 @@ class DifferentialHarness {
       wal_.emplace(&*wal_storage_, wopts);
       wal_->Init(1, 1);
       ckpts_.emplace(&*wal_storage_);
-      durable_counts_.assign(static_cast<size_t>(config.num_shards), 0);
-      durable_baseline_ = durable_counts_;
     }
   }
 
@@ -456,21 +454,12 @@ class DifferentialHarness {
         return;
       }
       ckpts_->RemoveAll();
-      std::fill(durable_counts_.begin(), durable_counts_.end(), 0);
-      durable_baseline_ = durable_counts_;
-      const uint64_t id = durable_next_id_++;
-      std::vector<durable::RngState> rng(
-          static_cast<size_t>(config_.num_shards));
-      for (int s = 0; s < config_.num_shards; ++s) {
-        sharded_seq_.shard(s).GetRngState(rng[static_cast<size_t>(s)].data());
-      }
-      if (!ckpts_->WriteFull(id, wal_->wal_gen(), 0,
-                             sharded_seq_.SerializeState(), rng)) {
+      if (!ckpts_->Write(durable_next_id_++, wal_->wal_gen(), 0,
+                         sharded_seq_.SerializeState(),
+                         durable::GatherRngStates(sharded_seq_))) {
         Fail(i, "durable-replay anchor checkpoint write failed");
         return;
       }
-      durable_base_id_ = id;
-      durable_last_id_ = id;
     }
   }
 
@@ -577,9 +566,6 @@ class DifferentialHarness {
     uint64_t seq_reports = 0;
     for (const Item& item : sharded_pending_) {
       const int s = sharded_seq_.ShardFor(item.key);
-      if (config_.durable_replay) {
-        ++durable_counts_[static_cast<size_t>(s)];
-      }
       if (sharded_seq_.Insert(item.key, item.value)) {
         seq_keys[static_cast<size_t>(s)].push_back(item.key);
         ++seq_reports;
@@ -671,11 +657,11 @@ class DifferentialHarness {
     sharded_pending_.clear();
   }
 
-  /// The durable-replay track's crash point: maybe write a (full or delta)
-  /// durable checkpoint of the sequential sharded filter, then recover from
-  /// storage as a cold boot would — checkpoint chain + WAL tail — into a
-  /// fresh sharded filter, and require per-shard bit-identity with the
-  /// filter that never crashed. A second recovery runs against a copy of
+  /// The durable-replay track's crash point: maybe write a durable
+  /// checkpoint of the sequential sharded filter, then recover from storage
+  /// as a cold boot would — checkpoint + WAL tail — into a fresh sharded
+  /// filter, and require per-shard bit-identity with the filter that never
+  /// crashed. A second recovery runs against a copy of
   /// the storage with the last segment torn mid-byte, and must come back
   /// with exactly a prefix of the clean tail.
   void CheckDurableReplay(size_t i) {
@@ -684,42 +670,14 @@ class DifferentialHarness {
     if ((r & 1u) != 0) {
       const uint64_t covered = wal_->next_seq() - 1;
       const uint64_t id = durable_next_id_++;
-      const bool full = durable_base_id_ == 0 || (r & 6u) == 0;
-      bool wrote;
-      if (full) {
-        std::vector<durable::RngState> rng(
-            static_cast<size_t>(config_.num_shards));
-        for (int s = 0; s < config_.num_shards; ++s) {
-          sharded_seq_.shard(s).GetRngState(rng[static_cast<size_t>(s)].data());
-        }
-        wrote = ckpts_->WriteFull(id, wal_->wal_gen(), covered,
-                                  sharded_seq_.SerializeState(), rng);
-      } else {
-        std::vector<durable::ShardDelta> dirty;
-        for (int s = 0; s < config_.num_shards; ++s) {
-          if (durable_counts_[static_cast<size_t>(s)] !=
-              durable_baseline_[static_cast<size_t>(s)]) {
-            durable::ShardDelta d;
-            d.shard = static_cast<uint32_t>(s);
-            sharded_seq_.shard(s).GetRngState(d.rng.data());
-            d.bytes = sharded_seq_.shard(s).SerializeState();
-            dirty.push_back(std::move(d));
-          }
-        }
-        wrote = ckpts_->WriteDelta(id, durable_last_id_, wal_->wal_gen(),
-                                   covered,
-                                   static_cast<uint32_t>(config_.num_shards),
-                                   dirty);
-      }
-      if (!wrote) {
+      if (!ckpts_->Write(id, wal_->wal_gen(), covered,
+                         sharded_seq_.SerializeState(),
+                         durable::GatherRngStates(sharded_seq_))) {
         Fail(i, "durable-replay checkpoint write failed");
         return;
       }
-      if (full) durable_base_id_ = id;
-      durable_last_id_ = id;
-      durable_baseline_ = durable_counts_;
       wal_->Retain(covered);
-      ckpts_->Retain(durable_base_id_);
+      ckpts_->Retain(id);
     }
 
     durable::Recovered rec = durable::Recover(*wal_storage_, {});
@@ -730,7 +688,7 @@ class DifferentialHarness {
     Sharded recovered(MakeOptions(config_), config_.criteria[0],
                       config_.num_shards);
     std::string err;
-    if (!durable::ApplyCheckpoints(rec, &recovered, &err)) {
+    if (!durable::ApplyCheckpoint(rec, &recovered, &err)) {
       Fail(i, "durable-replay checkpoint restore failed: " + err);
       return;
     }
@@ -821,11 +779,7 @@ class DifferentialHarness {
   std::optional<durable::MemStorage> wal_storage_;
   std::optional<durable::WalWriter> wal_;
   std::optional<durable::CheckpointStore> ckpts_;
-  std::vector<uint64_t> durable_counts_;    // items fed per shard (seq track)
-  std::vector<uint64_t> durable_baseline_;  // counts at the last checkpoint
   uint64_t durable_next_id_ = 1;
-  uint64_t durable_last_id_ = 0;
-  uint64_t durable_base_id_ = 0;
 
   size_t criteria_idx_ = 0;
   FuzzResult result_;

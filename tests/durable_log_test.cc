@@ -1,8 +1,10 @@
-// Durability layer corruption suite (DESIGN.md §14): the WAL recovery
+// Durability layer corruption suite (DESIGN.md §14): the WAL reading
 // rules — torn trailing frames repair to the exact valid prefix, every
-// other corruption shape fails closed — plus checkpoint round-trips with
-// RNG carry, corrupt-top fallback, retention, and the qf_durable_* metric
-// names surviving the Prometheus exporter's own validator. All against
+// other corruption shape fails closed in both the boot scan and the
+// segment-ship range read — plus the range read's bounds, checkpoint
+// round-trips with RNG carry, corrupt-top fallback (including an older
+// build's delta file), retention, and the qf_durable_* metric names
+// surviving the Prometheus exporter's own validator. All against
 // MemStorage, where "disk surgery" is plain vector surgery.
 
 #include "durable/log.h"
@@ -17,7 +19,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/crc32.h"
+#include "common/serialize.h"
 #include "durable/checkpoint.h"
+#include "durable/recovery.h"
 #include "durable/storage.h"
 #include "net/client.h"
 #include "net/server.h"
@@ -51,6 +56,17 @@ bool SameItems(const std::vector<Item>& a, const std::vector<Item>& b) {
     if (a[i].key != b[i].key || a[i].value != b[i].value) return false;
   }
   return true;
+}
+
+/// Every fail-closed shape must stop both readers of the log: the boot
+/// scan and the segment-ship range read.
+void ExpectBothReadersFailClosed(Storage& storage, uint64_t gen) {
+  const LogScan scan = ScanWal(storage, gen, 0, false);
+  EXPECT_FALSE(scan.ok);
+  EXPECT_FALSE(scan.error.empty());
+  const WalRange range = ReadWalRange(storage, gen, 0, 0, nullptr, nullptr);
+  EXPECT_FALSE(range.ok);
+  EXPECT_FALSE(range.error.empty());
 }
 
 WalOptions SmallSegments() {
@@ -161,9 +177,7 @@ TEST(DurableLogTest, BitFlippedRecordFailsClosed) {
   ASSERT_GE(names.size(), 2u);
   std::vector<uint8_t>& blob = storage.blobs()[names.front()];
   blob[blob.size() / 2] ^= 0x40;
-  const LogScan scan = ScanWal(storage, 1, 0, false);
-  EXPECT_FALSE(scan.ok);
-  EXPECT_FALSE(scan.error.empty());
+  ExpectBothReadersFailClosed(storage, 1);
 }
 
 TEST(DurableLogTest, TornFrameInSealedSegmentFailsClosed) {
@@ -179,7 +193,7 @@ TEST(DurableLogTest, TornFrameInSealedSegmentFailsClosed) {
   ASSERT_GE(names.size(), 2u);
   std::vector<uint8_t>& blob = storage.blobs()[names.front()];
   blob.resize(blob.size() - 5);
-  EXPECT_FALSE(ScanWal(storage, 1, 0, false).ok);
+  ExpectBothReadersFailClosed(storage, 1);
 }
 
 TEST(DurableLogTest, DuplicatedSegmentFailsClosed) {
@@ -194,7 +208,7 @@ TEST(DurableLogTest, DuplicatedSegmentFailsClosed) {
   ASSERT_TRUE(storage.List(&names));
   storage.blobs()[SegmentName(wal.next_seq() + 100)] =
       storage.blobs()[names.front()];
-  EXPECT_FALSE(ScanWal(storage, 1, 0, false).ok);
+  ExpectBothReadersFailClosed(storage, 1);
 }
 
 TEST(DurableLogTest, StaleGenerationSegmentFailsClosed) {
@@ -205,7 +219,7 @@ TEST(DurableLogTest, StaleGenerationSegmentFailsClosed) {
 
   // The newest checkpoint says generation 2 (a kRestore happened); gen-1
   // segments still on disk are another timeline's records.
-  EXPECT_FALSE(ScanWal(storage, 2, 0, false).ok);
+  ExpectBothReadersFailClosed(storage, 2);
 }
 
 TEST(DurableLogTest, MissingMiddleSegmentFailsClosed) {
@@ -218,7 +232,109 @@ TEST(DurableLogTest, MissingMiddleSegmentFailsClosed) {
   ASSERT_TRUE(storage.List(&names));
   ASSERT_GE(names.size(), 3u);
   ASSERT_TRUE(storage.Remove(names[1]));  // seq discontinuity
-  EXPECT_FALSE(ScanWal(storage, 1, 0, false).ok);
+  ExpectBothReadersFailClosed(storage, 1);
+}
+
+TEST(DurableLogTest, ReapedRangeGapFailsClosed) {
+  MemStorage storage;
+  WalWriter wal(&storage, SmallSegments());
+  ASSERT_TRUE(wal.Init(1, 1));
+  AppendRecords(wal, 9);
+
+  // Retention for a checkpoint at seq 5 reaps the sealed segments it
+  // covers. A reader that still needs seq 1 must refuse, not start later.
+  wal.Retain(5);
+  std::vector<std::string> names;
+  ASSERT_TRUE(storage.List(&names));
+  uint64_t first_seq = 0;
+  ASSERT_TRUE(ParseSegmentName(names.front(), &first_seq));
+  ASSERT_GT(first_seq, 1u);
+  const LogScan scan = ScanWal(storage, 1, 0, false);
+  EXPECT_FALSE(scan.ok);
+  EXPECT_NE(scan.error.find("replay gap after checkpoint"), std::string::npos)
+      << scan.error;
+  const WalRange range = ReadWalRange(storage, 1, 0, 0, nullptr, nullptr);
+  EXPECT_FALSE(range.ok);
+  EXPECT_NE(range.error.find("replay gap after checkpoint"),
+            std::string::npos)
+      << range.error;
+
+  // Both readers start cleanly from what survived.
+  EXPECT_TRUE(ScanWal(storage, 1, first_seq - 1, false).ok);
+  const WalRange rest =
+      ReadWalRange(storage, 1, first_seq - 1, 0, nullptr, nullptr);
+  ASSERT_TRUE(rest.ok) << rest.error;
+  EXPECT_TRUE(rest.exhausted);
+  EXPECT_EQ(rest.next_after, 9u);
+  EXPECT_EQ(rest.items.size(), 9 - (first_seq - 1));
+}
+
+TEST(DurableLogTest, RangeReadStopsAtRecordBoundaries) {
+  // Records of 3, 2, 4 and 1 items (seqs 1-4), across rotating segments.
+  MemStorage storage;
+  WalWriter wal(&storage, SmallSegments());
+  ASSERT_TRUE(wal.Init(1, 1));
+  std::vector<Item> all;
+  for (const size_t count : {3u, 2u, 4u, 1u}) {
+    std::vector<Item> record;
+    for (size_t i = 0; i < count; ++i) {
+      record.push_back({all.size() + 1, 10.0 * static_cast<double>(count)});
+      all.push_back(record.back());
+    }
+    ASSERT_TRUE(wal.Append(record, nullptr));
+  }
+  std::vector<std::string> names;
+  ASSERT_TRUE(storage.List(&names));
+  ASSERT_GE(names.size(), 2u);
+
+  // max_items = 0 is unbounded. A record is never split: the read stops
+  // before a record that would cross the bound — except that a first record
+  // larger than the bound still ships whole. `exhausted` is exact: it is
+  // set only when no record past next_after exists.
+  struct Case {
+    uint64_t after_seq;
+    size_t max_items;
+    size_t want_items;  // a prefix of the items after after_seq
+    uint64_t want_next_after;
+    bool want_exhausted;
+  };
+  const Case cases[] = {
+      {0, 0, 10, 4, true},  {0, 3, 3, 1, false}, {0, 4, 3, 1, false},
+      {0, 5, 5, 2, false},  {0, 2, 3, 1, false}, {1, 6, 6, 3, false},
+      {2, 4, 4, 3, false},  {3, 1, 1, 4, true},  {3, 4, 1, 4, true},
+      {4, 0, 0, 4, true},   {4, 5, 0, 4, true},
+  };
+  const size_t first_item[] = {0, 3, 5, 9, 10};  // by after_seq
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "after_seq " << c.after_seq
+                                      << ", max_items " << c.max_items);
+    const WalRange range =
+        ReadWalRange(storage, 1, c.after_seq, c.max_items, nullptr, nullptr);
+    ASSERT_TRUE(range.ok) << range.error;
+    const auto begin = all.begin() + static_cast<std::ptrdiff_t>(
+                                         first_item[c.after_seq]);
+    EXPECT_TRUE(SameItems(
+        range.items,
+        {begin, begin + static_cast<std::ptrdiff_t>(c.want_items)}));
+    EXPECT_EQ(range.next_after, c.want_next_after);
+    EXPECT_EQ(range.exhausted, c.want_exhausted);
+  }
+
+  // A keep filter drops items but not records: filtered records advance
+  // next_after and count toward no bound, even once it is reached.
+  auto even = +[](const Item& item, void*) { return item.key % 2 == 0; };
+  const WalRange filtered = ReadWalRange(storage, 1, 0, 2, even, nullptr);
+  ASSERT_TRUE(filtered.ok) << filtered.error;
+  EXPECT_TRUE(SameItems(filtered.items, {all[1], all[3]}));
+  EXPECT_EQ(filtered.next_after, 2u);
+  EXPECT_FALSE(filtered.exhausted);
+  auto first_record = +[](const Item& item, void*) { return item.key <= 3; };
+  const WalRange drained =
+      ReadWalRange(storage, 1, 0, 3, first_record, nullptr);
+  ASSERT_TRUE(drained.ok) << drained.error;
+  EXPECT_TRUE(SameItems(drained.items, {all[0], all[1], all[2]}));
+  EXPECT_EQ(drained.next_after, 4u);
+  EXPECT_TRUE(drained.exhausted);
 }
 
 TEST(DurableLogTest, EmptyFinalSegmentIsLegal) {
@@ -284,73 +400,56 @@ TEST(DurableLogTest, ResetTimelineRestartsAtSeqOne) {
   EXPECT_EQ(scan.next_seq, 3u);
 }
 
-TEST(DurableCheckpointTest, FullAndDeltaRoundTripWithRngCarry) {
+TEST(DurableCheckpointTest, FullRoundTripWithRngCarry) {
   MemStorage storage;
   CheckpointStore store(&storage);
 
   const std::vector<uint8_t> blob{1, 2, 3, 4, 5, 6, 7, 8};
   const std::vector<RngState> rng{{11, 12, 13, 14}, {21, 22, 23, 24}};
-  ASSERT_TRUE(store.WriteFull(1, /*wal_gen=*/3, /*covered_seq=*/7, blob,
-                              rng));
+  ASSERT_TRUE(store.Write(1, /*wal_gen=*/3, /*covered_seq=*/7, blob, rng));
+  const std::vector<uint8_t> newer{9, 8, 7};
+  const std::vector<RngState> newer_rng{{31, 32, 33, 34}, {41, 42, 43, 44}};
+  ASSERT_TRUE(store.Write(2, /*wal_gen=*/3, /*covered_seq=*/9, newer,
+                          newer_rng));
 
-  ShardDelta dirty;
-  dirty.shard = 1;
-  dirty.rng = {31, 32, 33, 34};
-  dirty.bytes = {9, 8, 7};
-  ASSERT_TRUE(store.WriteDelta(2, /*parent_id=*/1, /*wal_gen=*/3,
-                               /*covered_seq=*/9, /*total_shards=*/2,
-                               {dirty}));
-
-  const LoadedCheckpoints loaded = store.LoadNewest();
+  const LoadedCheckpoint loaded = store.LoadNewest();
   ASSERT_TRUE(loaded.ok) << loaded.error;
   ASSERT_TRUE(loaded.found);
   EXPECT_EQ(loaded.id, 2u);
-  EXPECT_EQ(loaded.base_id, 1u);
   EXPECT_EQ(loaded.wal_gen, 3u);
   EXPECT_EQ(loaded.covered_seq, 9u);
-  EXPECT_EQ(loaded.total_shards, 2u);
-  EXPECT_EQ(loaded.base, blob);
-  ASSERT_EQ(loaded.base_rng.size(), 2u);
-  EXPECT_EQ(loaded.base_rng[0], rng[0]);
-  EXPECT_EQ(loaded.base_rng[1], rng[1]);
-  ASSERT_EQ(loaded.deltas.size(), 1u);
-  ASSERT_EQ(loaded.deltas[0].size(), 1u);
-  EXPECT_EQ(loaded.deltas[0][0].shard, 1u);
-  EXPECT_EQ(loaded.deltas[0][0].rng, dirty.rng);
-  EXPECT_EQ(loaded.deltas[0][0].bytes, dirty.bytes);
+  EXPECT_EQ(loaded.state, newer);
+  EXPECT_EQ(loaded.rng, newer_rng);
+  EXPECT_TRUE(loaded.warning.empty());
 }
 
 TEST(DurableCheckpointTest, CorruptTopFallsBackWithWarning) {
   MemStorage storage;
   CheckpointStore store(&storage);
-  const std::vector<RngState> rng{{1, 2, 3, 4}};
-  ASSERT_TRUE(store.WriteFull(1, 1, 5, {1, 2, 3}, rng));
-  ShardDelta dirty;
-  dirty.shard = 0;
-  dirty.rng = {5, 6, 7, 8};
-  dirty.bytes = {42};
-  ASSERT_TRUE(store.WriteDelta(2, 1, 1, 8, 1, {dirty}));
+  ASSERT_TRUE(store.Write(1, 1, 5, {1, 2, 3}, {{1, 2, 3, 4}}));
+  ASSERT_TRUE(store.Write(2, 1, 8, {42}, {{5, 6, 7, 8}}));
 
   std::vector<uint8_t>& top = storage.blobs()[CheckpointName(2)];
   top[top.size() / 2] ^= 0x01;
 
-  const LoadedCheckpoints loaded = store.LoadNewest();
+  const LoadedCheckpoint loaded = store.LoadNewest();
   ASSERT_TRUE(loaded.ok) << loaded.error;
   ASSERT_TRUE(loaded.found);
-  EXPECT_EQ(loaded.id, 1u);       // fell back past the corrupt delta
+  EXPECT_EQ(loaded.id, 1u);  // fell back past the corrupt top
   EXPECT_EQ(loaded.covered_seq, 5u);
-  EXPECT_TRUE(loaded.deltas.empty());
-  EXPECT_FALSE(loaded.warning.empty());
+  EXPECT_EQ(loaded.state, (std::vector<uint8_t>{1, 2, 3}));
+  EXPECT_NE(loaded.warning.find(CheckpointName(2)), std::string::npos)
+      << loaded.warning;
 }
 
 TEST(DurableCheckpointTest, AllChainsCorruptFailsClosed) {
   MemStorage storage;
   CheckpointStore store(&storage);
-  ASSERT_TRUE(store.WriteFull(1, 1, 5, {1, 2, 3}, {{1, 2, 3, 4}}));
+  ASSERT_TRUE(store.Write(1, 1, 5, {1, 2, 3}, {{1, 2, 3, 4}}));
   std::vector<uint8_t>& only = storage.blobs()[CheckpointName(1)];
   only[only.size() / 2] ^= 0x01;
 
-  const LoadedCheckpoints loaded = store.LoadNewest();
+  const LoadedCheckpoint loaded = store.LoadNewest();
   EXPECT_FALSE(loaded.ok);  // a checkpoint exists but none validates
   EXPECT_FALSE(loaded.error.empty());
 }
@@ -358,7 +457,7 @@ TEST(DurableCheckpointTest, AllChainsCorruptFailsClosed) {
 TEST(DurableCheckpointTest, EmptyStoreIsACleanSlate) {
   MemStorage storage;
   CheckpointStore store(&storage);
-  const LoadedCheckpoints loaded = store.LoadNewest();
+  const LoadedCheckpoint loaded = store.LoadNewest();
   EXPECT_TRUE(loaded.ok);
   EXPECT_FALSE(loaded.found);
 }
@@ -366,20 +465,155 @@ TEST(DurableCheckpointTest, EmptyStoreIsACleanSlate) {
 TEST(DurableCheckpointTest, RetainDeletesBelowChainBase) {
   MemStorage storage;
   CheckpointStore store(&storage);
-  ASSERT_TRUE(store.WriteFull(1, 1, 5, {1}, {{1, 2, 3, 4}}));
-  ASSERT_TRUE(store.WriteFull(2, 1, 9, {2}, {{5, 6, 7, 8}}));
+  ASSERT_TRUE(store.Write(1, 1, 5, {1}, {{1, 2, 3, 4}}));
+  ASSERT_TRUE(store.Write(2, 1, 9, {2}, {{5, 6, 7, 8}}));
   store.Retain(2);
   std::vector<std::string> names;
   ASSERT_TRUE(storage.List(&names));
   ASSERT_EQ(names.size(), 1u);
   EXPECT_EQ(names[0], CheckpointName(2));
-  const LoadedCheckpoints loaded = store.LoadNewest();
+  const LoadedCheckpoint loaded = store.LoadNewest();
   ASSERT_TRUE(loaded.ok) << loaded.error;
   EXPECT_EQ(loaded.id, 2u);
 
   store.RemoveAll();
   ASSERT_TRUE(storage.List(&names));
   EXPECT_TRUE(names.empty());
+}
+
+// --- Data directories written by older builds ------------------------------
+
+/// Test-local encoder of the v1 delta layout older builds wrote next to full
+/// checkpoints (kind 1, parent-linked, only the listed shards):
+///   WrapCrc({u32 "QFCP", u32 1, u64 id, u64 parent_id, u64 wal_gen,
+///            u64 covered_seq, u8 kind=1, u32 total_shards, u32 ndirty,
+///            ndirty x (u32 shard, 4 x u64 rng, u64 len, bytes)})
+std::vector<uint8_t> EncodeV1Delta(uint64_t id, uint64_t parent_id,
+                                   uint64_t wal_gen, uint64_t covered_seq,
+                                   uint32_t total_shards, uint32_t shard,
+                                   const RngState& rng,
+                                   const std::vector<uint8_t>& bytes) {
+  std::vector<uint8_t> payload;
+  AppendPod(kCheckpointMagic, &payload);
+  AppendPod(uint32_t{1}, &payload);
+  AppendPod(id, &payload);
+  AppendPod(parent_id, &payload);
+  AppendPod(wal_gen, &payload);
+  AppendPod(covered_seq, &payload);
+  AppendPod(uint8_t{1}, &payload);
+  AppendPod(total_shards, &payload);
+  AppendPod(uint32_t{1}, &payload);
+  AppendPod(shard, &payload);
+  for (uint64_t word : rng) AppendPod(word, &payload);
+  AppendPod(static_cast<uint64_t>(bytes.size()), &payload);
+  payload.insert(payload.end(), bytes.begin(), bytes.end());
+  return WrapCrc(std::move(payload));
+}
+
+net::QfServer::Options UpgradeServerOptions(MemStorage* storage) {
+  net::QfServer::Options opts;
+  opts.port = 0;
+  opts.num_shards = 2;
+  opts.filter.memory_bytes = 64 * 1024;
+  opts.criteria = Criteria(5.0, 0.9, 100.0);
+  opts.durable.storage = storage;
+  opts.durable.fsync = FsyncMode::kNone;
+  return opts;
+}
+
+/// An older build's data dir: 20 logged records, a full checkpoint covering
+/// the first 10, and a delta top (id 2) covering all 20 whose shard-0 bytes
+/// hold items the log never saw — applying any of it would show. `mirror`
+/// gets exactly the logged items. With `reap`, retention ran for the delta
+/// top, as the older build did, so the log no longer covers seqs 11-20.
+void WriteOlderDataDir(const net::QfServer::Options& opts,
+                       MemStorage* storage, net::QfServer::Sharded* mirror,
+                       bool reap) {
+  WalOptions wopts;
+  wopts.segment_bytes = 256;  // two 8-item records per segment
+  wopts.fsync = FsyncMode::kNone;
+  WalWriter wal(storage, wopts);
+  ASSERT_TRUE(wal.Init(1, 1));
+  CheckpointStore store(storage);
+  const double values[] = {10.0, 150.0, 600.0};
+  for (uint64_t r = 1; r <= 20; ++r) {
+    std::vector<Item> record;
+    for (uint64_t i = 0; i < 8; ++i) {
+      record.push_back({1 + (r * 7 + i * 3) % 40, values[(r + i) % 3]});
+      mirror->Insert(record.back().key, record.back().value);
+    }
+    ASSERT_TRUE(wal.Append(record, nullptr));
+    if (r == 10) {
+      ASSERT_TRUE(store.Write(1, wal.wal_gen(), 10, mirror->SerializeState(),
+                              GatherRngStates(*mirror)));
+    }
+  }
+  net::QfServer::Sharded diverged(opts.filter, opts.criteria,
+                                  opts.num_shards);
+  ASSERT_TRUE(diverged.RestoreState(mirror->SerializeState()));
+  for (uint64_t k = 1; k <= 40; ++k) diverged.Insert(k, 600.0);
+  RngState rng{};
+  diverged.shard(0).GetRngState(rng.data());
+  storage->blobs()[CheckpointName(2)] =
+      EncodeV1Delta(2, 1, wal.wal_gen(), 20, 2, 0, rng,
+                    diverged.shard(0).SerializeState());
+  if (reap) wal.Retain(20);
+}
+
+TEST(DurableUpgradeTest, OlderDeltaTopIsSkippedAndTheLogReplaysPastIt) {
+  MemStorage storage;
+  const net::QfServer::Options opts = UpgradeServerOptions(&storage);
+  net::QfServer::Sharded mirror(opts.filter, opts.criteria, opts.num_shards);
+  WriteOlderDataDir(opts, &storage, &mirror, /*reap=*/false);
+
+  CheckpointStore store(&storage);
+  const LoadedCheckpoint loaded = store.LoadNewest();
+  ASSERT_TRUE(loaded.ok) << loaded.error;
+  EXPECT_EQ(loaded.id, 1u);
+  EXPECT_NE(loaded.warning.find(CheckpointName(2)), std::string::npos)
+      << loaded.warning;
+
+  net::QfServer server(opts);
+  ASSERT_TRUE(server.Start()) << server.error();
+  EXPECT_EQ(server.recovery().checkpoint_id, 1u);
+  EXPECT_EQ(server.recovery().replayed_records, 10u);
+  EXPECT_NE(server.recovery().warning.find(CheckpointName(2)),
+            std::string::npos);
+  net::QfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port())) << client.error();
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; k <= 40; ++k) keys.push_back(k);
+  std::vector<net::QueryAnswer> answers;
+  ASSERT_TRUE(client.Query(keys, &answers)) << client.error();
+  ASSERT_EQ(answers.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(answers[i].qweight, mirror.QueryQweight(keys[i]))
+        << "key " << keys[i];
+    EXPECT_EQ(answers[i].is_candidate != 0, mirror.IsCandidate(keys[i]))
+        << "key " << keys[i];
+  }
+  client.Close();
+  server.Stop();
+}
+
+TEST(DurableUpgradeTest, OlderDeltaTopOverReapedLogFailsClosed) {
+  MemStorage storage;
+  const net::QfServer::Options opts = UpgradeServerOptions(&storage);
+  net::QfServer::Sharded mirror(opts.filter, opts.criteria, opts.num_shards);
+  WriteOlderDataDir(opts, &storage, &mirror, /*reap=*/true);
+
+  const Recovered rec = Recover(storage, {});
+  EXPECT_FALSE(rec.ok);
+  EXPECT_NE(rec.warning.find(CheckpointName(2)), std::string::npos)
+      << rec.warning;
+  EXPECT_NE(rec.error.find("replay gap after checkpoint"), std::string::npos)
+      << rec.error;
+
+  net::QfServer server(opts);
+  EXPECT_FALSE(server.Start());
+  EXPECT_NE(server.error().find("replay gap after checkpoint"),
+            std::string::npos)
+      << server.error();
 }
 
 // The serving layer's recovery counters must survive the exporter path end
@@ -399,7 +633,7 @@ TEST(DurableMetricsTest, DurableCounterNamesRenderAndValidate) {
                "torn trailing WAL frames truncated during recovery")
       .Add(1);
   r.GetCounter("qf_durable_checkpoints_written_total",
-               "full + delta checkpoints written")
+               "checkpoints written")
       .Add(4);
 
   const std::string text = obs::RenderPrometheus(r.Snapshot());

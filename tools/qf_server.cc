@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 
 #include "common/flags.h"
 #include "durable/log.h"
+#include "durable/storage.h"
 #include "net/server.h"
 #include "obs/sink.h"
 #include "obs/trace_ring.h"
@@ -57,14 +59,17 @@ void PrintUsage() {
       "  --alert-ring=N        per-shard alert-ring records (default 4096)\n"
       "  --max-frame=BYTES     protocol frame cap (default 64 MiB)\n"
       "  --max-write-queue=BYTES  per-connection write cap (default 8 MiB)\n"
-      "  --checkpoint=PATH     restore at boot (if present), save on exit\n\n"
+      "  --checkpoint=PATH     restore at boot (if present), save on exit\n"
+      "                        (tmp file + fsync + rename)\n\n"
       "durability (DESIGN.md §14; supersedes --checkpoint when set):\n"
       "  --wal-dir=DIR         write-ahead-log + checkpoint directory;\n"
       "                        boot replays it, ingest acks become durable\n"
-      "  --wal-fsync=MODE      none | group | ingest (default group:\n"
-      "                        one fsync per reactor loop batches acks)\n"
+      "  --wal-fsync=MODE      group (default: one fsync per reactor loop\n"
+      "                        batches acks; an ack means fsynced) | none\n"
+      "                        (page cache only: survives kill -9, not\n"
+      "                        power loss)\n"
       "  --wal-segment-bytes=N log segment rotation size (default 4 MiB)\n"
-      "  --checkpoint-interval=N  checkpoint after N ingested items\n"
+      "  --checkpoint-interval=N  full checkpoint every N ingested items\n"
       "                        (0 = only at shutdown; default 0)\n\n"
       "observability:\n"
       "  --metrics-jsonl=PATH  append metric snapshots as JSON lines\n"
@@ -83,12 +88,14 @@ bool ReadFile(const std::string& path, std::vector<uint8_t>* out) {
   return in.good() || in.eof();
 }
 
+// FsStorage::AtomicWrite writes PATH.tmp, fsyncs it, renames it over PATH
+// and fsyncs the directory: a kill or power loss mid-save leaves the
+// previous checkpoint whole.
 bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  return out.good();
+  const std::filesystem::path file(path);
+  durable::FsStorage dir(file.has_parent_path() ? file.parent_path().string()
+                                                : ".");
+  return dir.ok() && dir.AtomicWrite(file.filename().string(), bytes);
 }
 
 int Main(int argc, char** argv) {

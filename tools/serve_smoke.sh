@@ -89,13 +89,17 @@ echo "== phase 4: validate Prometheus expositions =="
 "${BUILD}/tools/qf_top" --check-prom="${TMP}/loadgen.prom"
 
 echo "== phase 5: durable WAL crash recovery (kill -9 mid-load) =="
-# A 2-reactor server logging to a WAL dies hard mid-ingest; the restart
-# must replay the log (DESIGN.md §14) and then serve a clean drain with
+# A 2-reactor server logging to a WAL, with background checkpoints, dies
+# hard mid-ingest; the restart must restore the newest checkpoint, replay
+# the log tail past it (DESIGN.md §14) and then serve a clean drain with
 # conservation intact (checked server-side by qf_loadgen --stats).
 WAL="${TMP}/wal"
-start_server "${TMP}/server5.log" --reactors=2 --wal-dir="${WAL}"
+start_server "${TMP}/server5.log" --reactors=2 --wal-dir="${WAL}" \
+  --checkpoint-interval=100000
+# Far more items than one second serves, so the kill lands mid-load with a
+# log tail past the newest checkpoint.
 "${BUILD}/tools/qf_loadgen" --port="${PORT}" --connections=2 \
-  --items=2000000 > "${TMP}/loadgen5.log" 2>&1 &
+  --items=50000000 > "${TMP}/loadgen5.log" 2>&1 &
 LOADGEN_PID=$!
 sleep 1
 kill -9 "${SERVER_PID}"; SERVER_PID=""
@@ -110,4 +114,7 @@ wait "${SERVER_PID}"; SERVER_PID=""
 cat "${TMP}/server6.log"
 grep -Eq "recovered: replayed [1-9][0-9]* records" "${TMP}/server6.log" || {
   echo "serve_smoke: restart did not replay the WAL tail" >&2; exit 1; }
+grep -q "checkpoint restored" "${TMP}/server6.log" || {
+  echo "serve_smoke: restart did not restore a background checkpoint" >&2
+  exit 1; }
 echo "serve_smoke: ok"
