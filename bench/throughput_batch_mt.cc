@@ -407,8 +407,9 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
-  obs::MetricsSink sink(obs::MetricsRegistry::Global(),
-                        {metrics_json, metrics_prom, interval_ms});
+  obs::MetricsSink sink(
+      [] { return obs::MetricsRegistry::Global().Snapshot(); },
+      {metrics_json, metrics_prom, interval_ms});
   if (!metrics_json.empty() || !metrics_prom.empty()) sink.Start();
   if (!trace_json.empty()) obs::TraceRing::Global().Enable();
 

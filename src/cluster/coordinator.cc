@@ -38,7 +38,6 @@ using net::ErrorCode;
 using net::FrameDecoder;
 using net::FrameType;
 using net::FrameView;
-using net::WireStats;
 
 uint64_t NowMs() { return MonotonicNanos() / 1000000ull; }
 
@@ -93,6 +92,7 @@ struct Coordinator::Impl {
   std::atomic<uint64_t> total_items_acked{0};
   std::atomic<uint64_t> accepts{0};
   std::atomic<uint64_t> active_clients{0};
+  std::atomic<uint64_t> disconnects{0};
   std::atomic<uint64_t> slow_disconnects{0};
   std::atomic<uint64_t> migrations_completed{0};
   std::atomic<uint64_t> alert_gaps{0};
@@ -117,12 +117,10 @@ struct Coordinator::Impl {
     uint32_t count = 0;
     // kQueryR
     std::vector<net::QueryAnswer> answers;
-    // kControlFan
+    // kControlFan (kStats/kMetrics: the merged backend snapshots)
     ControlOp op = ControlOp::kStats;
     ControlStatus status = ControlStatus::kOk;
-    WireStats stats_sum;
     obs::MetricsSnapshot metrics;
-    bool metrics_any = false;
     // kLocal: a fully encoded reply frame.
     std::vector<uint8_t> local_frame;
   };
@@ -400,6 +398,7 @@ struct Coordinator::Impl {
       r.barrier_promise->set_value(false);
     }
     active_clients.fetch_sub(r.clients.size(), std::memory_order_relaxed);
+    disconnects.fetch_add(r.clients.size(), std::memory_order_relaxed);
     r.clients.clear();  // each Connection closes its socket
     // With no clients left, failing a backend just drops its link, buffers
     // and ledger (keeping the gauges balanced).
@@ -452,6 +451,7 @@ struct Coordinator::Impl {
     }
     r.clients.erase(c->io.fd());  // frees c; its Connection closes the fd
     active_clients.fetch_sub(1, std::memory_order_relaxed);
+    disconnects.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 
@@ -564,26 +564,17 @@ struct Coordinator::Impl {
         return;
       case PendingReply::kControlFan: {
         std::vector<uint8_t> payload;
-        if (reply.status == ControlStatus::kOk) {
-          if (reply.op == ControlOp::kStats) {
-            // Sum of backend stats, except the connection-local fields,
-            // which describe this coordinator's own client plane.
-            reply.stats_sum.accepts =
-                accepts.load(std::memory_order_relaxed);
-            reply.stats_sum.active_connections =
-                active_clients.load(std::memory_order_relaxed);
-            reply.stats_sum.slow_disconnects =
-                slow_disconnects.load(std::memory_order_relaxed);
-            payload.resize(sizeof(WireStats));
-            std::memcpy(payload.data(), &reply.stats_sum,
-                        sizeof(WireStats));
-          } else if (reply.op == ControlOp::kMetrics) {
-            MergeLocalClusterMetrics(reply);
-            net::EncodeMetricsPayloadTo(reply.metrics, &payload);
-            if (payload.size() + 10 > opts.max_frame_bytes) {
-              payload.clear();
-              reply.status = ControlStatus::kRejected;
-            }
+        if (reply.status == ControlStatus::kOk &&
+            reply.op != ControlOp::kDrain) {
+          if (reply.op == ControlOp::kMetrics) MergeLocalClusterMetrics(reply);
+          OverlayClientPlane(&reply.metrics);
+          // Stamped by the process that assembled the rollup.
+          reply.metrics.wall_ns = WallNanos();
+          reply.metrics.mono_ns = MonotonicNanos();
+          net::EncodeMetricsPayloadTo(reply.metrics, &payload);
+          if (payload.size() + 10 > opts.max_frame_bytes) {
+            payload.clear();
+            reply.status = ControlStatus::kRejected;
           }
         }
         c->io.out().Encode(net::EncodeControlResultTo, reply.token, reply.op,
@@ -591,6 +582,28 @@ struct Coordinator::Impl {
         return;
       }
     }
+  }
+
+  /// The backend sums describe the cluster, except the connection series:
+  /// a client of this coordinator asks about its client plane, not about
+  /// backend connections (mostly this coordinator's own links).
+  void OverlayClientPlane(obs::MetricsSnapshot* snap) const {
+    const auto put = [](auto& samples, const char* name, uint64_t value) {
+      auto* s = obs::FindSample(samples, name);
+      if (s == nullptr) {
+        s = &samples.emplace_back();
+        s->name = name;
+      }
+      s->value = static_cast<decltype(s->value)>(value);
+    };
+    put(snap->counters, "qf_net_accepts_total",
+        accepts.load(std::memory_order_relaxed));
+    put(snap->counters, "qf_net_disconnects_total",
+        disconnects.load(std::memory_order_relaxed));
+    put(snap->counters, "qf_net_slow_disconnects_total",
+        slow_disconnects.load(std::memory_order_relaxed));
+    put(snap->gauges, "qf_net_active_connections",
+        active_clients.load(std::memory_order_relaxed));
   }
 
   /// Folds the coordinator's own qf_cluster_* series into a kMetrics
@@ -608,12 +621,7 @@ struct Coordinator::Impl {
     keep_cluster(mine.counters);
     keep_cluster(mine.gauges);
     keep_cluster(mine.histograms);
-    if (!reply.metrics_any) {
-      reply.metrics = std::move(mine);
-      reply.metrics_any = true;
-    } else {
-      obs::MergeSnapshotInto(mine, &reply.metrics);
-    }
+    obs::MergeSnapshotInto(mine, &reply.metrics);
 #else
     (void)reply;
 #endif
@@ -1228,34 +1236,14 @@ struct Coordinator::Impl {
       reply.status = ControlStatus::kRejected;
       return;
     }
-    if (res.op == ControlOp::kStats) {
-      WireStats s;
-      if (!net::ParseWireStats(res.payload, &s)) {
-        reply.status = ControlStatus::kRejected;
-        return;
-      }
-      reply.stats_sum.items_ingested += s.items_ingested;
-      reply.stats_sum.items_processed += s.items_processed;
-      reply.stats_sum.reports += s.reports;
-      reply.stats_sum.alerts_streamed += s.alerts_streamed;
-      reply.stats_sum.alerts_dropped += s.alerts_dropped;
-      reply.stats_sum.wal_records_appended += s.wal_records_appended;
-      reply.stats_sum.wal_records_replayed += s.wal_records_replayed;
-      reply.stats_sum.wal_torn_truncations += s.wal_torn_truncations;
-      reply.stats_sum.wal_segments_written += s.wal_segments_written;
-      reply.stats_sum.wal_checkpoints_written += s.wal_checkpoints_written;
-    } else if (res.op == ControlOp::kMetrics) {
+    if (res.op == ControlOp::kStats || res.op == ControlOp::kMetrics) {
+      // Both are QFMS snapshots; the rollup sums them series by series.
       obs::MetricsSnapshot snap;
       if (!net::ParseMetricsPayload(res.payload, &snap)) {
         reply.status = ControlStatus::kRejected;
         return;
       }
-      if (!reply.metrics_any) {
-        reply.metrics = std::move(snap);
-        reply.metrics_any = true;
-      } else {
-        obs::MergeSnapshotInto(snap, &reply.metrics);
-      }
+      obs::MergeSnapshotInto(snap, &reply.metrics);
     }
     // kDrain carries no payload; kOk from every backend is the answer.
   }

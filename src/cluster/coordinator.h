@@ -14,9 +14,12 @@
 //   SUBSCRIBE  the coordinator holds one upstream subscription per backend
 //              and re-tags forwarded alerts with a per-subscriber gap-free
 //              sequence (WireAlert::reserved carries the backend index).
-//   CONTROL    kStats sums backend WireStats (connection-local fields are
-//              the coordinator's own); kMetrics merges backend snapshots
-//              via obs::MergeSnapshotInto; kTopology answers locally;
+//   CONTROL    kStats and kMetrics merge the backends' QFMS snapshots
+//              series by series (obs::MergeSnapshotInto); kMetrics adds
+//              the coordinator's qf_cluster_* series, and both carry the
+//              coordinator's own client plane (accepts, disconnects, slow
+//              disconnects, active connections) in place of the backend
+//              sums of those series; kTopology answers locally;
 //              kMigrate drives a live slot migration; kDrain fans out;
 //              kShutdown stops the coordinator (backends keep running);
 //              kCheckpoint/kRestore and the shard-handoff ops answer

@@ -271,8 +271,14 @@ bool QfClient::Restore(std::span<const uint8_t> blob) {
 bool QfClient::Stats(WireStats* out) {
   ControlResult result;
   if (!ControlRoundTrip(ControlOp::kStats, {}, &result)) return false;
-  if (out != nullptr && !ParseWireStats(result.payload, out)) {
+  if (out == nullptr) return true;
+  obs::MetricsSnapshot snap;
+  if (!ParseMetricsPayload(result.payload, &snap)) {
     return Fail("protocol: malformed stats payload");
+  }
+  std::string error;
+  if (!WireStatsFromMetrics(snap, out, &error)) {
+    return Fail("protocol: " + error);
   }
   return true;
 }

@@ -87,6 +87,8 @@ class QfClient {
   bool Drain();
   bool Checkpoint(std::vector<uint8_t>* blob);
   bool Restore(std::span<const uint8_t> blob);
+  /// The server's own counters (CONTROL kStats), projected through
+  /// WireStatsFromMetrics; fails if any series is missing.
   bool Stats(WireStats* out);
   /// Fetches the server's full MetricsRegistry snapshot (CONTROL kMetrics,
   /// DESIGN.md §15). Help/unit strings are not carried on the wire, so the

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/serialize.h"
+#include "common/time.h"
 
 namespace qf::net {
 
@@ -231,7 +232,7 @@ bool ParseControl(std::span<const uint8_t> payload, ControlRequest* out) {
   uint64_t token = 0;
   uint8_t op = 0;
   if (!reader.Read(&token) || !reader.Read(&op)) return false;
-  if (op < 1 || op > kMaxControlOp) return false;
+  if (op < kMinControlOp || op > kMaxControlOp) return false;
   out->token = token;
   out->op = static_cast<ControlOp>(op);
   out->op_payload.assign(payload.begin() + 9, payload.end());
@@ -245,7 +246,7 @@ bool ParseControlResult(std::span<const uint8_t> payload, ControlResult* out) {
   if (!reader.Read(&token) || !reader.Read(&op) || !reader.Read(&status)) {
     return false;
   }
-  if (op < 1 || op > kMaxControlOp) return false;
+  if (op < kMinControlOp || op > kMaxControlOp) return false;
   out->token = token;
   out->op = static_cast<ControlOp>(op);
   out->status = static_cast<ControlStatus>(status);
@@ -259,10 +260,83 @@ bool ParseAlert(std::span<const uint8_t> payload, WireAlert* out) {
   return true;
 }
 
-bool ParseWireStats(std::span<const uint8_t> payload, WireStats* out) {
-  // Accept longer payloads from newer servers (append-only struct).
-  if (payload.size() < sizeof(WireStats)) return false;
-  std::memcpy(out, payload.data(), sizeof(WireStats));
+namespace {
+
+/// The name (and help) of each WireStats field's series.
+struct StatsSeries {
+  const char* name;
+  const char* help;
+  uint64_t WireStats::*field;
+};
+constexpr StatsSeries kStatsSeries[] = {
+    {"qf_server_items_ingested_total",
+     "items accepted from INGEST frames and boot replay",
+     &WireStats::items_ingested},
+    {"qf_server_items_processed_total", "items drained by pipeline workers",
+     &WireStats::items_processed},
+    {"qf_server_reports_total", "outstanding-key reports across shards",
+     &WireStats::reports},
+    {"qf_server_alerts_dropped_total", "alert-ring overflows",
+     &WireStats::alerts_dropped},
+    {"qf_net_alerts_streamed_total", "ALERT frames queued to subscribers",
+     &WireStats::alerts_streamed},
+    {"qf_net_accepts_total", "connections accepted", &WireStats::accepts},
+    {"qf_net_disconnects_total", "connections closed",
+     &WireStats::disconnects},
+    {"qf_net_slow_disconnects_total",
+     "connections dropped over the write-queue cap",
+     &WireStats::slow_disconnects},
+    {"qf_durable_records_appended_total",
+     "ingest batches appended to the WAL", &WireStats::wal_records_appended},
+    {"qf_durable_records_replayed_total",
+     "WAL records re-driven through the pipeline at boot",
+     &WireStats::wal_records_replayed},
+    {"qf_durable_torn_truncations_total",
+     "torn trailing WAL frames truncated during recovery",
+     &WireStats::wal_torn_truncations},
+    {"qf_durable_segments_written_total", "WAL segment files opened",
+     &WireStats::wal_segments_written},
+    {"qf_durable_checkpoints_written_total", "checkpoints written",
+     &WireStats::wal_checkpoints_written},
+};
+constexpr StatsSeries kActiveConnections = {
+    "qf_net_active_connections", "open connections",
+    &WireStats::active_connections};
+
+}  // namespace
+
+obs::MetricsSnapshot WireStatsToMetrics(const WireStats& stats) {
+  obs::MetricsSnapshot snap;
+  snap.wall_ns = WallNanos();
+  snap.mono_ns = MonotonicNanos();
+  for (const StatsSeries& s : kStatsSeries) {
+    snap.counters.push_back({s.name, s.help, stats.*s.field});
+  }
+  snap.gauges.push_back(
+      {kActiveConnections.name, kActiveConnections.help,
+       static_cast<int64_t>(stats.*kActiveConnections.field)});
+  return snap;
+}
+
+bool WireStatsFromMetrics(const obs::MetricsSnapshot& snap, WireStats* out,
+                          std::string* error) {
+  const auto missing = [error](const char* name) {
+    if (error != nullptr) {
+      *error = std::string("stats series missing or invalid: ") + name;
+    }
+    return false;
+  };
+  WireStats stats;
+  for (const StatsSeries& s : kStatsSeries) {
+    const obs::CounterSample* c = obs::FindSample(snap.counters, s.name);
+    if (c == nullptr) return missing(s.name);
+    stats.*s.field = c->value;
+  }
+  const obs::GaugeSample* g =
+      obs::FindSample(snap.gauges, kActiveConnections.name);
+  if (g == nullptr || g->value < 0) return missing(kActiveConnections.name);
+  stats.*kActiveConnections.field = static_cast<uint64_t>(g->value);
+  *out = stats;
   return true;
 }
 

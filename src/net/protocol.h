@@ -66,8 +66,10 @@ inline constexpr uint8_t kMaxFrameType = 9;
 
 const char* FrameTypeName(FrameType type);
 
+// Op 1 is retired: it carried the fixed-size WireStats block, which a
+// client of that format would misread from any long-enough payload, so
+// every parser rejects it (like an unknown op).
 enum class ControlOp : uint8_t {
-  kStats = 1,       // reply payload: WireStats
   kDrain = 2,       // flush + fence the pipeline; reply when quiescent
   kCheckpoint = 3,  // drain, then reply payload: SerializeState() blob
   kRestore = 4,     // request payload: checkpoint blob; drain, then restore
@@ -83,8 +85,10 @@ enum class ControlOp : uint8_t {
   kShardImport = 10,   // request payload: ShardImport (blob + RNG, mutes)
   kShardActivate = 11, // request: ShardActivateRequest; unmute + quiesce
   kSegmentShip = 12,   // request: SegmentShipRequest; reply: WAL tail items
+  kStats = 13,  // reply payload: the server's own series (§15), as kMetrics
 };
-inline constexpr uint8_t kMaxControlOp = 12;
+inline constexpr uint8_t kMinControlOp = 2;
+inline constexpr uint8_t kMaxControlOp = 13;
 
 /// CONTROL_RESULT status byte.
 enum class ControlStatus : uint8_t {
@@ -93,17 +97,18 @@ enum class ControlStatus : uint8_t {
   kRejected = 2,     // e.g. restore blob failed CRC or geometry checks
 };
 
-/// Server counters returned by ControlOp::kStats. All-u64 and packed, so it
-/// memcpy-serializes; extend only by appending (the parser accepts longer
-/// payloads from newer servers).
+/// A server's own counters (QfServer::OwnSeries), projected out of the
+/// kStats (or kMetrics) snapshot by WireStatsFromMetrics. A client-side
+/// view: on the wire each field is a named QFMS series.
 struct WireStats {
-  uint64_t items_ingested = 0;    // items accepted from INGEST frames
+  uint64_t items_ingested = 0;    // items accepted from INGEST + boot replay
   uint64_t items_processed = 0;   // items drained by pipeline workers
   uint64_t reports = 0;           // outstanding-key reports across shards
   uint64_t alerts_streamed = 0;   // ALERT frames queued to subscribers
   uint64_t alerts_dropped = 0;    // alert-ring overflows (at-most-once)
   uint64_t accepts = 0;           // connections accepted since boot
   uint64_t active_connections = 0;
+  uint64_t disconnects = 0;       // connections closed since boot
   uint64_t slow_disconnects = 0;  // connections dropped over write-queue cap
   // Durability (src/durable/): zero when the server runs without --wal-dir.
   uint64_t wal_records_appended = 0;   // ingest batches logged since boot
@@ -112,7 +117,6 @@ struct WireStats {
   uint64_t wal_segments_written = 0;   // segment files opened since boot
   uint64_t wal_checkpoints_written = 0;  // checkpoints written since boot
 };
-static_assert(sizeof(WireStats) == 13 * sizeof(uint64_t));
 
 /// One alert on the wire. `seq` counts ALERT frames on this connection;
 /// gaps never occur (drops happen upstream of the per-connection stream and
@@ -236,7 +240,16 @@ struct ControlResult {
 bool ParseControlResult(std::span<const uint8_t> payload, ControlResult* out);
 
 bool ParseAlert(std::span<const uint8_t> payload, WireAlert* out);
-bool ParseWireStats(std::span<const uint8_t> payload, WireStats* out);
+
+/// The stats plane's one name table, both ways. WireStatsToMetrics names
+/// every field (qf_net_active_connections is a gauge, the rest counters).
+/// WireStatsFromMetrics is fail-closed: a snapshot missing any of those
+/// series (or carrying a negative gauge) returns false, names the series
+/// in `*error` (if non-null) and leaves `*out` untouched. Extra series are
+/// ignored, so a kMetrics snapshot projects too.
+obs::MetricsSnapshot WireStatsToMetrics(const WireStats& stats);
+bool WireStatsFromMetrics(const obs::MetricsSnapshot& snap, WireStats* out,
+                          std::string* error);
 
 // ControlOp::kMetrics reply payload ("wire metrics snapshot", DESIGN.md §15):
 //

@@ -24,46 +24,34 @@ namespace {
 constexpr size_t kControlResultHeader = 10;
 
 #if QF_METRICS
-/// Serving-layer metric bundle (names per DESIGN.md §10/§11). Per-frame-type
-/// counters carry a `{type="..."}` label; per-connection activity is exposed
-/// through the accepts/active/slow series plus WireStats.
+/// Process-wide serving-layer metrics (names per DESIGN.md §10/§11/§15):
+/// socket traffic, per-frame-type counters (a `{type="..."}` label) and
+/// latency histograms, shared by every server in the process. Per-server
+/// counts live in QfServer::OwnSeries() instead.
 struct NetMetrics {
-  obs::Counter& accepts;
-  obs::Counter& disconnects;
-  obs::Counter& slow_disconnects;
   obs::Counter& bytes_read;
   obs::Counter& bytes_written;
   obs::Counter& write_calls;
-  obs::Counter& ingest_items;
-  obs::Counter& alerts_streamed;
   obs::Counter& protocol_errors;
-  obs::Gauge& active_connections;
   obs::Gauge& alert_delivery_lag_ns;
   obs::Histogram& ingest_frame_ns;
   obs::Histogram& query_frame_ns;
   obs::Histogram& control_frame_ns;
+  /// WAL append to durable (group-commit sync complete), per deferred ack.
+  obs::Histogram& durable_sync_latency_ns;
   obs::Counter* frames_by_type[kMaxFrameType + 1];
 
   static NetMetrics& Get() {
     static NetMetrics* m = [] {
       obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
       auto* nm = new NetMetrics{
-          r.GetCounter("qf_net_accepts_total", "connections accepted"),
-          r.GetCounter("qf_net_disconnects_total", "connections closed"),
-          r.GetCounter("qf_net_slow_disconnects_total",
-                       "connections dropped over the write-queue cap"),
           r.GetCounter("qf_net_bytes_read_total", "bytes read from sockets"),
           r.GetCounter("qf_net_bytes_written_total",
                        "bytes written to sockets"),
           r.GetCounter("qf_net_write_calls_total",
                        "send() calls on client sockets"),
-          r.GetCounter("qf_net_ingest_items_total",
-                       "items accepted from INGEST frames"),
-          r.GetCounter("qf_net_alerts_streamed_total",
-                       "ALERT frames queued to subscribers"),
           r.GetCounter("qf_net_protocol_errors_total",
                        "connections poisoned by malformed frames"),
-          r.GetGauge("qf_net_active_connections", "open connections"),
           r.GetGauge("qf_net_alert_delivery_lag_ns",
                      "latest detection-to-subscriber-write lag"),
           r.GetHistogram("qf_net_ingest_frame_ns",
@@ -72,6 +60,10 @@ struct NetMetrics {
                          "QUERY frame handling latency (ns)"),
           r.GetHistogram("qf_net_control_frame_ns",
                          "CONTROL frame handling latency (ns)"),
+          r.GetHistogram("qf_durable_sync_latency_ns",
+                         "WAL append to durable (group-commit sync "
+                         "complete), per deferred ack",
+                         "ns"),
           {},
       };
       nm->frames_by_type[0] = nullptr;
@@ -88,40 +80,6 @@ struct NetMetrics {
   }
 };
 
-/// Durability metric bundle (DESIGN.md §14): recovery and log progress must
-/// be observable — a replayed boot that looks like a fresh one hides data
-/// loss.
-struct DurableMetrics {
-  obs::Counter& segments_written;
-  obs::Counter& records_appended;
-  obs::Counter& records_replayed;
-  obs::Counter& torn_truncations;
-  obs::Counter& checkpoints_written;
-  obs::Histogram& sync_latency_ns;
-
-  static DurableMetrics& Get() {
-    static DurableMetrics* m = [] {
-      obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
-      return new DurableMetrics{
-          r.GetCounter("qf_durable_segments_written_total",
-                       "WAL segment files opened"),
-          r.GetCounter("qf_durable_records_appended_total",
-                       "ingest batches appended to the WAL"),
-          r.GetCounter("qf_durable_records_replayed_total",
-                       "WAL records re-driven through the pipeline at boot"),
-          r.GetCounter("qf_durable_torn_truncations_total",
-                       "torn trailing WAL frames truncated during recovery"),
-          r.GetCounter("qf_durable_checkpoints_written_total",
-                       "checkpoints written"),
-          r.GetHistogram("qf_durable_sync_latency_ns",
-                         "WAL append to durable (group-commit sync "
-                         "complete), per deferred ack",
-                         "ns"),
-      };
-    }();
-    return *m;
-  }
-};
 #endif  // QF_METRICS
 
 /// Adds one call's socket traffic to the qf_net_* counters.
@@ -241,7 +199,7 @@ void QfServer::Wait() {
   }
 }
 
-WireStats QfServer::StatsSnapshot() const {
+obs::MetricsSnapshot QfServer::OwnSeries() const {
   const Pipeline::Totals t = pipeline_.totals();
   WireStats s;
   s.items_ingested = items_ingested_.load(std::memory_order_relaxed);
@@ -251,6 +209,7 @@ WireStats QfServer::StatsSnapshot() const {
   s.alerts_dropped = t.alerts_dropped;
   s.accepts = accepts_.load(std::memory_order_relaxed);
   s.active_connections = active_connections_.load(std::memory_order_relaxed);
+  s.disconnects = disconnects_.load(std::memory_order_relaxed);
   s.slow_disconnects = slow_disconnects_.load(std::memory_order_relaxed);
   s.wal_records_appended =
       wal_records_appended_.load(std::memory_order_relaxed);
@@ -258,9 +217,24 @@ WireStats QfServer::StatsSnapshot() const {
       wal_records_replayed_.load(std::memory_order_relaxed);
   s.wal_torn_truncations =
       wal_torn_truncations_.load(std::memory_order_relaxed);
-  s.wal_segments_written = wal_ ? wal_->segments_written() : 0;
   s.wal_checkpoints_written =
       wal_checkpoints_written_.load(std::memory_order_relaxed);
+  if (wal_) {
+    std::lock_guard<std::mutex> lock(wal_mu_);
+    s.wal_segments_written = wal_->segments_written();
+  }
+  return WireStatsToMetrics(s);
+}
+
+obs::MetricsSnapshot QfServer::Metrics() const {
+  obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
+  obs::MergeSnapshotInto(OwnSeries(), &snap);  // no name overlaps
+  return snap;
+}
+
+WireStats QfServer::StatsSnapshot() const {
+  WireStats s;
+  WireStatsFromMetrics(OwnSeries(), &s, nullptr);  // carries every field
   return s;
 }
 
@@ -312,11 +286,6 @@ bool QfServer::SetupDurable() {
   wal_torn_truncations_.store(rec.torn_truncations,
                               std::memory_order_relaxed);
   wal_checkpoints_written_.store(0, std::memory_order_relaxed);
-  QF_OBS({
-    if (rec.torn_truncations > 0) {
-      DurableMetrics::Get().torn_truncations.Add(rec.torn_truncations);
-    }
-  });
 
   durable::WalOptions wopts;
   wopts.segment_bytes = options_.durable.segment_bytes;
@@ -326,8 +295,6 @@ bool QfServer::SetupDurable() {
     error_ = "wal writer init failed";
     return false;
   }
-  wal_segments_observed_ = wal_->segments_written();
-  QF_OBS(DurableMetrics::Get().segments_written.Add(wal_segments_observed_));
   return true;
 }
 
@@ -349,11 +316,6 @@ bool QfServer::ReplayRecoveredTail() {
   pipeline_.DrainAlerts([](int, const Pipeline::AlertRecord&) {});
   wal_records_replayed_.store(recovery_.replayed_records,
                               std::memory_order_relaxed);
-  QF_OBS({
-    if (recovery_.replayed_records > 0) {
-      DurableMetrics::Get().records_replayed.Add(recovery_.replayed_records);
-    }
-  });
   replay_tail_.clear();
   replay_tail_.shrink_to_fit();
   return true;
@@ -408,7 +370,8 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
       if (ack.append_ns != 0) {
         // Two views of the same deferral: sync latency ends when the data
         // is durable, ack latency when the ack bytes hit the write queue.
-        DurableMetrics::Get().sync_latency_ns.Record(sync_t1 - ack.append_ns);
+        NetMetrics::Get().durable_sync_latency_ns.Record(sync_t1 -
+                                                         ack.append_ns);
         obs::StageMetrics::Get().ack_ns.Record(MonotonicNanos() -
                                                ack.append_ns);
       }
@@ -475,7 +438,6 @@ bool QfServer::AnchorFullCheckpoint(
   next_checkpoint_id_ = id + 1;
   items_at_last_checkpoint_ = items_ingested_.load(std::memory_order_relaxed);
   wal_checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
-  QF_OBS(DurableMetrics::Get().checkpoints_written.Add(1));
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
     wal_->Retain(
@@ -611,7 +573,10 @@ void QfServer::Loop(Reactor& rx) {
   for (auto& [fd, conn] : rx.conns) {
     if (conn->subscribed) subscribers_.fetch_sub(1, std::memory_order_relaxed);
   }
+  // Shutdown closes what is still open: count those closes too, so the
+  // stopped server reports active == 0 and disconnects == accepts.
   active_connections_.fetch_sub(rx.conns.size(), std::memory_order_relaxed);
+  disconnects_.fetch_add(rx.conns.size(), std::memory_order_relaxed);
   rx.conns.clear();  // each Connection closes its socket
 
   // Last reactor out joins the shard workers (all producer slots are
@@ -642,11 +607,6 @@ void QfServer::Accept(Reactor& rx, int fd) {
   rx.conns.emplace(fd, std::move(conn));
   accepts_.fetch_add(1, std::memory_order_relaxed);
   active_connections_.fetch_add(1, std::memory_order_relaxed);
-  QF_OBS({
-    NetMetrics::Get().accepts.Add(1);
-    NetMetrics::Get().active_connections.Set(static_cast<int64_t>(
-        active_connections_.load(std::memory_order_relaxed)));
-  });
 }
 
 void QfServer::Serve(Reactor& rx, Conn* conn, uint32_t events) {
@@ -765,21 +725,11 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
     // the fsync at the bottom of this loop iteration (group commit); kNone
     // promises SIGKILL-durability only.
     bool appended;
-    uint64_t new_segments = 0;
     {
       std::lock_guard<std::mutex> lock(wal_mu_);
       appended = wal_->Append(
           std::span<const Item>(rx.scratch.data(), count), nullptr);
-      if (appended && wal_->segments_written() != wal_segments_observed_) {
-        new_segments = wal_->segments_written() - wal_segments_observed_;
-        wal_segments_observed_ = wal_->segments_written();
-      }
     }
-    QF_OBS({
-      if (new_segments > 0) {
-        DurableMetrics::Get().segments_written.Add(new_segments);
-      }
-    });
     if (!appended) {
       // The items are in the pipeline but not in the log; without an ack
       // the acked-prefix contract still holds. Surface the storage failure
@@ -788,24 +738,17 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
       return;
     }
     wal_records_appended_.fetch_add(1, std::memory_order_relaxed);
-    QF_OBS(DurableMetrics::Get().records_appended.Add(1));
     if (options_.durable.fsync == durable::FsyncMode::kGroup) {
       DeferredAck deferred{conn->io.fd(), conn->io.gen(), token, count,
                            total_items, 0};
       QF_OBS(deferred.append_ns = MonotonicNanos());
       rx.deferred_acks.push_back(deferred);
-      QF_OBS({
-        NetMetrics::Get().ingest_items.Add(count);
-        NetMetrics::Get().ingest_frame_ns.Record(MonotonicNanos() - t0);
-      });
+      QF_OBS(NetMetrics::Get().ingest_frame_ns.Record(MonotonicNanos() - t0));
       return;
     }
   }
   conn->io.out().Encode(EncodeIngestAckTo, token, count, total_items);
-  QF_OBS({
-    NetMetrics::Get().ingest_items.Add(count);
-    NetMetrics::Get().ingest_frame_ns.Record(MonotonicNanos() - t0);
-  });
+  QF_OBS(NetMetrics::Get().ingest_frame_ns.Record(MonotonicNanos() - t0));
 }
 
 void QfServer::HandleQuery(Reactor& rx, Conn* conn, const FrameView& frame) {
@@ -883,13 +826,6 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
     }
   };
   switch (req.op) {
-    case ControlOp::kStats: {
-      const WireStats stats = StatsSnapshot();
-      std::vector<uint8_t> payload(sizeof(WireStats));
-      std::memcpy(payload.data(), &stats, sizeof(WireStats));
-      reply(ControlStatus::kOk, payload);
-      break;
-    }
     case ControlOp::kDrain: {
       WithGlobalQuiesce(rx, [] {});
       reply(ControlStatus::kOk);
@@ -924,7 +860,6 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
             // The old timeline is gone; any in-flight segment ship against
             // it fails closed on the generation check, so drop its pin too.
             ship_floor_.store(~0ull, std::memory_order_release);
-            wal_segments_observed_ = wal_->segments_written();
           }
           if (!AnchorFullCheckpoint(0, req.op_payload,
                                     durable::GatherRngStates(filter_))) {
@@ -939,14 +874,16 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
       });
       break;
     }
+    case ControlOp::kStats:
     case ControlOp::kMetrics: {
-      // Full registry snapshot over the wire (DESIGN.md §15). No quiesce:
-      // counters/histograms are designed for concurrent snapshot reads, and
-      // a monitoring poll must never stall ingest. With QF_METRICS=0 the
-      // registry is simply (near-)empty — the op still succeeds.
+      // QFMS snapshots (DESIGN.md §15): kStats this server's own series,
+      // kMetrics those plus the process registry. No quiesce: every series
+      // is built for concurrent snapshot reads, and a monitoring poll must
+      // never stall ingest. With QF_METRICS=0 the registry is (near-)empty,
+      // but the server's own series are always there.
       std::vector<uint8_t> payload;
-      EncodeMetricsPayloadTo(obs::MetricsRegistry::Global().Snapshot(),
-                             &payload);
+      EncodeMetricsPayloadTo(
+          req.op == ControlOp::kStats ? OwnSeries() : Metrics(), &payload);
       reply_payload(payload);
       break;
     }
@@ -1173,7 +1110,6 @@ void QfServer::DeliverAlerts(Reactor& rx,
       }
     });
     alerts_streamed_.fetch_add(drained.size(), std::memory_order_relaxed);
-    QF_OBS(NetMetrics::Get().alerts_streamed.Add(drained.size()));
     Flush(rx, conn);  // may disconnect a slow subscriber
   }
   QF_OBS({
@@ -1231,13 +1167,8 @@ void QfServer::CloseConn(Reactor& rx, Conn* conn, bool slow) {
   }
   rx.conns.erase(conn->io.fd());  // frees conn; its Connection closes the fd
   active_connections_.fetch_sub(1, std::memory_order_relaxed);
+  disconnects_.fetch_add(1, std::memory_order_relaxed);
   if (slow) slow_disconnects_.fetch_add(1, std::memory_order_relaxed);
-  QF_OBS({
-    NetMetrics::Get().disconnects.Add(1);
-    if (slow) NetMetrics::Get().slow_disconnects.Add(1);
-    NetMetrics::Get().active_connections.Set(static_cast<int64_t>(
-        active_connections_.load(std::memory_order_relaxed)));
-  });
 }
 
 }  // namespace qf::net

@@ -40,6 +40,13 @@
 // best-effort ERROR frame. Server-only socket settings (max_connections,
 // so_sndbuf) apply in the accept callback.
 //
+// Stats plane (DESIGN.md §15): each per-server counter has one owner — an
+// atomic below, the pipeline's totals, or the WAL writer — and one series
+// name, exported by OwnSeries(). CONTROL kStats answers OwnSeries() alone,
+// kMetrics the process-wide registry (histograms, per-type frame and byte
+// counters) plus OwnSeries(); both in the QFMS snapshot format, so two
+// servers in one process never report each other's counts.
+//
 // Linux-only (epoll + eventfd + SO_REUSEPORT).
 
 #ifndef QUANTILEFILTER_NET_SERVER_H_
@@ -60,6 +67,7 @@
 #include "durable/storage.h"
 #include "net/protocol.h"
 #include "net/reactor.h"
+#include "obs/registry.h"
 #include "parallel/pipeline.h"
 #include "parallel/placement.h"
 
@@ -154,7 +162,11 @@ class QfServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
   const std::string& error() const { return error_; }
 
-  /// Live server counters (the same snapshot CONTROL kStats serves).
+  /// This server's own series, read live (what CONTROL kStats answers).
+  obs::MetricsSnapshot OwnSeries() const;
+  /// What CONTROL kMetrics answers: the process registry plus OwnSeries().
+  obs::MetricsSnapshot Metrics() const;
+  /// OwnSeries() projected through WireStatsFromMetrics, as Stats() sees it.
   WireStats StatsSnapshot() const;
 
   /// Outcome of the durable recovery run by the last Start(). All zeros
@@ -307,11 +319,12 @@ class QfServer {
 
   std::atomic<int> subscribers_{0};  // across all reactors
 
-  // Shared counters mirrored into WireStats (atomic: multi-reactor
-  // writers, StatsSnapshot readers).
+  // Owners of the OwnSeries() counters (atomic: multi-reactor writers,
+  // OwnSeries readers).
   std::atomic<uint64_t> items_ingested_{0};
   std::atomic<uint64_t> alerts_streamed_{0};
   std::atomic<uint64_t> accepts_{0};
+  std::atomic<uint64_t> disconnects_{0};
   std::atomic<uint64_t> slow_disconnects_{0};
   std::atomic<uint64_t> active_connections_{0};
 
@@ -322,11 +335,9 @@ class QfServer {
   std::unique_ptr<durable::WalWriter> wal_;
   std::unique_ptr<durable::CheckpointStore> checkpoints_;
   /// Serializes WAL appends/syncs/retention across reactors (WalWriter is
-  /// single-writer). Held briefly per INGEST frame.
-  std::mutex wal_mu_;
-  /// Last wal_->segments_written() published to the qf_durable_* metrics
-  /// (guarded by wal_mu_; rotations happen inside Append).
-  uint64_t wal_segments_observed_ = 0;
+  /// single-writer) and OwnSeries' read of its segment count (rotations
+  /// happen inside Append). Held briefly per INGEST frame.
+  mutable std::mutex wal_mu_;
   RecoveryInfo recovery_;
   std::vector<Item> replay_tail_;  // recovered log tail until replayed
   /// Segment-ship retention floor (DESIGN.md §16): while a migration is
@@ -345,7 +356,7 @@ class QfServer {
   uint64_t items_at_last_checkpoint_ = 0;
   bool final_checkpoint_written_ = false;
 
-  // Durable counters mirrored into WireStats + qf_durable_* metrics.
+  // Durable owners of the OwnSeries() qf_durable_* counters.
   std::atomic<uint64_t> wal_records_appended_{0};
   std::atomic<uint64_t> wal_records_replayed_{0};
   std::atomic<uint64_t> wal_torn_truncations_{0};

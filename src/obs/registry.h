@@ -157,6 +157,17 @@ struct MetricsSnapshot {
   std::vector<HistogramSample> histograms;
 };
 
+/// The sample called `name` in one section of a MetricsSnapshot
+/// (`snap.counters`, `.gauges` or `.histograms`), or nullptr.
+template <typename Samples>
+auto FindSample(Samples& samples, std::string_view name)
+    -> decltype(&samples[0]) {
+  for (auto& s : samples) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
+}
+
 /// Cluster rollup (DESIGN.md §16): folds `from` into `*into`, matching
 /// samples by name. Counters and gauges sum (gauges in this codebase are
 /// occupancy-style — active connections, delivery lag — where the cluster
@@ -168,35 +179,21 @@ struct MetricsSnapshot {
 inline void MergeSnapshotInto(const MetricsSnapshot& from,
                               MetricsSnapshot* into) {
   for (const CounterSample& c : from.counters) {
-    bool found = false;
-    for (CounterSample& mine : into->counters) {
-      if (mine.name == c.name) {
-        mine.value += c.value;
-        found = true;
-        break;
-      }
+    if (CounterSample* mine = FindSample(into->counters, c.name)) {
+      mine->value += c.value;
+    } else {
+      into->counters.push_back(c);
     }
-    if (!found) into->counters.push_back(c);
   }
   for (const GaugeSample& g : from.gauges) {
-    bool found = false;
-    for (GaugeSample& mine : into->gauges) {
-      if (mine.name == g.name) {
-        mine.value += g.value;
-        found = true;
-        break;
-      }
+    if (GaugeSample* mine = FindSample(into->gauges, g.name)) {
+      mine->value += g.value;
+    } else {
+      into->gauges.push_back(g);
     }
-    if (!found) into->gauges.push_back(g);
   }
   for (const HistogramSample& h : from.histograms) {
-    HistogramSample* mine = nullptr;
-    for (HistogramSample& cand : into->histograms) {
-      if (cand.name == h.name) {
-        mine = &cand;
-        break;
-      }
-    }
+    HistogramSample* mine = FindSample(into->histograms, h.name);
     if (mine == nullptr) {
       into->histograms.push_back(h);
       continue;

@@ -27,7 +27,7 @@ bool AtomicRewrite(const std::string& path, const std::string& text) {
 }  // namespace
 
 bool MetricsSink::WriteOnce() {
-  const MetricsSnapshot snapshot = registry_->Snapshot();
+  const MetricsSnapshot snapshot = snapshot_();
   bool ok = true;
   if (!options_.jsonl_path.empty()) {
     ok = AppendToFile(options_.jsonl_path, RenderJsonLine(snapshot)) && ok;

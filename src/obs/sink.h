@@ -1,7 +1,8 @@
 // MetricsSink: periodic snapshot export that external tools poll.
 //
-// A sink owns a background thread that snapshots a MetricsRegistry every
-// `interval_ms` and
+// A sink owns a background thread that takes a snapshot every `interval_ms`
+// (from a callable: a registry's Snapshot(), or a server's Metrics(), which
+// adds the server's own series) and
 //   * appends one JSON line per snapshot to `jsonl_path` (the stream
 //     tools/qf_top tails), and
 //   * atomically rewrites `prom_path` with Prometheus text exposition
@@ -14,6 +15,7 @@
 #define QUANTILEFILTER_OBS_SINK_H_
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -29,8 +31,10 @@ class MetricsSink {
     int interval_ms = 1000;
   };
 
-  MetricsSink(MetricsRegistry& registry, Options options)
-      : registry_(&registry), options_(std::move(options)) {}
+  using SnapshotFn = std::function<MetricsSnapshot()>;
+
+  MetricsSink(SnapshotFn snapshot, Options options)
+      : snapshot_(std::move(snapshot)), options_(std::move(options)) {}
   ~MetricsSink() { Stop(); }
 
   MetricsSink(const MetricsSink&) = delete;
@@ -49,7 +53,7 @@ class MetricsSink {
  private:
   void Loop();
 
-  MetricsRegistry* registry_;
+  SnapshotFn snapshot_;
   Options options_;
   std::thread thread_;
   std::atomic<bool> running_{false};

@@ -561,9 +561,9 @@ class IngestPipeline {
 
   /// Per-worker state, cache-line padded: each worker mutates only its own
   /// entry while running. The counters are relaxed atomics so live stats
-  /// snapshots (the serving layer's CONTROL kStats) can read them without a
-  /// race; exact values require Stop() or Fence() first. reported_keys is
-  /// worker-only until the workers are joined.
+  /// snapshots (totals(), behind QfServer::OwnSeries' qf_server_* series)
+  /// can read them without a race; exact values require Stop() or Fence()
+  /// first. reported_keys is worker-only until the workers are joined.
   struct alignas(64) WorkerState {
     std::atomic<uint64_t> items{0};
     std::atomic<uint64_t> batches{0};

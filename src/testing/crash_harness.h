@@ -19,10 +19,11 @@
 //          oracle — acked batches must be a prefix of the recovered log,
 //          per connection.
 //   4. Fork a second child over the same directory, and require: QUERY
-//      answers bit-identical to the mirror, kStats durability counters
-//      consistent with the parent's scan, and the alert stream of a
-//      deterministic post-recovery ingest phase bit-identical (per shard)
-//      to the mirror's predicted report sequence.
+//      answers bit-identical to the mirror, the child's own qf_durable_*
+//      replay and torn-truncation counts (CONTROL kStats, through
+//      QfClient::Stats) equal to the parent's scan, and the alert stream
+//      of a deterministic post-recovery ingest phase bit-identical (per
+//      shard) to the mirror's predicted report sequence.
 //
 // The harness never runs server threads in the forking process: servers
 // live only in forked children, so it is safe from a single-threaded gtest
@@ -61,7 +62,7 @@ struct CrashTrialResult {
   std::string error;        // first failed assertion, for diagnostics
   uint64_t acked_batches = 0;
   uint64_t logged_items = 0;      // items the parent's read-only scan saw
-  uint64_t replayed_records = 0;  // restarted server's kStats view
+  uint64_t replayed_records = 0;  // restarted server's Stats() view
   uint32_t torn_truncations = 0;  // from the parent's read-only scan
   bool killed_by_shim = false;    // torn shim fired (vs parent SIGKILL)
 };

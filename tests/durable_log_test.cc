@@ -654,22 +654,35 @@ TEST(DurableMetricsTest, DurableCounterNamesRenderAndValidate) {
             std::string::npos);
 }
 
-#if QF_METRICS
-// End-to-end wiring: a durable serving run (ingest → clean stop → recovered
-// restart) must leave qf_durable_* counters in the GLOBAL registry, and
-// MetricsSink — the path qf_top --once tails — must export them through
-// both formats.
-TEST(DurableMetricsTest, ServerPublishesCountersThroughMetricsSink) {
-  MemStorage storage;
+net::QfServer::Options DurableServerOptions(MemStorage* storage) {
   net::QfServer::Options opts;
   opts.port = 0;
   opts.num_shards = 2;
   opts.filter.memory_bytes = 64 * 1024;
   opts.criteria = Criteria(5.0, 0.9, 100.0);
-  opts.durable.storage = &storage;
+  opts.durable.storage = storage;
   opts.durable.fsync = FsyncMode::kNone;
   opts.durable.segment_bytes = 1024;
+  return opts;
+}
 
+uint64_t CounterOf(const obs::MetricsSnapshot& snap, const char* name) {
+  const obs::CounterSample* c = obs::FindSample(snap.counters, name);
+  EXPECT_NE(c, nullptr) << name;
+  return c == nullptr ? 0 : c->value;
+}
+
+// End-to-end wiring, in every build: a durable server's qf_durable_*
+// series are its own (QfServer::OwnSeries) and MetricsSink — the path
+// qf_top --once tails — exports them from the server's Metrics() through
+// both formats, exact, while the server is the one that counted them.
+TEST(DurableMetricsTest, ServerPublishesCountersThroughMetricsSink) {
+  MemStorage storage;
+  const net::QfServer::Options opts = DurableServerOptions(&storage);
+  const std::string prom_path = TestTempPath("durable_metrics.prom");
+  const std::string jsonl_path = TestTempPath("durable_metrics.jsonl");
+  std::remove(jsonl_path.c_str());
+  uint64_t segments = 0;
   {
     net::QfServer server(opts);
     ASSERT_TRUE(server.Start()) << server.error();
@@ -684,23 +697,19 @@ TEST(DurableMetricsTest, ServerPublishesCountersThroughMetricsSink) {
     ASSERT_TRUE(client.Drain()) << client.error();
     const net::WireStats stats = server.StatsSnapshot();
     EXPECT_EQ(stats.wal_records_appended, 4u);
+    segments = stats.wal_segments_written;
+    EXPECT_GE(segments, 2u);  // 1 KB segments, ~1 KB records
+
+    obs::MetricsSink::Options sink_opts;
+    sink_opts.prom_path = prom_path;
+    sink_opts.jsonl_path = jsonl_path;
+    obs::MetricsSink sink([&server] { return server.Metrics(); },
+                          sink_opts);
+    ASSERT_TRUE(sink.WriteOnce());
     client.Close();
     server.Stop();  // clean stop writes the final full checkpoint
+    EXPECT_EQ(server.StatsSnapshot().wal_checkpoints_written, 1u);
   }
-
-  net::QfServer server2(opts);
-  ASSERT_TRUE(server2.Start()) << server2.error();
-  EXPECT_TRUE(server2.recovery().durable);
-  EXPECT_TRUE(server2.recovery().had_checkpoint);
-  server2.Stop();
-
-  const std::string prom_path = TestTempPath("durable_metrics.prom");
-  const std::string jsonl_path = TestTempPath("durable_metrics.jsonl");
-  obs::MetricsSink::Options sink_opts;
-  sink_opts.prom_path = prom_path;
-  sink_opts.jsonl_path = jsonl_path;
-  obs::MetricsSink sink(obs::MetricsRegistry::Global(), sink_opts);
-  ASSERT_TRUE(sink.WriteOnce());
 
   std::ifstream prom(prom_path);
   ASSERT_TRUE(prom.good());
@@ -708,13 +717,13 @@ TEST(DurableMetricsTest, ServerPublishesCountersThroughMetricsSink) {
   text << prom.rdbuf();
   const obs::PromValidation v = obs::ValidatePrometheusText(text.str());
   ASSERT_TRUE(v.ok) << v.error;
-  for (const char* name :
-       {"qf_durable_segments_written_total",
-        "qf_durable_records_appended_total",
-        "qf_durable_records_replayed_total",
-        "qf_durable_torn_truncations_total",
-        "qf_durable_checkpoints_written_total"}) {
-    EXPECT_NE(text.str().find(name), std::string::npos) << name;
+  for (const std::string& line :
+       {"qf_durable_segments_written_total " + std::to_string(segments),
+        std::string("qf_durable_records_appended_total 4"),
+        std::string("qf_durable_records_replayed_total 0"),
+        std::string("qf_durable_torn_truncations_total 0"),
+        std::string("qf_durable_checkpoints_written_total 0")}) {
+    EXPECT_NE(text.str().find(line), std::string::npos) << line;
   }
 
   std::ifstream jsonl(jsonl_path);
@@ -729,11 +738,46 @@ TEST(DurableMetricsTest, ServerPublishesCountersThroughMetricsSink) {
   const obs::JsonValue* appended =
       counters->Get("qf_durable_records_appended_total");
   ASSERT_NE(appended, nullptr);
-  EXPECT_GE(appended->NumberOr(0), 4.0);
+  EXPECT_EQ(appended->NumberOr(0), 4.0);
   std::remove(prom_path.c_str());
   std::remove(jsonl_path.c_str());
+
+  // The restart's series describe the restart: the final checkpoint
+  // covered the log, so nothing replays.
+  net::QfServer server2(opts);
+  ASSERT_TRUE(server2.Start()) << server2.error();
+  EXPECT_TRUE(server2.recovery().durable);
+  EXPECT_TRUE(server2.recovery().had_checkpoint);
+  const obs::MetricsSnapshot own = server2.OwnSeries();
+  EXPECT_EQ(CounterOf(own, "qf_durable_records_appended_total"), 0u);
+  EXPECT_EQ(CounterOf(own, "qf_durable_records_replayed_total"), 0u);
+  server2.Stop();
 }
-#endif  // QF_METRICS
+
+// kRestore resets the WAL timeline, which opens a fresh segment: each one
+// counts, in kMetrics and kStats alike (boot's segment + one per restore).
+TEST(DurableMetricsTest, RestoreCountsItsSegmentInEveryView) {
+  MemStorage storage;
+  net::QfServer server(DurableServerOptions(&storage));
+  ASSERT_TRUE(server.Start()) << server.error();
+  net::QfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port())) << client.error();
+  std::vector<uint8_t> blob;
+  ASSERT_TRUE(client.Checkpoint(&blob)) << client.error();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.Restore(blob)) << client.error();
+  }
+  obs::MetricsSnapshot metrics;
+  ASSERT_TRUE(client.FetchMetrics(&metrics)) << client.error();
+  net::WireStats stats;
+  ASSERT_TRUE(client.Stats(&stats)) << client.error();
+  EXPECT_EQ(CounterOf(metrics, "qf_durable_segments_written_total"),
+            stats.wal_segments_written);
+  EXPECT_EQ(stats.wal_segments_written, 4u);
+  EXPECT_EQ(stats.wal_checkpoints_written, 3u);  // one anchor per restore
+  client.Close();
+  server.Stop();
+}
 
 }  // namespace
 }  // namespace qf::durable

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -193,18 +194,66 @@ TEST(NetMetricsWireTest, CorruptBucketTableFailsClosed) {
   EXPECT_FALSE(ParseMetricsPayload(mutated, &out));
 }
 
+// The stats projection behind CONTROL kStats and QfClient::Stats: every
+// WireStats field survives WireStatsToMetrics -> QFMS -> WireStatsFromMetrics,
+// and a snapshot missing any one series fails closed, naming it.
+TEST(NetMetricsWireTest, WireStatsProjectionRoundTripsAndFailsClosed) {
+  static_assert(sizeof(WireStats) % sizeof(uint64_t) == 0);
+  uint64_t words[sizeof(WireStats) / sizeof(uint64_t)];
+  for (size_t i = 0; i < std::size(words); ++i) words[i] = 1000 + i;
+  WireStats in;
+  std::memcpy(&in, words, sizeof(in));
+
+  const obs::MetricsSnapshot snap = WireStatsToMetrics(in);
+  ASSERT_EQ(snap.counters.size() + snap.gauges.size(), std::size(words));
+  std::vector<uint8_t> payload;
+  EncodeMetricsPayloadTo(snap, &payload);
+  obs::MetricsSnapshot parsed;
+  ASSERT_TRUE(ParseMetricsPayload(payload, &parsed));
+  WireStats out;
+  std::string error;
+  ASSERT_TRUE(WireStatsFromMetrics(parsed, &out, &error)) << error;
+  EXPECT_EQ(std::memcmp(&in, &out, sizeof(in)), 0);
+
+  const auto expect_rejected = [&](const obs::MetricsSnapshot& bad,
+                                   const std::string& name) {
+    WireStats untouched;
+    std::string why;
+    EXPECT_FALSE(WireStatsFromMetrics(bad, &untouched, &why)) << name;
+    EXPECT_NE(why.find(name), std::string::npos) << why;
+    EXPECT_EQ(untouched.items_ingested, 0u);
+  };
+  for (size_t i = 0; i < snap.counters.size(); ++i) {
+    obs::MetricsSnapshot bad = snap;
+    bad.counters.erase(bad.counters.begin() + static_cast<std::ptrdiff_t>(i));
+    expect_rejected(bad, snap.counters[i].name);
+  }
+  obs::MetricsSnapshot bad = snap;
+  bad.gauges.clear();
+  expect_rejected(bad, "qf_net_active_connections");
+  bad = snap;
+  bad.gauges[0].value = -1;
+  expect_rejected(bad, "qf_net_active_connections");
+}
+
 // ---------------------------------------------------------------------------
 // Live server: FetchMetrics over the socket must agree with a MetricsSink
-// file snapshot and the in-process registry at the same fence (after Drain,
-// with nothing else running). Families touched by FetchMetrics itself
-// (qf_net frame/byte counters) are excluded — the wire snapshot is taken
-// before the reply is written, so they trail by one control round trip.
+// file snapshot of the server's Metrics() and with Stats() at the same
+// fence (after Drain, with nothing else running). Families touched by
+// FetchMetrics itself (qf_net frame/byte counters) are excluded — the wire
+// snapshot is taken before the reply is written, so they trail by one
+// control round trip.
 
 double JsonlCounter(const obs::JsonValue& doc, const std::string& name) {
   const obs::JsonValue* counters = doc.Get("counters");
   if (counters == nullptr) return -1;
   const obs::JsonValue* v = counters->Get(name);
   return v == nullptr ? -1 : v->NumberOr(-1);
+}
+
+int64_t CounterOr(const obs::MetricsSnapshot& s, const std::string& name) {
+  const obs::CounterSample* c = obs::FindSample(s.counters, name);
+  return c == nullptr ? -1 : static_cast<int64_t>(c->value);
 }
 
 TEST(NetMetricsWireTest, LiveServerRoundTripMatchesSinkSnapshot) {
@@ -232,40 +281,29 @@ TEST(NetMetricsWireTest, LiveServerRoundTripMatchesSinkSnapshot) {
 
   // Same fence: the server is drained and idle, so every family EXCEPT the
   // control-path counters is stable between the wire snapshot and these.
-  const obs::MetricsSnapshot local = obs::MetricsRegistry::Global().Snapshot();
+  const obs::MetricsSnapshot local = server.Metrics();
   const std::string jsonl = TestTempPath("metrics_wire.jsonl");
   std::remove(jsonl.c_str());
-  obs::MetricsSink sink(obs::MetricsRegistry::Global(),
+  obs::MetricsSink sink([&server] { return server.Metrics(); },
                         obs::MetricsSink::Options{jsonl, "", 1000});
   ASSERT_TRUE(sink.WriteOnce());
 
-  auto find_counter = [](const obs::MetricsSnapshot& s,
-                         const std::string& name) -> int64_t {
-    for (const obs::CounterSample& c : s.counters) {
-      if (c.name == name) return static_cast<int64_t>(c.value);
-    }
-    return -1;
-  };
-  auto find_hist_count = [](const obs::MetricsSnapshot& s,
-                            const std::string& name) -> int64_t {
-    for (const obs::HistogramSample& h : s.histograms) {
-      if (h.name == name) return static_cast<int64_t>(h.data.count());
-    }
-    return -1;
-  };
+  // The server's own series are exact and present in every build.
+  const int64_t wire_items =
+      CounterOr(wire, "qf_server_items_ingested_total");
+  EXPECT_EQ(wire_items, 4 * 4096);
+  EXPECT_EQ(CounterOr(local, "qf_server_items_ingested_total"), wire_items);
+  EXPECT_EQ(CounterOr(wire, "qf_server_items_processed_total"), wire_items);
+  WireStats stats;
+  std::string error;
+  ASSERT_TRUE(WireStatsFromMetrics(wire, &stats, &error)) << error;
+  WireStats direct;
+  ASSERT_TRUE(client.Stats(&direct)) << client.error();
+  EXPECT_EQ(stats.items_ingested, direct.items_ingested);
+  EXPECT_EQ(stats.reports, direct.reports);
+  EXPECT_EQ(stats.accepts, 1u);
+  EXPECT_EQ(direct.active_connections, 1u);
 
-#if QF_METRICS
-  const int64_t wire_items = find_counter(wire, "qf_net_ingest_items_total");
-  EXPECT_GE(wire_items, 4 * 4096);
-  EXPECT_EQ(wire_items, find_counter(local, "qf_net_ingest_items_total"));
-
-  // Stage histograms (§15) made it over the wire with live totals.
-  EXPECT_GT(find_hist_count(wire, "qf_stage_decode_ns"), 0);
-  EXPECT_GT(find_hist_count(wire, "qf_stage_insert_ns"), 0);
-  EXPECT_EQ(find_hist_count(wire, "qf_stage_insert_ns"),
-            find_hist_count(local, "qf_stage_insert_ns"));
-
-  // And the file snapshot agrees with both.
   std::ifstream in(jsonl);
   std::string line, last;
   while (std::getline(in, line)) {
@@ -273,16 +311,22 @@ TEST(NetMetricsWireTest, LiveServerRoundTripMatchesSinkSnapshot) {
   }
   ASSERT_FALSE(last.empty());
   obs::JsonValue doc;
-  std::string error;
   ASSERT_TRUE(obs::ParseJson(last, &doc, &error)) << error;
   EXPECT_EQ(static_cast<int64_t>(
-                JsonlCounter(doc, "qf_net_ingest_items_total")),
+                JsonlCounter(doc, "qf_server_items_ingested_total")),
             wire_items);
-#else
-  // Metrics compiled out: the control op still answers with a well-formed
-  // (possibly empty) snapshot rather than an error.
-  (void)find_counter;
-  (void)find_hist_count;
+
+#if QF_METRICS
+  // Stage histograms (§15) made it over the wire with live totals.
+  auto find_hist_count = [](const obs::MetricsSnapshot& s,
+                            const std::string& name) -> int64_t {
+    const obs::HistogramSample* h = obs::FindSample(s.histograms, name);
+    return h == nullptr ? -1 : static_cast<int64_t>(h->data.count());
+  };
+  EXPECT_GT(find_hist_count(wire, "qf_stage_decode_ns"), 0);
+  EXPECT_GT(find_hist_count(wire, "qf_stage_insert_ns"), 0);
+  EXPECT_EQ(find_hist_count(wire, "qf_stage_insert_ns"),
+            find_hist_count(local, "qf_stage_insert_ns"));
 #endif
 
   ASSERT_TRUE(client.Shutdown()) << client.error();

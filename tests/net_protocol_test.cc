@@ -360,6 +360,19 @@ TEST(NetProtocol, ParserSizeContracts) {
   EXPECT_FALSE(ParseControl(bad, &ctl));
   bad[8] = 0;
   EXPECT_FALSE(ParseControl(bad, &ctl));
+  // Op 1, the retired fixed-block kStats, fails closed both ways.
+  bad[8] = 1;
+  EXPECT_FALSE(ParseControl(bad, &ctl));
+  std::vector<uint8_t> result_wire;
+  EncodeControlResultTo(1, ControlOp::kStats, ControlStatus::kOk,
+                        std::vector<uint8_t>(13 * 8), &result_wire);
+  ASSERT_TRUE(cdecoder.Append(result_wire.data(), result_wire.size()));
+  Frame result_frame;
+  ASSERT_EQ(cdecoder.Next(&result_frame), FrameDecoder::Result::kFrame);
+  ControlResult res;
+  ASSERT_TRUE(ParseControlResult(result_frame.payload, &res));
+  result_frame.payload[8] = 1;
+  EXPECT_FALSE(ParseControlResult(result_frame.payload, &res));
   EXPECT_TRUE(ParseControl(frame.payload, &ctl));
 
   // Alert: exact-size only.

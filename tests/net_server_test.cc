@@ -430,8 +430,11 @@ void ExpectRepliesInRequestOrder(const QfServer::Options& opts) {
       ASSERT_TRUE(ParseControlResult(f.payload, &res));
       EXPECT_EQ(res.token, want);
       EXPECT_EQ(res.status, ControlStatus::kOk);
+      obs::MetricsSnapshot snap;
+      ASSERT_TRUE(ParseMetricsPayload(res.payload, &snap));
       WireStats stats;
-      ASSERT_TRUE(ParseWireStats(res.payload, &stats));
+      std::string error;
+      ASSERT_TRUE(WireStatsFromMetrics(snap, &stats, &error)) << error;
       EXPECT_EQ(stats.items_ingested, trace.size());
     } else {
       ASSERT_EQ(f.type, FrameType::kIngestAck) << "reply " << i;
@@ -469,6 +472,149 @@ TEST(NetServerTest, DeferredGroupCommitAcksPrecedeLaterReplies) {
   opts.durable.fsync = durable::FsyncMode::kGroup;
   ExpectRepliesInRequestOrder(opts);
   std::filesystem::remove_all(dir);
+}
+
+// --- Stats plane (DESIGN.md §15) -------------------------------------------
+//
+// Each server owns its counters (QfServer::OwnSeries): kStats answers them
+// alone and kMetrics adds the process registry, so both views agree and no
+// server reports another's counts.
+
+/// The server's own counts, as kMetrics carries them.
+WireStats MetricsView(QfClient& client) {
+  obs::MetricsSnapshot snap;
+  WireStats stats;
+  std::string error;
+  EXPECT_TRUE(client.FetchMetrics(&snap)) << client.error();
+  EXPECT_TRUE(WireStatsFromMetrics(snap, &stats, &error)) << error;
+  return stats;
+}
+
+TEST(NetServerTest, TwoServersInOneProcessReportOnlyTheirOwnCounts) {
+  QfServer one(ServerOptions(1));
+  QfServer two(ServerOptions(2));
+  ASSERT_TRUE(one.Start()) << one.error();
+  ASSERT_TRUE(two.Start()) << two.error();
+  const Trace trace = MakeTrace(4'000, /*seed=*/5);
+
+  // One connection and 1000 items into `one`; three connections and 3000
+  // items into `two`. A single reactor accepts in connect order, so once
+  // the last connection is answered, every earlier one was accepted.
+  std::vector<std::unique_ptr<QfClient>> clients;
+  const auto connect = [&](QfServer& server, int n) {
+    for (int i = 0; i < n; ++i) {
+      clients.push_back(std::make_unique<QfClient>());
+      ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server.port()))
+          << clients.back()->error();
+    }
+  };
+  connect(one, 1);
+  QfClient& a = *clients.back();
+  ASSERT_TRUE(a.Ingest(Slice(trace, 0, 1000))) << a.error();
+  connect(two, 3);
+  QfClient& b = *clients.back();
+  ASSERT_TRUE(b.Ingest(Slice(trace, 1000, 3000))) << b.error();
+  ASSERT_TRUE(a.Drain()) << a.error();
+  ASSERT_TRUE(b.Drain()) << b.error();
+
+  const auto expect_own = [](QfClient& c, QfServer& server,
+                             uint64_t accepts, uint64_t items) {
+    WireStats stats;
+    ASSERT_TRUE(c.Stats(&stats)) << c.error();
+    const WireStats metrics = MetricsView(c);
+    const WireStats local = server.StatsSnapshot();
+    for (const WireStats& v : {stats, metrics, local}) {
+      EXPECT_EQ(v.accepts, accepts);
+      EXPECT_EQ(v.active_connections, accepts);
+      EXPECT_EQ(v.items_ingested, items);
+      EXPECT_EQ(v.items_processed, items);
+    }
+  };
+  expect_own(a, one, 1, 1000);
+  expect_own(b, two, 3, 3000);
+  clients.clear();
+  one.Stop();
+  two.Stop();
+}
+
+TEST(NetServerTest, StopCountsOpenConnectionsAsDisconnects) {
+  QfServer server(ServerOptions(1));
+  ASSERT_TRUE(server.Start()) << server.error();
+  QfClient a, b;
+  ASSERT_TRUE(a.Connect("127.0.0.1", server.port())) << a.error();
+  ASSERT_TRUE(b.Connect("127.0.0.1", server.port())) << b.error();
+  WireStats stats;
+  ASSERT_TRUE(b.Stats(&stats)) << b.error();
+  ASSERT_EQ(stats.accepts, 2u);
+  ASSERT_EQ(stats.active_connections, 2u);
+
+  server.Stop();  // both clients are still connected
+  const obs::MetricsSnapshot own = server.OwnSeries();
+  const obs::GaugeSample* active =
+      obs::FindSample(own.gauges, "qf_net_active_connections");
+  const obs::CounterSample* accepts =
+      obs::FindSample(own.counters, "qf_net_accepts_total");
+  const obs::CounterSample* disconnects =
+      obs::FindSample(own.counters, "qf_net_disconnects_total");
+  ASSERT_NE(active, nullptr);
+  ASSERT_NE(accepts, nullptr);
+  ASSERT_NE(disconnects, nullptr);
+  EXPECT_EQ(active->value, 0);
+  EXPECT_EQ(accepts->value, 2u);
+  EXPECT_EQ(disconnects->value, accepts->value);
+}
+
+// Stats polls (over the wire and in-process) race WAL segment rotation on
+// the reactors; the segment count is read under the WAL lock (TSan-clean),
+// and only ever grows.
+TEST(NetServerTest, StatsPollsRaceWalSegmentRotation) {
+  durable::MemStorage storage;
+  QfServer::Options opts = ServerOptions(2);
+  opts.reactors = 2;
+  opts.durable.storage = &storage;
+  opts.durable.fsync = durable::FsyncMode::kNone;
+  opts.durable.segment_bytes = 1024;
+  QfServer server(opts);
+  ASSERT_TRUE(server.Start()) << server.error();
+  const Trace trace = MakeTrace(40'000, /*seed=*/17);
+
+  QfClient poller;
+  ASSERT_TRUE(poller.Connect("127.0.0.1", server.port())) << poller.error();
+  std::atomic<bool> done{false};
+  std::thread ingester([&] {
+    QfClient in;
+    EXPECT_TRUE(in.Connect("127.0.0.1", server.port())) << in.error();
+    constexpr size_t kBatch = 64;  // ~1 KB records: a rotation every few
+    for (size_t i = 0; i < trace.size(); i += kBatch) {
+      if (!in.Ingest(Slice(trace, i, kBatch))) {
+        ADD_FAILURE() << in.error();
+        break;
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+  uint64_t last = 0;
+  do {
+    WireStats stats;
+    if (!poller.Stats(&stats)) {
+      ADD_FAILURE() << poller.error();
+      break;
+    }
+    const WireStats local = server.StatsSnapshot();
+    EXPECT_GE(stats.wal_segments_written, last);
+    EXPECT_GE(local.wal_segments_written, stats.wal_segments_written);
+    last = local.wal_segments_written;
+  } while (!done.load(std::memory_order_acquire));
+  ingester.join();
+  ASSERT_TRUE(poller.Drain()) << poller.error();
+  WireStats stats;
+  ASSERT_TRUE(poller.Stats(&stats)) << poller.error();
+  EXPECT_EQ(stats.items_ingested, trace.size());
+  EXPECT_EQ(stats.wal_records_appended, trace.size() / 64);
+  EXPECT_GT(stats.wal_segments_written, 10u);
+  EXPECT_EQ(MetricsView(poller).wal_segments_written,
+            stats.wal_segments_written);
+  server.Stop();
 }
 
 // --- Multi-reactor (SO_REUSEPORT) coverage --------------------------------
@@ -826,6 +972,62 @@ TEST_P(ClientPlaneTest, IngestClientThatNeverReadsAcksIsDisconnected) {
   EXPECT_EQ(stats.active_connections, 1u);
   EXPECT_GT(stats.items_ingested, ingested);  // plus the sleeper's items
   EXPECT_EQ(stats.items_ingested, stats.items_processed);
+  // kMetrics carries the same front-end counts. The QfServer's snapshot is
+  // read in process (Metrics() is what kMetrics encodes): the reply holds
+  // the whole process registry, tens of KB once many tests share the
+  // process, and this server rightly cuts any reader whose reply overruns
+  // its 16 KB cap and 4 KB send buffer. The Coordinator's client plane
+  // keeps autotuned kernel buffers, so its reply goes over the wire.
+  WireStats metrics;
+  if (GetParam() == FrontEnd::kQfServer) {
+    std::string error;
+    ASSERT_TRUE(WireStatsFromMetrics(server_->Metrics(), &metrics, &error))
+        << error;
+  } else {
+    metrics = MetricsView(ingester);
+  }
+  EXPECT_EQ(metrics.slow_disconnects, 1u);
+  EXPECT_EQ(metrics.active_connections, 1u);
+  EXPECT_EQ(metrics.items_ingested, stats.items_ingested);
+}
+
+// kStats and kMetrics describe the front end's own client plane: a
+// Coordinator's counts are its clients, not the backend's connections
+// (which include the coordinator's own links).
+TEST_P(ClientPlaneTest, StatsAndMetricsCountTheFrontEndsClients) {
+  Boot(ServerOptions(1));
+  QfClient a;
+  ASSERT_TRUE(a.Connect("127.0.0.1", port_)) << a.error();
+  WireStats stats;
+  const auto settle = [&](uint64_t active) {
+    const uint64_t deadline = MonotonicNanos() + 10'000'000'000ULL;
+    do {
+      ASSERT_TRUE(a.Stats(&stats)) << a.error();
+      if (stats.active_connections == active &&
+          stats.disconnects + active == stats.accepts) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    } while (MonotonicNanos() < deadline);
+    FAIL() << "active connections never settled at " << active;
+  };
+  settle(1);  // Boot's readiness probe has closed
+  const uint64_t accepts = stats.accepts;
+  {
+    QfClient b;
+    ASSERT_TRUE(b.Connect("127.0.0.1", port_)) << b.error();
+    ASSERT_TRUE(b.Stats(&stats)) << b.error();
+    EXPECT_EQ(stats.accepts, accepts + 1);
+    EXPECT_EQ(stats.active_connections, 2u);
+  }
+  settle(1);
+  const WireStats metrics = MetricsView(a);
+  for (const WireStats& v : {stats, metrics}) {
+    EXPECT_EQ(v.accepts, accepts + 1);
+    EXPECT_EQ(v.disconnects, accepts);
+    EXPECT_EQ(v.active_connections, 1u);
+    EXPECT_EQ(v.slow_disconnects, 0u);
+  }
 }
 
 /// Lowers the soft RLIMIT_NOFILE to the highest fd in use and fills every

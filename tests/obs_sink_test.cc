@@ -25,6 +25,10 @@ std::string Slurp(const std::string& path) {
   return out.str();
 }
 
+MetricsSink::SnapshotFn SnapshotOf(const MetricsRegistry& registry) {
+  return [&registry] { return registry.Snapshot(); };
+}
+
 size_t CountLines(const std::string& text) {
   size_t n = 0;
   for (char c : text) n += (c == '\n');
@@ -51,7 +55,7 @@ TEST_F(ObsSinkTest, WriteOnceEmitsBothFormats) {
   registry.GetCounter("qf_test_total", "test counter").Add(5);
   registry.GetHistogram("qf_test_ns", "test histogram", "ns").Record(123);
 
-  MetricsSink sink(registry, {jsonl_path_, prom_path_, 1000});
+  MetricsSink sink(SnapshotOf(registry), {jsonl_path_, prom_path_, 1000});
   ASSERT_TRUE(sink.WriteOnce());
 
   const std::string jsonl = Slurp(jsonl_path_);
@@ -69,7 +73,7 @@ TEST_F(ObsSinkTest, WriteOnceEmitsBothFormats) {
 TEST_F(ObsSinkTest, JsonlAppendsOneLinePerSnapshot) {
   MetricsRegistry registry;
   registry.GetCounter("qf_test_total").Add(1);
-  MetricsSink sink(registry, {jsonl_path_, "", 1000});
+  MetricsSink sink(SnapshotOf(registry), {jsonl_path_, "", 1000});
   ASSERT_TRUE(sink.WriteOnce());
   registry.GetCounter("qf_test_total").Add(1);
   ASSERT_TRUE(sink.WriteOnce());
@@ -86,7 +90,7 @@ TEST_F(ObsSinkTest, JsonlAppendsOneLinePerSnapshot) {
 TEST_F(ObsSinkTest, StartStopWritesAtLeastAFinalSnapshot) {
   MetricsRegistry registry;
   Counter& c = registry.GetCounter("qf_test_total");
-  MetricsSink sink(registry, {jsonl_path_, prom_path_, 20});
+  MetricsSink sink(SnapshotOf(registry), {jsonl_path_, prom_path_, 20});
   sink.Start();
   for (int i = 0; i < 50; ++i) {
     c.Add();
@@ -108,14 +112,14 @@ TEST_F(ObsSinkTest, StartStopWritesAtLeastAFinalSnapshot) {
 
 TEST_F(ObsSinkTest, WriteOnceFailsOnUnwritablePath) {
   MetricsRegistry registry;
-  MetricsSink sink(registry,
+  MetricsSink sink(SnapshotOf(registry),
                    {"/nonexistent-dir/qf.jsonl", "", 1000});
   EXPECT_FALSE(sink.WriteOnce());
 }
 
 TEST_F(ObsSinkTest, StopIsIdempotentAndSafeWithoutStart) {
   MetricsRegistry registry;
-  MetricsSink sink(registry, {jsonl_path_, "", 1000});
+  MetricsSink sink(SnapshotOf(registry), {jsonl_path_, "", 1000});
   sink.Stop();
   sink.Stop();
 }

@@ -298,13 +298,15 @@ void ParseDecodedFrame(const net::Frame& frame) {
     case net::FrameType::kControlResult: {
       net::ControlResult r;
       net::ParseControlResult(frame.payload, &r);
-      net::WireStats stats;
-      net::ParseWireStats(r.payload, &stats);
-      // The same embedded payload doubles as a metrics snapshot candidate
-      // (CONTROL kMetrics, §15): the parser must fail closed on anything
-      // that isn't an intact QFMS blob — never crash, never over-allocate.
+      // The embedded payload as a metrics snapshot (CONTROL kStats and
+      // kMetrics, §15): the parser must fail closed on anything that isn't
+      // an intact QFMS blob — never crash, never over-allocate — and the
+      // stats projection on whatever snapshot it accepts.
       obs::MetricsSnapshot snap;
-      net::ParseMetricsPayload(r.payload, &snap);
+      net::WireStats stats;
+      if (net::ParseMetricsPayload(r.payload, &snap)) {
+        net::WireStatsFromMetrics(snap, &stats, nullptr);
+      }
       // And as every cluster CONTROL reply shape (§16): topology tables,
       // shard-state blobs, shipped WAL segments.
       net::WireTopology topo;
@@ -758,8 +760,9 @@ int Main(int argc, char** argv) {
   }
 
   if (!metrics_json.empty()) {
-    obs::MetricsSink sink(obs::MetricsRegistry::Global(),
-                          {metrics_json, "", 1000});
+    obs::MetricsSink sink(
+        [] { return obs::MetricsRegistry::Global().Snapshot(); },
+        {metrics_json, "", 1000});
     if (!sink.WriteOnce()) {
       std::fprintf(stderr, "cannot write metrics snapshot: %s\n",
                    metrics_json.c_str());

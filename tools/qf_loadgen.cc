@@ -692,7 +692,8 @@ int Main(int argc, char** argv) {
   if (!prom_path.empty()) {
     obs::MetricsSink::Options sink_opts;
     sink_opts.prom_path = prom_path;
-    obs::MetricsSink sink(obs::MetricsRegistry::Global(), sink_opts);
+    obs::MetricsSink sink(
+        [] { return obs::MetricsRegistry::Global().Snapshot(); }, sink_opts);
     if (!sink.WriteOnce()) {
       std::fprintf(stderr, "qf_loadgen: failed to write %s\n",
                    prom_path.c_str());

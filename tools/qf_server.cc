@@ -221,7 +221,8 @@ int Main(int argc, char** argv) {
       VagueLayoutName(opts.filter.vague_layout));
   std::fflush(stdout);
 
-  obs::MetricsSink sink(obs::MetricsRegistry::Global(), sink_opts);
+  // The server's Metrics() (registry + own series), like kMetrics.
+  obs::MetricsSink sink([&server] { return server.Metrics(); }, sink_opts);
   if (!sink_opts.jsonl_path.empty() || !sink_opts.prom_path.empty()) {
     sink.Start();
   }

@@ -9,11 +9,12 @@
 //   qf_top --file=metrics.jsonl --once
 //       Renders the newest snapshot once and exits (no rates).
 //   qf_top --connect=host:port [--once] [--interval-ms=N]
-//       Live mode (DESIGN.md §15): attaches to a running qf_server, polls
-//       the full registry over CONTROL kMetrics (QfClient::FetchMetrics)
-//       plus the WireStats counters over CONTROL kStats, and renders both —
-//       including the per-stage qf_stage_* latency histograms, the
-//       qf_durable_* counters, and the wal_* serving stats.
+//       Live mode (DESIGN.md §15): attaches to a running qf_server (or a
+//       qf_cluster coordinator) and polls CONTROL kMetrics
+//       (QfClient::FetchMetrics): the process registry — per-stage
+//       qf_stage_* latency histograms among it — plus the server's own
+//       series (qf_server_*, the qf_net_* connection counters and the
+//       qf_durable_* log/checkpoint progress).
 //   qf_top --check-prom=metrics.prom
 //       Validates a Prometheus text-exposition file (HELP/TYPE and sample
 //       syntax) and prints a family/sample summary. Exit 0 iff valid and
@@ -37,7 +38,6 @@
 
 #include "common/flags.h"
 #include "net/client.h"
-#include "net/protocol.h"
 #include "obs/export.h"
 #include "obs/registry.h"
 
@@ -65,8 +65,6 @@ struct Parsed {
   std::map<std::string, double> gauges;
   // name -> {count, sum, max, mean, p0.5, ...}
   std::map<std::string, std::map<std::string, double>> histograms;
-  // Live mode only: WireStats fields from CONTROL kStats (wal_* included).
-  std::map<std::string, double> server;
 };
 
 /// Converts a wire-fetched registry snapshot into the same shape the JSONL
@@ -94,27 +92,6 @@ Parsed FromWireSnapshot(const MetricsSnapshot& snap) {
     dst["p0.999"] = static_cast<double>(h.data.Quantile(0.999));
   }
   return out;
-}
-
-/// All WireStats fields by name — wal_* durability progress included, so a
-/// durable server's log/checkpoint activity is visible in the dashboard.
-std::map<std::string, double> WireStatsMap(const qf::net::WireStats& s) {
-  return {
-      {"items_ingested", static_cast<double>(s.items_ingested)},
-      {"items_processed", static_cast<double>(s.items_processed)},
-      {"reports", static_cast<double>(s.reports)},
-      {"alerts_streamed", static_cast<double>(s.alerts_streamed)},
-      {"alerts_dropped", static_cast<double>(s.alerts_dropped)},
-      {"accepts", static_cast<double>(s.accepts)},
-      {"active_connections", static_cast<double>(s.active_connections)},
-      {"slow_disconnects", static_cast<double>(s.slow_disconnects)},
-      {"wal_records_appended", static_cast<double>(s.wal_records_appended)},
-      {"wal_records_replayed", static_cast<double>(s.wal_records_replayed)},
-      {"wal_torn_truncations", static_cast<double>(s.wal_torn_truncations)},
-      {"wal_segments_written", static_cast<double>(s.wal_segments_written)},
-      {"wal_checkpoints_written",
-       static_cast<double>(s.wal_checkpoints_written)},
-  };
 }
 
 bool ParseSnapshotLine(const std::string& line, Parsed* out,
@@ -229,25 +206,10 @@ void Render(const Parsed& snap, const Parsed* prev, const std::string& path,
                   Human(HistField(h, "max")).c_str());
     }
   }
-  if (!snap.server.empty()) {
-    std::printf("\n%-44s %12s %10s\n", "SERVER (CONTROL kStats)", "value",
-                "rate/s");
-    for (const auto& [name, value] : snap.server) {
-      std::string rate = "-";
-      if (dt > 0.0 && prev != nullptr) {
-        auto it = prev->server.find(name);
-        if (it != prev->server.end() && value >= it->second) {
-          rate = Human((value - it->second) / dt);
-        }
-      }
-      std::printf("%-44s %12s %10s\n", name.c_str(), Human(value).c_str(),
-                  rate.c_str());
-    }
-  }
   std::fflush(stdout);
 }
 
-/// Live-server mode: poll CONTROL kMetrics + kStats over one connection.
+/// Live-server mode: poll CONTROL kMetrics over one connection.
 int ConnectMain(const std::string& endpoint, bool once, int interval_ms) {
   const size_t colon = endpoint.rfind(':');
   if (colon == std::string::npos || colon + 1 >= endpoint.size()) {
@@ -277,13 +239,6 @@ int ConnectMain(const std::string& endpoint, bool once, int interval_ms) {
       return 1;
     }
     Parsed parsed = FromWireSnapshot(snap);
-    qf::net::WireStats stats;
-    if (!client.Stats(&stats)) {
-      std::fprintf(stderr, "qf_top: Stats failed: %s\n",
-                   client.error().c_str());
-      return 1;
-    }
-    parsed.server = WireStatsMap(stats);
     Render(parsed, have_prev ? &prev : nullptr, endpoint, !once);
     prev = std::move(parsed);
     have_prev = true;
