@@ -51,6 +51,17 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// blobs (a filter checkpoint is roughly its memory budget).
 inline constexpr size_t kDefaultMaxFrameBytes = 64u << 20;
 
+/// Bytes one recv() asks for on every stream socket (QfServer, the
+/// coordinator, QfClient); FrameDecoder::Append compacts its buffer once
+/// the consumed prefix passes it.
+inline constexpr size_t kStreamChunkBytes = 64u << 10;
+
+/// QfClient sends its buffered INGEST frames once they reach this many
+/// bytes. Measured on serve-mixed (32-item frames), 16 KiB and 64 KiB gain
+/// alike, but at 64 KiB the 16 KiB frames of cluster wait for a partner
+/// and cluster loses throughput.
+inline constexpr size_t kClientFlushBytes = 16u << 10;
+
 enum class FrameType : uint8_t {
   kIngest = 1,
   kQuery = 2,
