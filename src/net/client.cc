@@ -99,6 +99,7 @@ bool QfClient::ConnectWithRetry(const std::string& host, uint16_t port) {
 }
 
 void QfClient::Close() {
+  out_.clear();
   if (fd_ >= 0) {
     close(fd_);
     fd_ = -1;
@@ -111,33 +112,45 @@ bool QfClient::Fail(const std::string& why) {
   return false;
 }
 
-bool QfClient::SendAll(const std::vector<uint8_t>& bytes) {
+bool QfClient::Flush() {
   if (fd_ < 0) return false;
   size_t off = 0;
-  while (off < bytes.size()) {
+  while (off < out_.size()) {
     const ssize_t n =
-        send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+        send(fd_, out_.data() + off, out_.size() - off, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Fail("send: " + std::string(strerror(errno)));
     }
     off += static_cast<size_t>(n);
   }
+  out_.clear();
+  // Keep the buffer's capacity for the next burst of frames, but not the
+  // capacity of a checkpoint-sized CONTROL request.
+  if (out_.capacity() > kStreamChunkBytes) out_.shrink_to_fit();
   return true;
 }
 
 bool QfClient::ReadFrame(Frame* out, int timeout_ms, bool* timed_out) {
   if (timed_out != nullptr) *timed_out = false;
   if (fd_ < 0) return false;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      timeout_ms < 0 ? Clock::time_point::max()
+                     : Clock::now() + std::chrono::milliseconds(timeout_ms);
   while (true) {
     const FrameDecoder::Result r = decoder_.Next(out);
     if (r == FrameDecoder::Result::kFrame) return true;
     if (r == FrameDecoder::Result::kError) {
       return Fail("protocol: " + decoder_.error());
     }
+    if (!Flush()) return false;
     if (timeout_ms >= 0) {
+      const auto left =
+          std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
       pollfd pfd{fd_, POLLIN, 0};
-      const int p = poll(&pfd, 1, timeout_ms);
+      const int p =
+          poll(&pfd, 1, std::max(static_cast<int>(left.count()), 0));
       if (p < 0) {
         if (errno == EINTR) continue;
         return Fail("poll: " + std::string(strerror(errno)));
@@ -147,7 +160,7 @@ bool QfClient::ReadFrame(Frame* out, int timeout_ms, bool* timed_out) {
         return false;
       }
     }
-    uint8_t buf[64 * 1024];
+    uint8_t buf[kStreamChunkBytes];
     const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
     if (n == 0) return Fail("connection closed by server");
     if (n < 0) {
@@ -185,10 +198,10 @@ bool QfClient::AwaitType(FrameType want, Frame* out) {
 }
 
 bool QfClient::SendIngest(std::span<const Item> items) {
+  if (fd_ < 0) return false;
   const uint64_t token = next_token_++;
-  std::vector<uint8_t> bytes;
-  EncodeIngestTo(token, items, &bytes);
-  if (!SendAll(bytes)) return false;
+  EncodeIngestTo(token, items, &out_);
+  if (out_.size() >= kClientFlushBytes && !Flush()) return false;
   pending_ingest_.push_back(token);
   return true;
 }
@@ -216,9 +229,8 @@ bool QfClient::Ingest(std::span<const Item> items, IngestAck* ack) {
 bool QfClient::Query(std::span<const uint64_t> keys,
                      std::vector<QueryAnswer>* answers) {
   const uint64_t token = next_token_++;
-  std::vector<uint8_t> bytes;
-  EncodeQueryTo(token, keys, &bytes);
-  if (!SendAll(bytes)) return false;
+  EncodeQueryTo(token, keys, &out_);
+  if (!Flush()) return false;
   Frame frame;
   if (!AwaitType(FrameType::kQueryResult, &frame)) return false;
   QueryResult result;
@@ -234,9 +246,8 @@ bool QfClient::ControlRoundTrip(ControlOp op,
                                 std::span<const uint8_t> op_payload,
                                 ControlResult* result) {
   const uint64_t token = next_token_++;
-  std::vector<uint8_t> bytes;
-  EncodeControlTo(token, op, op_payload, &bytes);
-  if (!SendAll(bytes)) return false;
+  EncodeControlTo(token, op, op_payload, &out_);
+  if (!Flush()) return false;
   Frame frame;
   if (!AwaitType(FrameType::kControlResult, &frame)) return false;
   ControlResult parsed;
@@ -352,9 +363,8 @@ bool QfClient::SegmentShip(const SegmentShipRequest& req,
 
 bool QfClient::Subscribe(bool enable) {
   const uint64_t token = next_token_++;
-  std::vector<uint8_t> bytes;
-  EncodeSubscribeTo(token, enable, &bytes);
-  if (!SendAll(bytes)) return false;
+  EncodeSubscribeTo(token, enable, &out_);
+  if (!Flush()) return false;
   Frame frame;
   if (!AwaitType(FrameType::kSubscribe, &frame)) return false;
   SubscribeRequest echo;

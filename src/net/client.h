@@ -11,6 +11,12 @@
 // keeping a small window of unacknowledged frames in flight overlaps
 // network latency with server-side processing (tools/qf_loadgen does this).
 //
+// Requests leave through one output buffer, so the wire order is the call
+// order. SendIngest() only appends to it; the buffer is sent in one send()
+// when it reaches kClientFlushBytes, when any other request is made, and
+// before any read that could block (DESIGN.md §11, "client write
+// coalescing").
+//
 // Every method returns false (or AlertWait::kClosed) on protocol or socket
 // failure with error() describing the cause; the connection is unusable
 // afterwards — a desynchronized length-prefixed stream cannot be resynced.
@@ -61,16 +67,21 @@ class QfClient {
   /// to backoff_max_ms between failures. Returns false with the last
   /// error() once the attempt budget is exhausted.
   bool ConnectWithRetry(const std::string& host, uint16_t port);
+  /// Closes the socket. Buffered frames that never left are dropped: the
+  /// server never saw them, so they are never acked.
   void Close();
   bool connected() const { return fd_ >= 0; }
   const std::string& error() const { return error_; }
 
   // --- Ingest ---------------------------------------------------------
 
-  /// Sends one INGEST frame without waiting for its ack.
+  /// Queues one INGEST frame in the output buffer without waiting for its
+  /// ack. The frame leaves once the buffer reaches kClientFlushBytes (so a
+  /// frame that alone reaches it leaves at once), or at the next wait.
   bool SendIngest(std::span<const Item> items);
-  /// Blocks for the oldest outstanding ingest ack.
+  /// Sends the buffer, then blocks for the oldest outstanding ingest ack.
   bool AwaitIngestAck(IngestAck* ack = nullptr);
+  /// INGEST frames not yet acked, whether sent or still buffered.
   size_t ingest_in_flight() const { return pending_ingest_.size(); }
   /// Send + await: the synchronous convenience form.
   bool Ingest(std::span<const Item> items, IngestAck* ack = nullptr);
@@ -125,9 +136,11 @@ class QfClient {
   AlertWait NextAlert(WireAlert* out, int timeout_ms);
 
  private:
-  bool SendAll(const std::vector<uint8_t>& bytes);
-  /// Reads until one complete frame is decoded. timeout_ms < 0 blocks.
-  /// Returns false on close/poison/timeout (timed_out set on timeout).
+  /// Sends the whole output buffer; the client's one write path.
+  bool Flush();
+  /// Flushes, then reads until one complete frame is decoded, within one
+  /// deadline of timeout_ms for the whole call (< 0 blocks). Returns false
+  /// on close/poison/timeout (timed_out set on timeout).
   bool ReadFrame(Frame* out, int timeout_ms, bool* timed_out = nullptr);
   /// Reads frames until one of type `want` arrives, stashing alerts and
   /// failing on ERROR frames or anything unexpected.
@@ -140,6 +153,7 @@ class QfClient {
   Options options_;
   int fd_ = -1;
   FrameDecoder decoder_;
+  std::vector<uint8_t> out_;  // encoded requests not yet sent
   std::deque<WireAlert> stashed_alerts_;
   std::deque<uint64_t> pending_ingest_;  // tokens awaiting acks, in order
   uint64_t next_token_ = 1;

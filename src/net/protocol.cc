@@ -779,7 +779,7 @@ bool FrameDecoder::Append(const uint8_t* data, size_t size) {
   // Reclaim consumed prefix before growing, so steady-state buffering stays
   // bounded by one frame plus one read chunk.
   if (consumed_ > 0 &&
-      (consumed_ >= buffer_.size() || consumed_ > (64u << 10))) {
+      (consumed_ >= buffer_.size() || consumed_ > kStreamChunkBytes)) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<ptrdiff_t>(consumed_));
     consumed_ = 0;

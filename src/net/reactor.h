@@ -42,6 +42,7 @@ namespace qf::net {
 struct IoStats {
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
+  uint64_t read_calls = 0;       // recv() calls, including EAGAIN and EOF ones
   uint64_t write_calls = 0;      // sendmsg() calls, including EAGAIN ones
   uint64_t protocol_errors = 0;  // streams poisoned by malformed frames
 };
@@ -224,13 +225,12 @@ class Connection {
   }
 
  private:
-  static constexpr size_t kReadChunkBytes = 64u << 10;
-
   template <typename OnFrame>
   Status ReadFrames(size_t cap, IoStats* io, OnFrame& on_frame) {
-    uint8_t buf[kReadChunkBytes];
+    uint8_t buf[kStreamChunkBytes];
     while (true) {
       const ssize_t n = recv(fd_, buf, sizeof(buf), 0);
+      if (io != nullptr) ++io->read_calls;
       if (n == 0) return Status::kClosed;
       if (n < 0) {
         if (errno == EINTR) continue;

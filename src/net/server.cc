@@ -31,6 +31,7 @@ constexpr size_t kControlResultHeader = 10;
 struct NetMetrics {
   obs::Counter& bytes_read;
   obs::Counter& bytes_written;
+  obs::Counter& read_calls;
   obs::Counter& write_calls;
   obs::Counter& protocol_errors;
   obs::Gauge& alert_delivery_lag_ns;
@@ -48,6 +49,8 @@ struct NetMetrics {
           r.GetCounter("qf_net_bytes_read_total", "bytes read from sockets"),
           r.GetCounter("qf_net_bytes_written_total",
                        "bytes written to sockets"),
+          r.GetCounter("qf_net_read_calls_total",
+                       "recv() calls on client sockets"),
           r.GetCounter("qf_net_write_calls_total",
                        "send() calls on client sockets"),
           r.GetCounter("qf_net_protocol_errors_total",
@@ -87,6 +90,7 @@ void RecordIo([[maybe_unused]] const IoStats& io) {
   QF_OBS({
     NetMetrics& m = NetMetrics::Get();
     if (io.bytes_read != 0) m.bytes_read.Add(io.bytes_read);
+    if (io.read_calls != 0) m.read_calls.Add(io.read_calls);
     if (io.protocol_errors != 0) m.protocol_errors.Add(io.protocol_errors);
     if (io.write_calls != 0) {
       m.write_calls.Add(io.write_calls);

@@ -214,7 +214,8 @@ bool RunCrashTrial(const CrashTrialOptions& options,
       QfClient& cl = *clients[static_cast<size_t>(schedule[b].conn)];
       if (!cl.SendIngest(schedule[b].items)) break;  // server died under us
       // Keep a small in-flight window so acks interleave with sends and
-      // the kill can land with work at every pipeline stage.
+      // the kill can land with work at every pipeline stage. The client
+      // buffers small frames, so the window leaves at each await.
       while (cl.ingest_in_flight() > 4) {
         net::IngestAck ack;
         if (!cl.AwaitIngestAck(&ack)) break;

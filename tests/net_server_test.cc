@@ -474,6 +474,44 @@ TEST(NetServerTest, DeferredGroupCommitAcksPrecedeLaterReplies) {
   std::filesystem::remove_all(dir);
 }
 
+/// QfClient coalesces pipelined INGEST frames (DESIGN.md §11): 24 small
+/// frames leave together at the first await, so the server reads them in
+/// a few recv() calls, not one each. The sends are spaced out so that a
+/// client sending each frame at once would cost one read per frame.
+TEST(NetServerTest, PipelinedClientFramesArriveInFewReads) {
+  QfServer server(ServerOptions(2));
+  ASSERT_TRUE(server.Start()) << server.error();
+  constexpr int kFrames = 24;
+  constexpr size_t kItems = 32;
+  const Trace trace = MakeTrace(kFrames * kItems, /*seed=*/9);
+#if QF_METRICS
+  const obs::Counter& read_calls =
+      obs::MetricsRegistry::Global().GetCounter("qf_net_read_calls_total");
+  const uint64_t calls_before = read_calls.Value();
+#endif
+  QfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port())) << client.error();
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(client.SendIngest(Slice(trace, i * kItems, kItems)))
+        << client.error();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  uint64_t acked = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    IngestAck ack;
+    ASSERT_TRUE(client.AwaitIngestAck(&ack)) << client.error();
+    acked += ack.count;
+  }
+  EXPECT_EQ(acked, trace.size());
+  client.Close();
+  server.Stop();
+#if QF_METRICS
+  // Read after Stop() joined the reactor, which counts its recv() calls
+  // (the EOF one included) when the read event is done.
+  EXPECT_LT(read_calls.Value() - calls_before, 6u);
+#endif
+}
+
 // --- Stats plane (DESIGN.md §15) -------------------------------------------
 //
 // Each server owns its counters (QfServer::OwnSeries): kStats answers them

@@ -5,7 +5,9 @@
 // <key,value> items in pipelined INGEST frames (a bounded window of
 // unacknowledged frames keeps the wire and the server busy at once), and
 // reports achieved items/s plus ingest round-trip latency percentiles from
-// the obs histogram plumbing (qf_loadgen_ingest_rtt_ns).
+// the obs histogram plumbing (qf_loadgen_ingest_rtt_ns). The round trip
+// starts at SendIngest, so it includes the time a frame waits in
+// QfClient's output buffer before it is sent.
 //
 // Exit status is non-zero if any connection fails, or if --expect-rate is
 // given and the achieved items/s falls short (CI uses this as a perf gate).
