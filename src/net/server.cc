@@ -132,7 +132,6 @@ QfServer::QfServer(const Options& options)
       pipeline_(filter_,
                 [&options] {
                   Pipeline::Options p;
-                  p.batch_size = options.batch_size;
                   p.ring_batches = options.ring_batches;
                   p.alert_ring_records = options.alert_ring_records;
                   p.num_producers = options.reactors < 1 ? 1 : options.reactors;

@@ -95,8 +95,8 @@ class QfServer {
     /// [core_offset, core_offset + num_shards); reactors follow them.
     PlacementOptions placement;
 
-    /// Pipeline shape.
-    size_t batch_size = 32;
+    /// Pipeline shape: descriptor-ring slots per channel; the item arena
+    /// holds ring_batches × 64 items (IngestPipeline::Options).
     size_t ring_batches = 1024;
     /// Per-shard alert-ring capacity feeding SUBSCRIBE streams.
     size_t alert_ring_records = 4096;

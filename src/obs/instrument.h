@@ -128,9 +128,9 @@ inline void DrainTally() {
 /// Per-shard pipeline series (registered on first pipeline construction
 /// for a given shard index; later pipelines reuse the same series).
 struct ShardMetrics {
-  Histogram& ingest_ns;      // per-batch InsertBatch latency
-  Histogram& batch_items;    // items per processed batch
-  Histogram& ring_occupancy; // ring occupancy (batches) sampled at pop
+  Histogram& ingest_ns;      // per-span apply latency (all its chunks)
+  Histogram& batch_items;    // items per applied span
+  Histogram& ring_occupancy; // ring occupancy (spans) sampled at pop
 };
 
 inline ShardMetrics ShardMetricsFor(int shard) {
@@ -138,11 +138,11 @@ inline ShardMetrics ShardMetricsFor(int shard) {
   const std::string label = "{shard=\"" + std::to_string(shard) + "\"}";
   return ShardMetrics{
       r.GetHistogram("qf_pipeline_ingest_batch_ns" + label,
-                     "per-batch shard ingest latency", "ns"),
+                     "per-span shard ingest latency", "ns"),
       r.GetHistogram("qf_pipeline_batch_items" + label,
-                     "items per processed batch", "items"),
+                     "items per applied span (one per flush)", "items"),
       r.GetHistogram("qf_pipeline_ring_occupancy" + label,
-                     "SPSC ring occupancy in batches, sampled at pop",
+                     "SPSC ring occupancy in spans, sampled at pop",
                      "batches"),
   };
 }
@@ -158,7 +158,7 @@ struct StageMetrics {
   Histogram& decode_ns;      // reactor: INGEST header parse + payload stage
   Histogram& arena_push_ns;  // reactor: arena scatter + span publish
   Histogram& queue_wait_ns;  // span publish -> worker pop (cross-thread)
-  Histogram& insert_ns;      // worker: InsertBatch over one span
+  Histogram& insert_ns;      // worker: chunked InsertBatch over one span
   Histogram& wal_sync_ns;    // reactor: group-commit fdatasync duration
   Histogram& ack_ns;         // WAL append -> ack bytes queued to the socket
 
@@ -200,12 +200,11 @@ inline bool StageTraceSampleHit() {
 }
 
 /// 1-in-N sampling decision for the per-span stage histograms (queue wait,
-/// insert). A span can be as small as one pipeline batch (32 items), so
-/// recording every span would cost ~2 histogram Records per 32 inserts —
-/// several percent of a ~15ns insert. Sampling 1-in-4 keeps the worker-side
-/// stage cost near 0.3ns/item while still recording thousands of spans per
-/// second under load. Separate counter from StageTraceSampleHit so trace
-/// density is independent of histogram density.
+/// insert). Spans are flush-sized, but a producer that flushes every few
+/// items makes spans that small, and recording every span would then cost
+/// ~2 histogram Records per handful of ~15ns inserts. Sampling 1-in-4
+/// bounds that worst case. Separate counter from StageTraceSampleHit so
+/// trace density is independent of histogram density.
 inline constexpr uint32_t kStageRecordSampleEvery = 4;
 
 inline bool StageRecordSampleHit() {
@@ -218,9 +217,9 @@ inline bool StageRecordSampleHit() {
 /// Pipeline-wide counters.
 struct PipelineMetrics {
   Counter& items_dispatched;
-  Counter& items_processed;
-  Counter& batches;
-  Counter& ring_full_waits;  // dispatcher backpressure stalls
+  Counter& items_processed;  // items applied, counted per insert chunk
+  Counter& batches;          // spans applied (one per flush and shard)
+  Counter& ring_full_waits;  // dispatcher stall episodes (ring or arena)
   Counter& worker_spins;     // consumer empty-ring poll rounds
   Counter& worker_parks;     // worker futex sleeps (empty rings, no control)
   Counter& producer_parks;   // dispatcher futex sleeps (backpressure)
@@ -233,11 +232,11 @@ struct PipelineMetrics {
           r.GetCounter("qf_pipeline_items_dispatched_total",
                        "items accepted by Push"),
           r.GetCounter("qf_pipeline_items_processed_total",
-                       "items drained by workers"),
+                       "items applied by workers"),
           r.GetCounter("qf_pipeline_batches_total",
-                       "batches shipped through the rings"),
+                       "spans applied by workers (one per flush and shard)"),
           r.GetCounter("qf_pipeline_ring_full_waits_total",
-                       "dispatcher backpressure stalls on a full ring/arena"),
+                       "dispatcher stall episodes on a full ring or arena"),
           r.GetCounter("qf_pipeline_worker_spins_total",
                        "worker empty-ring poll rounds before parking"),
           r.GetCounter("qf_pipeline_worker_parks_total",

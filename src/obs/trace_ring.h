@@ -32,9 +32,9 @@ namespace qf::obs {
 /// chrome://tracing load shows one request's decode -> queue-wait -> insert
 /// -> wal-sync -> ack chain stitched across threads.
 enum class TraceEvent : uint16_t {
-  kBatchProcess = 0,  // worker: one InsertBatch call; arg = items
+  kBatchProcess = 0,  // worker: one applied span; arg = items
   kBatchShip = 1,     // dispatcher: one ring push; arg = items
-  kRingStall = 2,     // dispatcher: backpressure wait; arg = shard
+  kRingStall = 2,     // dispatcher: one ring/arena stall; arg = shard
   kFlush = 3,         // dispatcher: Flush(); arg = shards flushed
   kSnapshot = 4,      // exporter: registry snapshot; arg = metrics
   kFrameDecode = 5,   // reactor: INGEST frame decode + stage; arg = items

@@ -101,13 +101,6 @@ class ParkingSpot {
     return false;
   }
 
-  /// True if the waiter is (about to be) asleep; used by tests and by the
-  /// publish path to skip Wake()'s fence when the observer does not need
-  /// the full protocol (it may race, so callers must tolerate both answers).
-  bool IsParkedApprox() const {
-    return state_.load(std::memory_order_relaxed) == kParked;
-  }
-
   /// Direct futex wait/wake on a caller-owned word, for one-shot events
   /// that live outside a ParkingSpot (ShardRequest::done). The caller
   /// provides the full protocol: WaitWhile sleeps only while *word ==

@@ -13,12 +13,15 @@
 // arena plus an SPSC ring of 16-byte span descriptors {begin, count}. A
 // producer routes each item to its owning shard (ShardFor, division-free —
 // or the caller's own pre-computed shard via PushToShard) and writes it
-// ONCE into its channel's arena; every `batch_size` items (adaptively grown
-// toward kMaxBatch under backlog) it publishes a span descriptor. Worker s
-// drains the P rings that feed shard s in bursts, drives InsertBatch
-// directly over the arena storage (prefetching batched fast path), and
-// release-stores one consumed-items watermark per burst — not per span —
-// so release/acquire cache traffic amortizes across the burst.
+// ONCE into its channel's arena. The staged run is published as one span
+// descriptor only by Flush() or once it reaches a quarter of the arena, so
+// a span is as large as the producer's flush cadence allows (the serving
+// layer flushes once per event-loop iteration). Worker s takes one span
+// per channel in turn from the P rings that feed shard s and applies it
+// with InsertBatch directly over the arena storage, in kInsertChunk-item
+// calls; between chunks it answers a pending Query/QueryBatch (never a
+// fence), so a query waits for at most one chunk. After each span it
+// release-stores the channel's consumed watermark and wakes the producer.
 //
 // The default P = 1 is the classic single-dispatcher shape; the serving
 // layer runs one producer per reactor thread (net/server.cc --reactors) so
@@ -97,25 +100,17 @@ class IngestPipeline {
  public:
   using Sharded = ShardedQuantileFilter<SketchT>;
 
-  /// Upper bound on items per published span (and on producer-staged
-  /// items per channel).
-  static constexpr size_t kMaxBatch = 64;
-
-  /// Spans a worker drains from one channel before storing the consumed
-  /// watermark and rotating to the next producer's ring (coalesces the
-  /// release-store + wake to one per burst).
-  static constexpr size_t kBurstSpans = 8;
+  /// Items per InsertBatch call when a worker applies a span. Between two
+  /// chunks the worker answers a pending query, so a query posted under
+  /// load waits for at most one chunk's insert (256 items, a few µs at
+  /// cache-resident budgets) plus the control round trip.
+  static constexpr size_t kInsertChunk = 256;
 
   struct Options {
-    /// Items staged per channel before the span is published (≤ kMaxBatch).
-    /// This is the floor of the adaptive span size: under backlog the
-    /// effective span grows toward kMaxBatch to cut descriptor traffic,
-    /// and snaps back when the consumer goes idle.
-    size_t batch_size = 32;
     /// Descriptor-ring capacity per channel, in spans (rounded down to a
-    /// power of 2). The per-channel item arena holds ring_batches *
-    /// kMaxBatch items, so the worst-case buffered footprint matches the
-    /// previous batch-copy transport.
+    /// power of 2). The per-channel item arena holds FloorPow2(ring_batches
+    /// × 64) items; a staged run is published once it reaches a quarter of
+    /// the arena, or earlier by Flush().
     size_t ring_batches = 256;
     /// Independent producer slots (one per ingest thread; the serving
     /// layer uses one per reactor). Memory scales with
@@ -133,13 +128,13 @@ class IngestPipeline {
   };
 
   /// Aggregate pipeline counters; stable once Stop() has returned (live
-  /// reads are safe but may trail the workers by a batch).
+  /// reads are safe but may trail the workers by one insert chunk).
   struct Totals {
     uint64_t items_dispatched = 0;  // items accepted by Push
-    uint64_t items_processed = 0;   // items drained by workers
-    uint64_t batches = 0;           // span descriptors shipped
+    uint64_t items_processed = 0;   // items applied to their shard
+    uint64_t batches = 0;           // span descriptors applied
     uint64_t reports = 0;           // outstanding-key reports across shards
-    uint64_t ring_full_waits = 0;   // producer backpressure stalls
+    uint64_t ring_full_waits = 0;   // producer stall episodes (ring/arena)
     uint64_t alerts_dropped = 0;    // alert-ring overflows
     uint64_t worker_parks = 0;      // worker futex sleeps
     uint64_t producer_parks = 0;    // producer futex sleeps
@@ -164,14 +159,10 @@ class IngestPipeline {
 
   IngestPipeline(Sharded& filter, const Options& options = Options{})
       : filter_(&filter),
-        batch_size_(options.batch_size < 1
-                        ? 1
-                        : (options.batch_size > kMaxBatch
-                               ? kMaxBatch
-                               : options.batch_size)),
-        arena_items_(
-            FloorPow2(std::max<size_t>(options.ring_batches, 2) * kMaxBatch)),
+        arena_items_(FloorPow2(std::max<size_t>(options.ring_batches, 2) *
+                               kArenaItemsPerSlot)),
         arena_mask_(arena_items_ - 1),
+        publish_items_(arena_items_ / 4),
         num_producers_(options.num_producers < 1 ? 1 : options.num_producers),
         collect_reported_keys_(options.collect_reported_keys),
         alerts_enabled_(options.alert_ring_records > 0),
@@ -188,7 +179,6 @@ class IngestPipeline {
       // placement.first_touch_arenas is set, else the producer.
       c.arena.reset(new Item[arena_items_]);
       c.ring = std::make_unique<SpscRing<SpanDesc>>(options.ring_batches);
-      c.adaptive_batch = static_cast<uint32_t>(batch_size_);
       const size_t s = ci % workers_.size();
       const size_t p = ci / workers_.size();
       c.ring->SetConsumerWaiter(&workers_[s].park);
@@ -529,22 +519,18 @@ class IngestPipeline {
   /// consumed watermark — separate cache lines so neither side's writes
   /// invalidate the other's working set. `produced` counts items covered
   /// by published descriptors; `staged` counts items written to the arena
-  /// beyond that (≤ adaptive_batch); `cached_consumed` is the last
+  /// beyond that (< a quarter of the arena); `cached_consumed` is the last
   /// observed worker watermark, refreshed only when the space check fails.
   struct Channel {
     alignas(64) uint64_t produced = 0;
     uint64_t cached_consumed = 0;
     uint32_t staged = 0;
-    /// Effective span size: starts at batch_size, doubles (≤ kMaxBatch)
-    /// when the descriptor ring backs up, snaps back to batch_size when
-    /// the worker is found parked (starving).
-    uint32_t adaptive_batch = 32;
     std::unique_ptr<Item[]> arena;
     std::unique_ptr<SpscRing<SpanDesc>> ring;
     /// Worker-released arena-space watermark: every item with sequence
     /// number < consumed has been fully processed and its slot may be
-    /// overwritten (release store, acquire load in WaitForArenaSpace).
-    /// Stored once per drain burst, not per span.
+    /// overwritten (release store, acquire load in ArenaHasRoom).
+    /// Stored once per applied span.
     alignas(64) std::atomic<uint64_t> consumed{0};
   };
 
@@ -576,9 +562,10 @@ class IngestPipeline {
 
   /// A request posted into a shard's control slot and executed by that
   /// shard's worker, preserving the one-thread-per-shard contract for
-  /// reads. kFence is only answered once ALL the worker's rings are empty,
-  /// which (after the producers' flushes) means everything pushed before
-  /// the fence has been processed. `done` is a futex word: 0 = pending,
+  /// reads. kFence is only answered once ALL the worker's rings are empty
+  /// and no span is in hand, which (after the producers' flushes) means
+  /// everything pushed before the fence has been processed. Queries are
+  /// also answered between the insert chunks of a span. `done` is a futex word: 0 = pending,
   /// 1 = answered (the waiter parks on it).
   struct ShardRequest {
     enum class Kind : uint8_t { kQuery, kQueryBatch, kFence };
@@ -614,17 +601,19 @@ class IngestPipeline {
     return channels_[p * workers_.size() + s];
   }
 
-  /// The staged-push core: arena write + adaptive publish. Producer `p`
-  /// must be claimed by the calling thread.
+  /// The staged-push core: arena write, publishing the staged run once it
+  /// reaches a quarter of the arena. Producer `p` must be claimed by the
+  /// calling thread.
   void PushStaged(size_t p, size_t s, uint64_t key, double value) {
     Channel& c = ChannelAt(p, s);
-    if (c.produced + c.staged - c.cached_consumed >= arena_items_) {
-      WaitForArenaSpace(p, c);
+    if (c.produced + c.staged - c.cached_consumed >= arena_items_ &&
+        !ArenaHasRoom(c)) {
+      StallUntil(p, s, [this, &c] { return ArenaHasRoom(c); });
     }
     c.arena[(c.produced + c.staged) & arena_mask_] = Item{key, value};
     ++c.staged;
     BumpRelaxed(producers_[p].items_dispatched);
-    if (c.staged >= c.adaptive_batch) PublishSpan(p, s);
+    if (c.staged >= publish_items_) PublishSpan(p, s);
   }
 
   /// Posts a request to shard `s`'s control slot (caller holds
@@ -659,12 +648,15 @@ class IngestPipeline {
   /// queued. The acquire load synchronizes with the requester's release
   /// store of the request, which its Flush() pushes happen-before, so the
   /// consumer-side emptiness test observes every pre-fence push.
-  void AnswerSlot(int s, typename Sharded::Filter& shard) {
+  /// `answer_fences` is false between the chunks of a span: the span is
+  /// already popped, so empty rings there do not mean it is applied.
+  void AnswerSlot(int s, typename Sharded::Filter& shard, bool answer_fences) {
     ControlSlot& slot = slots_[static_cast<size_t>(s)];
     ShardRequest* req = slot.req.load(std::memory_order_acquire);
     if (req == nullptr) return;
     switch (req->kind) {
       case ShardRequest::Kind::kFence:
+        if (!answer_fences) return;
         for (int p = 0; p < num_producers_; ++p) {
           if (!ChannelAt(static_cast<size_t>(p), static_cast<size_t>(s))
                    .ring->ConsumerEmpty()) {
@@ -713,37 +705,54 @@ class IngestPipeline {
         std::thread::id{}, std::memory_order_release);
   }
 
-  /// Blocks until the channel's arena has room for one more staged item.
-  /// Cannot deadlock: the arena holds ≥ 2 * kMaxBatch items while staged
-  /// ≤ kMaxBatch, so a full arena implies published-but-unconsumed items
-  /// exist and the worker is making progress. The wait backs off to a
-  /// futex park; the worker's burst-end watermark store wakes it.
-  void WaitForArenaSpace(size_t p, Channel& c) {
+  /// Re-reads the worker's consumed watermark; true if the channel's arena
+  /// has room for one more staged item. A full arena cannot deadlock:
+  /// staged items never reach a quarter of the arena, so a full arena holds
+  /// published-but-unconsumed items and the worker is making progress.
+  bool ArenaHasRoom(Channel& c) {
+    c.cached_consumed = c.consumed.load(std::memory_order_acquire);
+    return c.produced + c.staged - c.cached_consumed < arena_items_;
+  }
+
+  /// Blocks producer `p` until `ready()` holds, backing off spin→yield→
+  /// futex park; `ready` is re-checked after PreparePark, so the worker's
+  /// wake (ring pop hook, per-span watermark store) cannot be lost. One
+  /// call is one stall episode: Totals::ring_full_waits, the registry
+  /// counter and one ring_stall trace span cover the whole wait.
+  template <typename Ready>
+  void StallUntil(size_t p, [[maybe_unused]] size_t s, Ready&& ready) {
     ProducerBlock& b = producers_[p];
+    BumpRelaxed(b.ring_full_waits);
+#if QF_METRICS
+    const uint64_t stall_start_ns = MonotonicNanos();
+#endif
     AdaptiveBackoff backoff;
     for (;;) {
-      c.cached_consumed = c.consumed.load(std::memory_order_acquire);
-      if (c.produced + c.staged - c.cached_consumed < arena_items_) return;
-      BumpRelaxed(b.ring_full_waits);
       if (backoff.ShouldPark()) {
         b.park.PreparePark();
-        c.cached_consumed = c.consumed.load(std::memory_order_acquire);
-        if (c.produced + c.staged - c.cached_consumed < arena_items_) {
+        if (ready()) {
           b.park.CancelPark();
-          return;
+          break;
         }
         BumpRelaxed(b.parks);
         QF_OBS(obs::PipelineMetrics::Get().producer_parks.Add(1));
         b.park.Park();
         backoff.Reset();
+      } else if (ready()) {
+        break;
       }
     }
+#if QF_METRICS
+    obs::PipelineMetrics::Get().ring_full_waits.Add(1);
+    obs::TraceRing::Global().Emit(obs::TraceEvent::kRingStall,
+                                  static_cast<uint16_t>(s), stall_start_ns,
+                                  MonotonicNanos() - stall_start_ns, s);
+#endif
   }
 
   void PublishSpan(size_t p, size_t s) {
     Channel& c = ChannelAt(p, s);
     if (c.staged == 0) return;
-    ProducerBlock& b = producers_[p];
     SpscRing<SpanDesc>& ring = *c.ring;
 #if QF_METRICS
     // Queue-wait stamp. Taken before the push, so producer backpressure
@@ -754,58 +763,18 @@ class IngestPipeline {
 #else
     const SpanDesc desc{c.produced, c.staged, 0};
 #endif
-#if QF_METRICS
-    uint64_t stalls = 0;
-    uint64_t stall_start_ns = 0;
-#endif
     // The ring's release push publishes the arena writes in [begin,
     // begin + count) to the worker's acquire pop, and its wake hook
-    // un-parks an idle worker.
+    // un-parks an idle worker. Only flushes of small runs can fill the
+    // ring; the worker's TryPop wake hook ends the stall.
     if (!ring.TryPush(desc)) {
-      // Backlog: the worker is behind. Grow the effective span so future
-      // publishes amortize descriptor traffic, then wait out the full
-      // ring with the spin→yield→park ladder (the worker's TryPop wake
-      // hook un-parks us).
-      c.adaptive_batch = std::min<uint32_t>(
-          c.adaptive_batch * 2, static_cast<uint32_t>(kMaxBatch));
-      AdaptiveBackoff backoff;
-      for (;;) {
-        BumpRelaxed(b.ring_full_waits);
-        QF_OBS({
-          ++stalls;
-          if (stall_start_ns == 0) stall_start_ns = MonotonicNanos();
-        });
-        if (backoff.ShouldPark()) {
-          b.park.PreparePark();
-          if (ring.TryPush(desc)) {
-            b.park.CancelPark();
-            break;
-          }
-          BumpRelaxed(b.parks);
-          QF_OBS(obs::PipelineMetrics::Get().producer_parks.Add(1));
-          b.park.Park();
-          backoff.Reset();
-        } else if (ring.TryPush(desc)) {
-          break;
-        }
-      }
-    } else if (c.adaptive_batch > batch_size_ &&
-               workers_[s].park.IsParkedApprox()) {
-      // The worker drained everything and went to sleep: favor latency
-      // again until the next backlog.
-      c.adaptive_batch = static_cast<uint32_t>(batch_size_);
+      StallUntil(p, s, [&ring, &desc] { return ring.TryPush(desc); });
     }
     c.produced += c.staged;
     c.staged = 0;
 #if QF_METRICS
-    obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
-    pm.items_dispatched.Add(desc.count);
+    obs::PipelineMetrics::Get().items_dispatched.Add(desc.count);
     obs::TraceRing& tr = obs::TraceRing::Global();
-    if (stalls != 0) {
-      pm.ring_full_waits.Add(stalls);
-      tr.Emit(obs::TraceEvent::kRingStall, static_cast<uint16_t>(s),
-              stall_start_ns, MonotonicNanos() - stall_start_ns, stalls);
-    }
     if (tr.enabled()) {
       // Instantaneous ship marker; the clock read is gated on tracing so
       // untraced runs pay only the enabled() load.
@@ -815,27 +784,23 @@ class IngestPipeline {
 #endif
   }
 
-  /// Drains up to kBurstSpans descriptors from channel (p, s), then
-  /// publishes ONE consumed-watermark store + producer wake for the whole
-  /// burst. Returns the number of spans drained.
-  size_t DrainBurst(size_t p, int s, typename Sharded::Filter& shard,
+  /// Applies at most one span from each channel feeding shard `s`, so
+  /// producers share the worker fairly. After each span the worker
+  /// release-stores the channel's consumed watermark (pairs with the
+  /// acquire in ArenaHasRoom) and wakes a producer parked on arena
+  /// space. Returns the number of spans applied.
+  size_t DrainRound(int s, typename Sharded::Filter& shard,
                     WorkerState& state) {
-    Channel& c = ChannelAt(p, static_cast<size_t>(s));
-    SpanDesc desc;
     size_t drained = 0;
-    uint64_t watermark = 0;
-    while (drained < kBurstSpans && c.ring->TryPop(&desc)) {
+    for (int p = 0; p < num_producers_; ++p) {
+      Channel& c = ChannelAt(static_cast<size_t>(p), static_cast<size_t>(s));
+      SpanDesc desc;
+      if (!c.ring->TryPop(&desc)) continue;
       QF_OBS(RecordOccupancy(s, *c.ring));
       ProcessSpan(s, c, shard, state, desc);
-      watermark = desc.begin + desc.count;
+      c.consumed.store(desc.begin + desc.count, std::memory_order_release);
+      producers_[static_cast<size_t>(p)].park.Wake();
       ++drained;
-    }
-    if (drained > 0) {
-      // One release store + wake per burst: pairs with the acquire in
-      // WaitForArenaSpace; the wake un-parks a producer waiting out
-      // arena backpressure.
-      c.consumed.store(watermark, std::memory_order_release);
-      producers_[p].park.Wake();
     }
     return drained;
   }
@@ -875,30 +840,18 @@ class IngestPipeline {
     uint64_t spins = 0;
 #endif
     for (;;) {
-      bool did_work = false;
-      for (int p = 0; p < num_producers_; ++p) {
-        if (DrainBurst(static_cast<size_t>(p), s, shard, state) > 0) {
-          did_work = true;
-        }
-      }
+      const bool did_work = DrainRound(s, shard, state) > 0;
       // Answer pending control requests promptly even under sustained
       // load; AnswerSlot itself gates fences on true all-ring emptiness.
-      AnswerSlot(s, shard);
+      AnswerSlot(s, shard, /*answer_fences=*/true);
       if (did_work) {
         backoff.Reset();
         continue;
       }
       if (done_.load(std::memory_order_acquire)) {
         // The release store in Stop() ordered all prior pushes before
-        // `done`; one more full drain pass and empty rings mean truly
-        // done.
-        bool residue = false;
-        for (int p = 0; p < num_producers_; ++p) {
-          if (DrainBurst(static_cast<size_t>(p), s, shard, state) > 0) {
-            residue = true;
-          }
-        }
-        if (residue) continue;
+        // `done`; keep draining until a pass finds every ring empty.
+        if (DrainRound(s, shard, state) > 0) continue;
         break;
       }
       // Periodic flush so qf_pipeline_worker_spins_total is live during
@@ -935,16 +888,18 @@ class IngestPipeline {
   }
 #endif
 
+  /// Applies one span in kInsertChunk-item InsertBatch calls, answering a
+  /// pending query between chunks. A chunk that wraps the arena end becomes
+  /// two calls; chunking preserves bit-identity (insert_batch_test.cc).
+  /// Items and reports are counted per applied chunk, so live totals never
+  /// run ahead of the shard.
   void ProcessSpan(int s, Channel& c, typename Sharded::Filter& shard,
                    WorkerState& state, const SpanDesc& desc) {
     const Item* arena = c.arena.get();
-    const size_t begin = static_cast<size_t>(desc.begin) & arena_mask_;
-    const size_t first = std::min<size_t>(desc.count, arena_items_ - begin);
-    state.items.fetch_add(desc.count, std::memory_order_relaxed);
-    state.batches.fetch_add(1, std::memory_order_relaxed);
 #if QF_METRICS
     const uint64_t t0 = MonotonicNanos();
     obs::StageMetrics& stm = obs::StageMetrics::Get();
+    obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
     // Per-span stage records are sampled (one decision covers both the
     // queue-wait and insert histograms for this span, so the pair stays
     // correlated); per-frame stages record every event.
@@ -961,21 +916,25 @@ class IngestPipeline {
       }
     }
 #endif
-    // A span that wraps the arena end becomes two InsertBatch calls;
-    // chunking preserves bit-identity (insert_batch_test.cc).
-    uint64_t reports = InsertSpan(s, shard, state, {arena + begin, first});
-    if (first < desc.count) {
-      reports += InsertSpan(s, shard, state, {arena, desc.count - first});
+    for (size_t done = 0; done < desc.count; done += kInsertChunk) {
+      if (done != 0) AnswerSlot(s, shard, /*answer_fences=*/false);
+      const size_t n = std::min<size_t>(kInsertChunk, desc.count - done);
+      const size_t begin =
+          static_cast<size_t>(desc.begin + done) & arena_mask_;
+      const size_t first = std::min(n, arena_items_ - begin);
+      uint64_t reports = InsertSpan(s, shard, state, {arena + begin, first});
+      if (first < n) reports += InsertSpan(s, shard, state, {arena, n - first});
+      BumpRelaxed(state.items, n);
+      BumpRelaxed(state.reports, reports);
+      QF_OBS(pm.items_processed.Add(n));
     }
-    state.reports.fetch_add(reports, std::memory_order_relaxed);
+    BumpRelaxed(state.batches);
 #if QF_METRICS
     const uint64_t dur = MonotonicNanos() - t0;
     obs::ShardMetrics& sm = shard_metrics_[static_cast<size_t>(s)];
     sm.ingest_ns.Record(dur);
     sm.batch_items.Record(desc.count);
     if (stage_sample) stm.insert_ns.Record(dur);
-    obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
-    pm.items_processed.Add(desc.count);
     pm.batches.Add(1);
     obs::TraceRing::Global().Emit(obs::TraceEvent::kBatchProcess,
                                   static_cast<uint16_t>(s), t0, dur,
@@ -1013,10 +972,14 @@ class IngestPipeline {
     return shard.InsertBatch(items);
   }
 
+  /// Arena items per descriptor-ring slot: the arena holds
+  /// FloorPow2(ring_batches × kArenaItemsPerSlot) items.
+  static constexpr size_t kArenaItemsPerSlot = 64;
+
   Sharded* filter_;
-  const size_t batch_size_;
-  const size_t arena_items_;  // power of two, ≥ 2 * kMaxBatch
+  const size_t arena_items_;  // power of two, ≥ 128
   const size_t arena_mask_;
+  const size_t publish_items_;  // staged run published at a quarter arena
   const int num_producers_;
   const bool collect_reported_keys_;
   const bool alerts_enabled_;

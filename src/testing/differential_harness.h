@@ -572,13 +572,21 @@ class DifferentialHarness {
       }
     }
 
+    // Flush every `cadence` items: single-item spans at cadence 1, and
+    // spans cut by the quarter-arena publish once the cadence exceeds it.
+    const size_t cadence = 1 + rng_.NextBounded(64);
     typename Pipeline::Options popts;
-    popts.batch_size = 1 + rng_.NextBounded(Pipeline::kMaxBatch);
     popts.ring_batches = 2 + rng_.NextBounded(14);  // tiny rings: wrap + stall
     popts.collect_reported_keys = true;
     Pipeline pipeline(sharded_pipe_, popts);
-    const uint64_t pipe_reports = pipeline.RunTrace(sharded_pending_);
+    pipeline.Start();
+    for (size_t k = 0; k < sharded_pending_.size(); ++k) {
+      pipeline.Push(sharded_pending_[k]);
+      if ((k + 1) % cadence == 0) pipeline.Flush();
+    }
+    pipeline.Stop();
     const typename Pipeline::Totals totals = pipeline.totals();
+    const uint64_t pipe_reports = totals.reports;
 
     if (totals.items_dispatched != sharded_pending_.size() ||
         totals.items_processed != sharded_pending_.size()) {

@@ -106,11 +106,12 @@ Sharded MakeSharded(int shards) {
 TEST(PipelineParkStressTest, FenceAndQueryCompleteWithAllWorkersParked) {
   Sharded sharded = MakeSharded(4);
   Pipeline::Options popts;
-  popts.batch_size = 8;
+  popts.ring_batches = 4;  // small rings: 64-item quarter-arena spans
   Pipeline pipeline(sharded, popts);
   pipeline.Start();
   for (uint64_t key = 0; key < 1000; ++key) {
     pipeline.Push(key, 150.0);
+    if (key % 8 == 7) pipeline.Flush();
   }
   pipeline.Flush();
   // Give every worker time to run its backoff ladder to the futex. The
@@ -139,7 +140,7 @@ TEST(PipelineParkStressTest, FenceAndQueryCompleteWithAllWorkersParked) {
 TEST(PipelineParkStressTest, FlushFenceChurnAgainstParkedWorkers) {
   Sharded sharded = MakeSharded(4);
   Pipeline::Options popts;
-  popts.batch_size = 4;
+  popts.ring_batches = 4;
   popts.num_producers = 2;
   Pipeline pipeline(sharded, popts);
   pipeline.Start();
@@ -152,6 +153,7 @@ TEST(PipelineParkStressTest, FlushFenceChurnAgainstParkedWorkers) {
       for (uint64_t i = 0; i < kPerBurst; ++i) {
         x = Mix64(x);
         pipeline.PushFrom(1, x % 4096, static_cast<double>(x % 400));
+        if (i % 4 == 3) pipeline.FlushFrom(1);
       }
       pipeline.FlushFrom(1);
       if (burst % 16 == 0) {

@@ -77,15 +77,14 @@ TEST(PipelineControlTest, FenceNeverCompletesAheadOfQueuedBatches) {
   const Criteria criteria(30, 0.95, 300);
   const Trace trace = MakeTrace(60'000, /*seed=*/13);
   Sharded filter(FilterOptions(), criteria, 2);
-  Pipeline::Options popts;
-  popts.batch_size = 1;  // every Push ships immediately: maximal overlap
-  Pipeline pipeline(filter, popts);
+  Pipeline pipeline(filter);
   pipeline.Start();
   uint64_t pushed = 0;
   for (size_t i = 0; i < trace.size();) {
     const size_t n = std::min<size_t>(7, trace.size() - i);
     for (size_t j = 0; j < n; ++j, ++i) {
       pipeline.Push(trace[i]);
+      pipeline.Flush();  // every Push ships immediately: maximal overlap
       ++pushed;
     }
     pipeline.Fence();
@@ -94,6 +93,39 @@ TEST(PipelineControlTest, FenceNeverCompletesAheadOfQueuedBatches) {
         << "fence returned with items still queued";
   }
   pipeline.Stop();
+}
+
+TEST(PipelineControlTest, FenceDuringMultiChunkSpanWaitsForWholeSpan) {
+  // Between the insert chunks of one span the worker answers queries but
+  // must not answer a fence: the span is already popped, so every ring
+  // looks empty while most of it is still unapplied. Each round publishes
+  // two 64K-item spans (a quarter of a 256K-item arena, 256 chunks each)
+  // and fences right behind the second. The worker is still applying the
+  // first when the second is published, so it needs no futex wake (which
+  // could preempt this thread), and the fence lands while a span is in
+  // hand.
+  const Criteria criteria(30, 0.95, 300);
+  Pipeline::Options popts;
+  popts.ring_batches = 4096;  // arena = 4096 * 64 items
+  const size_t span_items = 4096 * 64 / 4;
+  ASSERT_GE(span_items, 8 * Pipeline::kInsertChunk);
+  const Trace trace = MakeTrace(2 * span_items, /*seed=*/29);
+  Sharded filter(FilterOptions(), criteria, 1);
+  Pipeline pipeline(filter, popts);
+  pipeline.Start();
+  uint64_t pushed = 0;
+  constexpr int kRounds = 16;
+  for (int round = 0; round < kRounds; ++round) {
+    for (const Item& item : trace) pipeline.Push(item);
+    pushed += trace.size();
+    pipeline.Fence();
+    // Post-fence the shard is quiescent and readable from this thread.
+    ASSERT_EQ(filter.shard(0).stats().items, pushed)
+        << "fence returned mid-span in round " << round;
+    ASSERT_EQ(pipeline.totals().items_processed, pushed);
+  }
+  pipeline.Stop();
+  EXPECT_EQ(pipeline.totals().batches, 2u * kRounds);
 }
 
 TEST(PipelineControlTest, QueryBatchMatchesSingleKeyQueries) {

@@ -93,12 +93,10 @@ TEST(PipelineTest, FourShardsMatchSequentialOracleExactly) {
 
 TEST(PipelineTest, GracefulShutdownLosesNothing) {
   Sharded filter(FilterOptions(), Criteria(30, 0.95, 300), 3);
-  Pipeline::Options po;
-  po.batch_size = 32;
-  Pipeline pipeline(filter, po);
+  Pipeline pipeline(filter);
   pipeline.Start();
-  // 1000 items is not a multiple of batch_size * shards: Stop must flush
-  // the partial staging batches.
+  // 1000 items stay far below a quarter arena and are never flushed: Stop
+  // must publish the staged runs itself.
   for (uint64_t i = 0; i < 1000; ++i) {
     pipeline.Push(i, 500.0);
   }
@@ -111,15 +109,17 @@ TEST(PipelineTest, GracefulShutdownLosesNothing) {
 TEST(PipelineTest, BackpressureOnTinyRingsStillDeliversAll) {
   Sharded filter(FilterOptions(), Criteria(30, 0.95, 300), 2);
   Pipeline::Options po;
-  po.batch_size = 1;    // one item per batch
   po.ring_batches = 2;  // tiny rings force dispatcher waits
   Pipeline pipeline(filter, po);
   pipeline.Start();
   for (uint64_t i = 0; i < 50'000; ++i) {
     pipeline.Push(i, i % 2 ? 500.0 : 10.0);
+    pipeline.Flush();  // single-item spans: the 2-slot rings fill up
   }
   pipeline.Stop();
   EXPECT_EQ(pipeline.totals().items_processed, 50'000u);
+  EXPECT_EQ(pipeline.totals().batches, 50'000u);
+  EXPECT_GT(pipeline.totals().ring_full_waits, 0u);
   EXPECT_EQ(filter.AggregateStats().items, 50'000u);
 }
 
@@ -194,11 +194,18 @@ TEST(PipelineTest, ArenaWrapSpansStayBitIdentical) {
 
   Sharded piped(FilterOptions(), criteria, 1);
   Pipeline::Options po;
-  po.ring_batches = 2;   // arena = 2 * kMaxBatch items
-  po.batch_size = 48;    // spans land at non-power-of-2 offsets
+  po.ring_batches = 2;  // arena = 128 items, quarter-arena spans of 32
   Pipeline pipeline(piped, po);
-  pipeline.RunTrace(std::span<const Item>(trace));
+  pipeline.Start();
+  // A flush every 45 items after the 32-item quarter-arena publish makes
+  // 32 + 13 item spans, so spans start at non-power-of-2 offsets.
+  for (size_t i = 0; i < trace.size(); ++i) {
+    pipeline.Push(trace[i]);
+    if (i % 45 == 44) pipeline.Flush();
+  }
+  pipeline.Stop();
 
+  EXPECT_EQ(pipeline.totals().items_processed, trace.size());
   EXPECT_EQ(piped.shard(0).SerializeState(), serial.shard(0).SerializeState());
 }
 

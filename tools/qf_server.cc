@@ -55,7 +55,6 @@ void PrintUsage() {
       "  --first-touch         pre-fault arenas/sketches on their worker's\n"
       "                        core (NUMA first-touch; implies nothing\n"
       "                        without --pin)\n"
-      "  --batch=N             pipeline batch size (default 32)\n"
       "  --alert-ring=N        per-shard alert-ring records (default 4096)\n"
       "  --max-frame=BYTES     protocol frame cap (default 64 MiB)\n"
       "  --max-write-queue=BYTES  per-connection write cap (default 8 MiB)\n"
@@ -131,7 +130,6 @@ int Main(int argc, char** argv) {
   opts.placement.core_offset =
       static_cast<int>(flags.GetInt("core-offset", 0));
   opts.placement.first_touch_arenas = flags.Has("first-touch");
-  opts.batch_size = static_cast<size_t>(flags.GetInt("batch", 32));
   opts.alert_ring_records =
       static_cast<size_t>(flags.GetInt("alert-ring", 4096));
   opts.max_frame_bytes = static_cast<size_t>(
