@@ -213,8 +213,9 @@ class QfServer {
     uint64_t token = 0;
     uint32_t count = 0;
     uint64_t total_items = 0;
-    /// MonotonicNanos() at WAL append (QF_METRICS builds; 0 otherwise) —
-    /// the start of the qf_durable_sync_latency_ns / qf_stage_ack_ns spans.
+    /// MonotonicNanos() at WAL append on a timed frame (QF_METRICS builds;
+    /// 0 on the other frames, and always 0 otherwise) — the start of the
+    /// qf_durable_sync_latency_ns / qf_stage_ack_ns spans.
     uint64_t append_ns = 0;
   };
 

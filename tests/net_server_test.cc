@@ -512,6 +512,75 @@ TEST(NetServerTest, PipelinedClientFramesArriveInFewReads) {
 #endif
 }
 
+#if QF_METRICS
+/// The reactor times 1 in 16 INGEST frames (DESIGN.md §15.2), starting with
+/// its first, while every counter stays exact. 100 frames on one reactor
+/// therefore add exactly ceil(100 / 16) = 7 events to each per-frame stage
+/// histogram, and with group commit to the two ack-latency views too.
+void ExpectIngestTimingSampled(const QfServer::Options& opts) {
+  constexpr int kFrames = 100;
+  constexpr uint64_t kTimed = (kFrames + 15) / 16;
+  constexpr size_t kItems = 32;
+  obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
+  std::vector<const char*> families = {"qf_stage_decode_ns",
+                                       "qf_stage_arena_push_ns",
+                                       "qf_net_ingest_frame_ns"};
+  if (opts.durable.enabled() &&
+      opts.durable.fsync == durable::FsyncMode::kGroup) {
+    families.push_back("qf_stage_ack_ns");
+    families.push_back("qf_durable_sync_latency_ns");
+  }
+  const auto count_of = [&](const char* name) {
+    return r.GetHistogram(name).Merged().count();
+  };
+  std::vector<uint64_t> before;
+  for (const char* f : families) before.push_back(count_of(f));
+  const obs::Counter& frames =
+      r.GetCounter("qf_net_frames_total{type=\"ingest\"}");
+  const uint64_t frames_before = frames.Value();
+
+  QfServer server(opts);
+  ASSERT_TRUE(server.Start()) << server.error();
+  const Trace trace = MakeTrace(kFrames * kItems, /*seed=*/21);
+  QfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port())) << client.error();
+  for (int i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(client.SendIngest(Slice(trace, i * kItems, kItems)))
+        << client.error();
+    while (client.ingest_in_flight() >= 8) {
+      ASSERT_TRUE(client.AwaitIngestAck()) << client.error();
+    }
+  }
+  while (client.ingest_in_flight() > 0) {
+    ASSERT_TRUE(client.AwaitIngestAck()) << client.error();
+  }
+  client.Close();
+  server.Stop();  // joins the reactor: every record it made is visible
+
+  for (size_t f = 0; f < families.size(); ++f) {
+    EXPECT_EQ(count_of(families[f]) - before[f], kTimed) << families[f];
+  }
+  EXPECT_EQ(frames.Value() - frames_before, static_cast<uint64_t>(kFrames));
+  const obs::MetricsSnapshot own = server.OwnSeries();
+  const obs::CounterSample* ingested =
+      obs::FindSample(own.counters, "qf_server_items_ingested_total");
+  ASSERT_NE(ingested, nullptr);
+  EXPECT_EQ(ingested->value, trace.size());
+}
+
+TEST(NetServerTest, IngestStageTimingSamplesFramesAndCountsExactly) {
+  ExpectIngestTimingSampled(ServerOptions(1));
+}
+
+TEST(NetServerTest, GroupCommitAckTimingSamplesTheTimedFrames) {
+  durable::MemStorage storage;
+  QfServer::Options opts = ServerOptions(1);
+  opts.durable.storage = &storage;
+  opts.durable.fsync = durable::FsyncMode::kGroup;
+  ExpectIngestTimingSampled(opts);
+}
+#endif  // QF_METRICS
+
 // --- Stats plane (DESIGN.md §15) -------------------------------------------
 //
 // Each server owns its counters (QfServer::OwnSeries): kStats answers them
