@@ -184,6 +184,23 @@ TEST(ObsPipelineTest, PipelineRunEmitsTraceEvents) {
   EXPECT_GT(batch_ship, 0u);
 }
 
+struct EveryThirdA {
+  static constexpr uint32_t kEvery = 3;
+};
+struct EveryThirdB {
+  static constexpr uint32_t kEvery = 3;
+};
+
+TEST(ObsPipelineTest, SampleHitKeepsOneCadencePerPolicy) {
+  // Two policies at one rate, asked in turn as a reactor asks its timing
+  // and trace decisions: each still hits on its 1st, 4th, 7th... call.
+  for (int call = 0; call < 9; ++call) {
+    const bool expect = call % 3 == 0;
+    EXPECT_EQ(obs::SampleHit<EveryThirdA>(), expect) << call;
+    EXPECT_EQ(obs::SampleHit<EveryThirdB>(), expect) << call;
+  }
+}
+
 #else  // !QF_METRICS
 
 TEST(ObsPipelineTest, MetricsCompiledOut) {
