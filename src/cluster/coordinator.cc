@@ -1,7 +1,6 @@
 #include "cluster/coordinator.h"
 
 #include <netdb.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -31,6 +30,7 @@ namespace qf::cluster {
 namespace {
 
 using net::BackendState;
+using net::ClientRef;
 using net::Connection;
 using net::ControlOp;
 using net::ControlStatus;
@@ -90,10 +90,9 @@ struct Coordinator::Impl {
 
   // ---- shared counters (any reactor updates, kStats/kTopology read) -----
   std::atomic<uint64_t> total_items_acked{0};
-  std::atomic<uint64_t> accepts{0};
-  std::atomic<uint64_t> active_clients{0};
-  std::atomic<uint64_t> disconnects{0};
-  std::atomic<uint64_t> slow_disconnects{0};
+  /// Client-plane series, subscriber count and kShutdown flag, shared by
+  /// every reactor's ClientTable.
+  net::ClientPlane plane;
   std::atomic<uint64_t> migrations_completed{0};
   std::atomic<uint64_t> alert_gaps{0};
 
@@ -105,7 +104,7 @@ struct Coordinator::Impl {
   // Replies to one client go out strictly in request order: every request
   // appends a PendingReply and completed entries drain from the front.
   // shared_ptr because ledger credits outlive a client that disconnects
-  // mid-request (completions then no-op via the fd/gen lookup).
+  // mid-request (completions then no-op via the ClientRef lookup).
   struct PendingReply {
     enum Kind { kIngestR, kQueryR, kControlFan, kLocal };
     Kind kind = kLocal;
@@ -125,24 +124,11 @@ struct Coordinator::Impl {
     std::vector<uint8_t> local_frame;
   };
 
-  /// Names a client across loop turns: completions resolve it with
-  /// FindClient and no-op if the client has gone (or its fd was reused).
-  struct ClientRef {
-    int fd = -1;
-    uint32_t gen = 0;
-  };
-
-  struct ClientConn {
-    Connection io;
-    bool subscribed = false;
-    uint64_t alert_seq = 0;
+  struct ClientState {
     std::deque<std::shared_ptr<PendingReply>> replies;
-
-    ClientConn(net::EventLoop& loop, int fd,
-               const FrameDecoder::Options& dopts)
-        : io(loop, fd, dopts) {}
-    ClientRef ref() const { return {io.fd(), io.gen()}; }
   };
+  using Clients = net::ClientTable<ClientState>;
+  using ClientConn = Clients::Client;
 
   /// One client request folded into a coalesced backend frame.
   struct Credit {
@@ -200,16 +186,21 @@ struct Coordinator::Impl {
   /// state. Nothing here is touched by any other thread except through
   /// loop.Post().
   struct Reactor {
+    Reactor(uint32_t ridx, net::ClientPlane& plane,
+            const CoordinatorOptions& o)
+        : ridx(ridx),
+          clients(loop, plane, o.max_write_queue_bytes, o.max_frame_bytes,
+                  /*io=*/nullptr) {}
+
     uint32_t ridx = 0;
     net::EventLoop loop;  // declared before every Connection owner
+    Clients clients;
     std::thread thread;
 
     Topology topo;
-    std::unordered_map<int, std::unique_ptr<ClientConn>> clients;
-    /// The client whose recv() chunk is being handled: its replies wait
-    /// for the chunk's single flush in Connection::ReadFrames.
-    ClientConn* reading = nullptr;
     std::vector<Backend> backends;
+    /// Upstream alerts received this tick, fanned out at its end.
+    std::vector<net::WireAlert> alerts;
 
     // ---- migration fence (per loop; the worker rendezvouses all) --------
     bool fenced = false;
@@ -270,8 +261,8 @@ struct Coordinator::Impl {
         std::vector<std::atomic<uint8_t>>(n_reactors * n_backends);
 
     for (size_t ri = 0; ri < n_reactors; ++ri) {
-      auto r = std::make_unique<Reactor>();
-      r->ridx = static_cast<uint32_t>(ri);
+      auto r = std::make_unique<Reactor>(static_cast<uint32_t>(ri), plane,
+                                         opts);
       r->backends.reserve(n_backends);
       for (size_t b = 0; b < n_backends; ++b) {
         Backend be;
@@ -344,6 +335,13 @@ struct Coordinator::Impl {
     started = false;
   }
 
+  /// Stop() was called or a client's kShutdown was acked: loop-side
+  /// commands fail fast.
+  bool Stopping() const {
+    return stop_flag.load(std::memory_order_acquire) ||
+           plane.stopping.load(std::memory_order_acquire);
+  }
+
   void SetBackendState(Reactor& r, Backend& b, BackendState s) {
     b.state = s;
     state_matrix[r.ridx * opts.backends.size() + b.idx].store(
@@ -377,7 +375,11 @@ struct Coordinator::Impl {
   }
 
   void Loop(Reactor& r) {
-    while (!stop_flag.load(std::memory_order_acquire)) {
+    // After a kShutdown the acking loop runs on until its ack (queued
+    // behind any reply still owed by a backend) has drained.
+    const auto owes = [](const ClientState& s) { return !s.replies.empty(); };
+    while (!stop_flag.load(std::memory_order_acquire) &&
+           !r.clients.ShutdownDrained(owes)) {
       r.loop.RunPosted();
       KickBackendConnects(r, NowMs());
       const bool polled = r.loop.Poll(
@@ -385,9 +387,11 @@ struct Coordinator::Impl {
           [&](int fd, uint32_t gen, uint32_t events) {
             OnEvent(r, fd, gen, events);
           },
-          [&](int fd) { AdoptClient(r, fd); });
+          [&](int fd) { r.clients.Accept(fd); });
       if (!polled) break;
       FlushDueCoalesce(r);
+      r.clients.FanOut(r.alerts);
+      r.alerts.clear();
     }
     // Unblock a migration worker parked on a fence/flip future: drain the
     // remaining commands (they are stop-aware and fail fast), then fulfill
@@ -397,9 +401,7 @@ struct Coordinator::Impl {
       r.barrier_armed = false;
       r.barrier_promise->set_value(false);
     }
-    active_clients.fetch_sub(r.clients.size(), std::memory_order_relaxed);
-    disconnects.fetch_add(r.clients.size(), std::memory_order_relaxed);
-    r.clients.clear();  // each Connection closes its socket
+    r.clients.CloseAll();
     // With no clients left, failing a backend just drops its link, buffers
     // and ledger (keeping the gauges balanced).
     for (Backend& b : r.backends) FailBackend(r, b, NowMs());
@@ -414,8 +416,10 @@ struct Coordinator::Impl {
   /// Routes one epoll event by fd, dropping it unless its generation is
   /// the live connection's (a stale event for a closed-and-reused fd).
   void OnEvent(Reactor& r, int fd, uint32_t gen, uint32_t events) {
-    if (ClientConn* c = FindClient(r, {fd, gen})) {
-      ServeClient(r, c, events);
+    if (r.clients.Serve(fd, gen, events,
+                        [&](ClientConn* c, const FrameView& frame) {
+                          DispatchClientFrame(r, c, frame);
+                        })) {
       return;
     }
     for (Backend& b : r.backends) {
@@ -426,65 +430,9 @@ struct Coordinator::Impl {
     }
   }
 
-  void AdoptClient(Reactor& r, int fd) {
-    auto conn = std::make_unique<ClientConn>(r.loop, fd, DecoderOpts());
-    if (!conn->io.registered()) return;  // destroying conn closes the fd
-    r.clients.emplace(fd, std::move(conn));
-    accepts.fetch_add(1, std::memory_order_relaxed);
-    active_clients.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  ClientConn* FindClient(Reactor& r, ClientRef ref) {
-    auto it = r.clients.find(ref.fd);
-    return it != r.clients.end() && it->second->io.gen() == ref.gen
-               ? it->second.get()
-               : nullptr;
-  }
-
-  /// Acts on a Connection status: closes the client it ends (counting a
-  /// slow consumer). Returns false unless the client is still open.
-  bool SettleClient(Reactor& r, ClientConn* c, Connection::Status status) {
-    if (status == Connection::Status::kOpen) return true;
-    if (status == Connection::Status::kStopped) return false;
-    if (status == Connection::Status::kSlow) {
-      slow_disconnects.fetch_add(1, std::memory_order_relaxed);
-    }
-    r.clients.erase(c->io.fd());  // frees c; its Connection closes the fd
-    active_clients.fetch_sub(1, std::memory_order_relaxed);
-    disconnects.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
-  /// Flushes as much queued output as the socket takes. Returns false if
-  /// the client was closed.
-  bool SendQueued(Reactor& r, ClientConn* c) {
-    return SettleClient(r, c, c->io.Flush(opts.max_write_queue_bytes,
-                                          /*io=*/nullptr));
-  }
-
-  /// Terminal per connection, like QfServer: queue the ERROR frame, stop
-  /// processing input, drop once it flushed.
-  void SendClientError(Reactor& r, ClientConn* c, ErrorCode code,
-                       const std::string& message) {
-    c->io.QueueError(code, message);
-    SendQueued(r, c);
-  }
-
-  void ServeClient(Reactor& r, ClientConn* c, uint32_t events) {
-    const ClientRef ref = c->ref();
-    r.reading = c;
-    const Connection::Status status = c->io.OnEvents(
-        events, opts.max_write_queue_bytes, /*io=*/nullptr,
-        [&](const FrameView& frame) {
-          DispatchClientFrame(r, c, frame);
-          return FindClient(r, ref) != nullptr && !c->io.closing();
-        });
-    r.reading = nullptr;
-    SettleClient(r, c, status);
-  }
-
   void DispatchClientFrame(Reactor& r, ClientConn* c,
                            const FrameView& frame) {
+    if (r.clients.RefuseIfStopping(c)) return;
     switch (frame.type) {
       case FrameType::kIngest:
         HandleIngest(r, c, frame);
@@ -492,16 +440,20 @@ struct Coordinator::Impl {
       case FrameType::kQuery:
         HandleQuery(r, c, frame);
         return;
-      case FrameType::kSubscribe:
-        HandleSubscribe(r, c, frame);
+      case FrameType::kSubscribe: {
+        std::vector<uint8_t> echo;
+        if (r.clients.Subscribe(c, frame, &echo)) {
+          QueueLocalReply(r, c, std::move(echo));
+        }
         return;
+      }
       case FrameType::kControl:
         HandleControl(r, c, frame);
         return;
       default:
-        SendClientError(r, c, ErrorCode::kUnsupportedType,
-                        std::string("unexpected frame type: ") +
-                            net::FrameTypeName(frame.type));
+        r.clients.SendError(c, ErrorCode::kUnsupportedType,
+                            std::string("unexpected frame type: ") +
+                                net::FrameTypeName(frame.type));
         return;
     }
   }
@@ -513,7 +465,7 @@ struct Coordinator::Impl {
     auto reply = std::make_shared<PendingReply>();
     reply->kind = PendingReply::kLocal;
     reply->local_frame = std::move(frame);
-    c->replies.push_back(std::move(reply));
+    c->state.replies.push_back(std::move(reply));
     TryFlushReplies(r, c);
   }
 
@@ -526,22 +478,22 @@ struct Coordinator::Impl {
 
   /// As below, for a client that may have gone since the request.
   void TryFlushReplies(Reactor& r, ClientRef ref) {
-    if (ClientConn* c = FindClient(r, ref)) TryFlushReplies(r, c);
+    if (ClientConn* c = r.clients.Find(ref)) TryFlushReplies(r, c);
   }
 
   void TryFlushReplies(Reactor& r, ClientConn* c) {
-    while (!c->replies.empty()) {
-      PendingReply& reply = *c->replies.front();
+    while (!c->state.replies.empty()) {
+      PendingReply& reply = *c->state.replies.front();
       if (reply.failed) {
-        SendClientError(r, c, ErrorCode::kInternal, reply.fail_msg);
+        r.clients.SendError(c, ErrorCode::kInternal, reply.fail_msg);
         return;
       }
       if (reply.outstanding > 0) break;
       AppendReplyFrame(r, c, reply);
-      c->replies.pop_front();
+      c->state.replies.pop_front();
     }
     // A client mid-read flushes once, at the end of its recv() chunk.
-    if (c != r.reading) SendQueued(r, c);
+    if (c != r.clients.reading()) r.clients.Flush(c);
   }
 
   void AppendReplyFrame(Reactor&, ClientConn* c, PendingReply& reply) {
@@ -567,7 +519,9 @@ struct Coordinator::Impl {
         if (reply.status == ControlStatus::kOk &&
             reply.op != ControlOp::kDrain) {
           if (reply.op == ControlOp::kMetrics) MergeLocalClusterMetrics(reply);
-          OverlayClientPlane(&reply.metrics);
+          net::WireStats own;
+          plane.Fill(&own);
+          net::OverlayClientPlane(own, &reply.metrics);
           // Stamped by the process that assembled the rollup.
           reply.metrics.wall_ns = WallNanos();
           reply.metrics.mono_ns = MonotonicNanos();
@@ -582,28 +536,6 @@ struct Coordinator::Impl {
         return;
       }
     }
-  }
-
-  /// The backend sums describe the cluster, except the connection series:
-  /// a client of this coordinator asks about its client plane, not about
-  /// backend connections (mostly this coordinator's own links).
-  void OverlayClientPlane(obs::MetricsSnapshot* snap) const {
-    const auto put = [](auto& samples, const char* name, uint64_t value) {
-      auto* s = obs::FindSample(samples, name);
-      if (s == nullptr) {
-        s = &samples.emplace_back();
-        s->name = name;
-      }
-      s->value = static_cast<decltype(s->value)>(value);
-    };
-    put(snap->counters, "qf_net_accepts_total",
-        accepts.load(std::memory_order_relaxed));
-    put(snap->counters, "qf_net_disconnects_total",
-        disconnects.load(std::memory_order_relaxed));
-    put(snap->counters, "qf_net_slow_disconnects_total",
-        slow_disconnects.load(std::memory_order_relaxed));
-    put(snap->gauges, "qf_net_active_connections",
-        active_clients.load(std::memory_order_relaxed));
   }
 
   /// Folds the coordinator's own qf_cluster_* series into a kMetrics
@@ -735,15 +667,15 @@ struct Coordinator::Impl {
     uint64_t token = 0;
     uint32_t count = 0;
     if (p.size() < 12) {
-      SendClientError(r, c, ErrorCode::kBadPayload,
-                      "malformed INGEST payload");
+      r.clients.SendError(c, ErrorCode::kBadPayload,
+                          "malformed INGEST payload");
       return;
     }
     std::memcpy(&token, p.data(), 8);
     std::memcpy(&count, p.data() + 8, 4);
     if (p.size() != 12 + static_cast<uint64_t>(count) * sizeof(Item)) {
-      SendClientError(r, c, ErrorCode::kBadPayload,
-                      "malformed INGEST payload");
+      r.clients.SendError(c, ErrorCode::kBadPayload,
+                          "malformed INGEST payload");
       return;
     }
     const uint8_t* records = p.data() + 12;
@@ -755,7 +687,7 @@ struct Coordinator::Impl {
     // Guard credit: holds the reply open while this frame is still being
     // classified, so a reentrant ack/failure mid-loop cannot complete it.
     reply->outstanding = 1;
-    c->replies.push_back(reply);
+    c->state.replies.push_back(reply);
     const ClientRef ref = c->ref();
     ++r.ingest_epoch;
     r.fenced_scratch.clear();
@@ -815,8 +747,8 @@ struct Coordinator::Impl {
   void HandleQuery(Reactor& r, ClientConn* c, const FrameView& frame) {
     net::QueryRequest req;
     if (!net::ParseQuery(frame.payload, &req)) {
-      SendClientError(r, c, ErrorCode::kBadPayload,
-                      "malformed QUERY payload");
+      r.clients.SendError(c, ErrorCode::kBadPayload,
+                          "malformed QUERY payload");
       return;
     }
     auto reply = std::make_shared<PendingReply>();
@@ -839,7 +771,7 @@ struct Coordinator::Impl {
       r.scatter_pos[b].push_back(static_cast<uint32_t>(i));
     }
     reply->outstanding = static_cast<int>(r.scatter_touched.size());
-    c->replies.push_back(reply);
+    c->state.replies.push_back(reply);
 
     const ClientRef ref = c->ref();
     for (const uint32_t bi : r.scatter_touched) {
@@ -880,24 +812,11 @@ struct Coordinator::Impl {
 
   // ---- SUBSCRIBE / CONTROL ----------------------------------------------
 
-  void HandleSubscribe(Reactor& r, ClientConn* c, const FrameView& frame) {
-    net::SubscribeRequest req;
-    if (!net::ParseSubscribe(frame.payload, &req)) {
-      SendClientError(r, c, ErrorCode::kBadPayload,
-                      "malformed SUBSCRIBE payload");
-      return;
-    }
-    c->subscribed = req.enable;
-    std::vector<uint8_t> echo;
-    net::EncodeSubscribeTo(req.token, req.enable, &echo);
-    QueueLocalReply(r, c, std::move(echo));
-  }
-
   void HandleControl(Reactor& r, ClientConn* c, const FrameView& frame) {
     net::ControlRequest req;
     if (!net::ParseControl(frame.payload, &req)) {
-      SendClientError(r, c, ErrorCode::kBadPayload,
-                      "malformed CONTROL payload");
+      r.clients.SendError(c, ErrorCode::kBadPayload,
+                          "malformed CONTROL payload");
       return;
     }
     switch (req.op) {
@@ -933,22 +852,11 @@ struct Coordinator::Impl {
       case ControlOp::kMigrate:
         StartMigration(r, c, req);
         return;
-      case ControlOp::kShutdown: {
-        const ClientRef ref = c->ref();
+      case ControlOp::kShutdown:
         QueueControlStatus(r, c, req.token, req.op, ControlStatus::kOk);
-        // Best-effort synchronous flush of the ack before the loops exit.
-        const uint64_t deadline = NowMs() + 500;
-        while (NowMs() < deadline) {
-          ClientConn* cc = FindClient(r, ref);
-          if (cc == nullptr || cc->io.out().empty()) break;
-          pollfd p{ref.fd, POLLOUT, 0};
-          poll(&p, 1, 10);
-          if (!SendQueued(r, cc)) break;
-        }
-        stop_flag.store(true, std::memory_order_release);
+        r.clients.BeginShutdown(c);
         for (auto& other : reactors) other->loop.Wake();
         return;
-      }
       default:
         // Backend-plane ops (checkpoint/restore/shard handoff) and unknown
         // ops: not a coordinator operation.
@@ -974,7 +882,7 @@ struct Coordinator::Impl {
     reply->token = req.token;
     reply->op = req.op;
     reply->outstanding = static_cast<int>(r.backends.size());
-    c->replies.push_back(reply);
+    c->state.replies.push_back(reply);
     const ClientRef ref = c->ref();
     const SubOp op{SubOp::kControl, ref, reply, {}};
     for (Backend& b : r.backends) {
@@ -1217,7 +1125,8 @@ struct Coordinator::Impl {
           alert_gaps.fetch_add(1, std::memory_order_relaxed);
         }
         b.alert_rx_seq = alert.seq + 1;
-        ForwardAlert(r, b, alert);
+        alert.reserved = b.idx;
+        r.alerts.push_back(alert);
         return true;
       }
       case FrameType::kError:
@@ -1246,30 +1155,6 @@ struct Coordinator::Impl {
       obs::MergeSnapshotInto(snap, &reply.metrics);
     }
     // kDrain carries no payload; kOk from every backend is the answer.
-  }
-
-  /// Re-tags and forwards one upstream alert to every subscribed client of
-  /// this reactor. Every reactor holds its own upstream subscription, and
-  /// each client lives on exactly one reactor, so a subscriber sees each
-  /// alert exactly once. The coordinator-assigned `seq` is gap-free per
-  /// subscriber; `reserved` carries the backend index.
-  void ForwardAlert(Reactor& r, const Backend& b,
-                    const net::WireAlert& alert) {
-    // Snapshot subscribers first: SendQueued can close (erase) a slow one,
-    // which would invalidate a live map iterator (never another client).
-    std::vector<ClientConn*> subscribers;
-    for (const auto& [fd, conn] : r.clients) {
-      if (conn->subscribed && !conn->io.closing()) {
-        subscribers.push_back(conn.get());
-      }
-    }
-    net::WireAlert out = alert;
-    out.reserved = b.idx;
-    for (ClientConn* c : subscribers) {
-      out.seq = c->alert_seq++;
-      c->io.out().Encode(net::EncodeAlertTo, out);
-      SendQueued(r, c);
-    }
   }
 
   // ======================================================================
@@ -1313,7 +1198,7 @@ struct Coordinator::Impl {
     migrate_reply->op = ControlOp::kMigrate;
     migrate_reply->outstanding = 1;
     migrate_client = c->ref();
-    c->replies.push_back(migrate_reply);
+    c->state.replies.push_back(migrate_reply);
     const uint32_t slot = m.slot;
     const uint32_t target = m.target_backend;
     migration_worker = std::thread(
@@ -1329,7 +1214,7 @@ struct Coordinator::Impl {
     auto prom = std::make_shared<std::promise<bool>>();
     std::future<bool> fut = prom->get_future();
     r.loop.Post([this, &r, slot, donor, prom] {
-      if (stop_flag.load(std::memory_order_acquire)) {
+      if (Stopping()) {
         prom->set_value(false);
         return;
       }
@@ -1376,7 +1261,7 @@ struct Coordinator::Impl {
     auto prom = std::make_shared<std::promise<bool>>();
     std::future<bool> fut = prom->get_future();
     r.loop.Post([this, &r, slot, target, commit, prom] {
-      if (stop_flag.load(std::memory_order_acquire)) {
+      if (Stopping()) {
         r.fenced = false;
         r.fence_buffer.clear();
         prom->set_value(false);
@@ -1389,7 +1274,7 @@ struct Coordinator::Impl {
       auto buffered = std::move(r.fence_buffer);
       r.fence_buffer.clear();
       for (FencedBatch& batch : buffered) {
-        ClientConn* c = FindClient(r, batch.client);
+        ClientConn* c = r.clients.Find(batch.client);
         bool sent = false;
         if (c != nullptr && b.state == BackendState::kReady &&
             !batch.reply->failed) {

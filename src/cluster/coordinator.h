@@ -21,7 +21,8 @@
 //              disconnects, active connections) in place of the backend
 //              sums of those series; kTopology answers locally;
 //              kMigrate drives a live slot migration; kDrain fans out;
-//              kShutdown stops the coordinator (backends keep running);
+//              kShutdown is acked, then stops the coordinator once the
+//              ack has drained (backends keep running);
 //              kCheckpoint/kRestore and the shard-handoff ops answer
 //              kBadRequest — they are backend-plane operations.
 //
@@ -29,7 +30,10 @@
 // net::EventLoop (net/reactor.h, shared with QfServer) with a disjoint set
 // of accepted clients, its own backend links, its own copy of the slot
 // table and all routing state for its clients — no locks on the data path
-// (DESIGN.md §16.5). Clients and backend links are net::Connections.
+// (DESIGN.md §16.5). Clients and backend links are net::Connections; each
+// loop's clients live in a net::ClientTable, the one QfServer reactors use
+// (connection cap, close accounting, alert fan-out, kShutdown handshake),
+// carrying the coordinator's ordered reply deque as per-client state.
 // INGEST items are classified straight out of the receive buffer into
 // per-backend coalescing buffers (preformatted INGEST frames) that flush
 // bytes-or-deadline as one large backend frame; a per-backend FIFO credit

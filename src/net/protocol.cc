@@ -267,6 +267,7 @@ struct StatsSeries {
   const char* name;
   const char* help;
   uint64_t WireStats::*field;
+  bool client_plane = false;  // a connection series (OverlayClientPlane)
 };
 constexpr StatsSeries kStatsSeries[] = {
     {"qf_server_items_ingested_total",
@@ -280,12 +281,13 @@ constexpr StatsSeries kStatsSeries[] = {
      &WireStats::alerts_dropped},
     {"qf_net_alerts_streamed_total", "ALERT frames queued to subscribers",
      &WireStats::alerts_streamed},
-    {"qf_net_accepts_total", "connections accepted", &WireStats::accepts},
+    {"qf_net_accepts_total", "connections accepted", &WireStats::accepts,
+     true},
     {"qf_net_disconnects_total", "connections closed",
-     &WireStats::disconnects},
+     &WireStats::disconnects, true},
     {"qf_net_slow_disconnects_total",
      "connections dropped over the write-queue cap",
-     &WireStats::slow_disconnects},
+     &WireStats::slow_disconnects, true},
     {"qf_durable_records_appended_total",
      "ingest batches appended to the WAL", &WireStats::wal_records_appended},
     {"qf_durable_records_replayed_total",
@@ -338,6 +340,23 @@ bool WireStatsFromMetrics(const obs::MetricsSnapshot& snap, WireStats* out,
   stats.*kActiveConnections.field = static_cast<uint64_t>(g->value);
   *out = stats;
   return true;
+}
+
+void OverlayClientPlane(const WireStats& stats, obs::MetricsSnapshot* snap) {
+  const auto put = [](auto& samples, const StatsSeries& s, auto value) {
+    auto* sample = obs::FindSample(samples, s.name);
+    if (sample == nullptr) {
+      sample = &samples.emplace_back();
+      sample->name = s.name;
+      sample->help = s.help;
+    }
+    sample->value = value;
+  };
+  for (const StatsSeries& s : kStatsSeries) {
+    if (s.client_plane) put(snap->counters, s, stats.*s.field);
+  }
+  put(snap->gauges, kActiveConnections,
+      static_cast<int64_t>(stats.*kActiveConnections.field));
 }
 
 namespace {

@@ -261,6 +261,11 @@ bool ParseAlert(std::span<const uint8_t> payload, WireAlert* out);
 obs::MetricsSnapshot WireStatsToMetrics(const WireStats& stats);
 bool WireStatsFromMetrics(const obs::MetricsSnapshot& snap, WireStats* out,
                           std::string* error);
+/// Writes the client-plane series of `stats` (accepts, disconnects, slow
+/// disconnects, active connections) into `snap`, replacing samples of the
+/// same name: a front end relaying backend snapshots reports its own
+/// clients, not the backends' connections.
+void OverlayClientPlane(const WireStats& stats, obs::MetricsSnapshot* snap);
 
 // ControlOp::kMetrics reply payload ("wire metrics snapshot", DESIGN.md §15):
 //

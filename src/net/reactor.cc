@@ -218,6 +218,13 @@ int EventLoop::AcceptOne() {
   }
 }
 
+void ClientPlane::Fill(WireStats* stats) const {
+  stats->accepts = accepts.load(std::memory_order_relaxed);
+  stats->active_connections = active.load(std::memory_order_relaxed);
+  stats->disconnects = disconnects.load(std::memory_order_relaxed);
+  stats->slow_disconnects = slow_disconnects.load(std::memory_order_relaxed);
+}
+
 Connection::Connection(EventLoop& loop, int fd,
                        const FrameDecoder::Options& dopts)
     : loop_(loop), fd_(fd), decoder_(dopts) {

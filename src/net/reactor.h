@@ -1,6 +1,7 @@
-// The one event loop and one connection type behind every epoll front end
-// (DESIGN.md §11): QfServer reactors, and the cluster coordinator's client
-// connections and backend links, are thin users of these classes.
+// The one event loop, connection type and client plane behind every epoll
+// front end (DESIGN.md §11): QfServer reactors, and the cluster
+// coordinator's client connections and backend links, are thin users of
+// these classes.
 //
 // Policies every user gets:
 //   * Event tokens are fd | gen << 32 with a fresh gen per registration;
@@ -13,6 +14,8 @@
 //     reading stops when recv() returns less than its buffer.
 //   * One slow-consumer rule: a queue still above the cap after a flush
 //     reports kSlow, and the owner closes the connection.
+//   * One client table per loop (ClientTable): the connection cap, close
+//     accounting, alert fan-out and kShutdown handshake of every front end.
 //
 // Linux-only (epoll + eventfd + SO_REUSEPORT).
 
@@ -23,22 +26,27 @@
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "net/protocol.h"
 
 namespace qf::net {
 
-/// Socket traffic of one call, for the server's qf_net_* counters (the
-/// coordinator passes nullptr).
+/// Socket traffic, for the server's qf_net_* counters (the coordinator
+/// passes nullptr).
 struct IoStats {
   uint64_t bytes_read = 0;
   uint64_t bytes_written = 0;
@@ -196,6 +204,7 @@ class Connection {
   int fd() const { return fd_; }
   uint32_t gen() const { return gen_; }
   WriteQueue& out() { return out_; }
+  const WriteQueue& out() const { return out_; }
 
   /// True once a terminal ERROR is queued: later input is discarded and
   /// the drained flush reports kDone.
@@ -271,6 +280,234 @@ class Connection {
   bool closing_ = false;
   FrameDecoder decoder_;
   WriteQueue out_;
+};
+
+/// One front end's client plane, shared by the ClientTables of its loops:
+/// the four client-plane series (named once, in protocol.cc), the
+/// subscriber count and the kShutdown flag.
+struct ClientPlane {
+  std::atomic<uint64_t> accepts{0};
+  std::atomic<uint64_t> active{0};
+  std::atomic<uint64_t> disconnects{0};
+  std::atomic<uint64_t> slow_disconnects{0};
+  std::atomic<int> subscribers{0};     // across every loop
+  std::atomic<bool> stopping{false};   // a kShutdown was acked
+
+  /// Copies the four series into their WireStats fields.
+  void Fill(WireStats* stats) const;
+};
+
+/// Names a client across loop turns: a deferred reply resolves it with
+/// ClientTable::Find and is dropped if the client has gone (or its fd was
+/// reused: the generation differs).
+struct ClientRef {
+  int fd = -1;
+  uint32_t gen = 0;
+};
+
+struct NoClientState {};
+
+/// One loop's clients: the fd → client map every front end serves from, and
+/// the policies they share. Accept caps the loop at kMaxClients; a status
+/// other than kOpen closes the client and counts it (kSlow as a slow
+/// consumer); an error is one terminal ERROR frame, then close once it has
+/// drained; alerts fan out with a gap-free per-subscriber seq. Each front
+/// end attaches its own per-client `State`. `io` (may be null) accumulates
+/// the socket traffic of every call. Loop thread only.
+template <typename State = NoClientState>
+class ClientTable {
+ public:
+  /// Accepted connections past this many on one loop are closed at once.
+  static constexpr size_t kMaxClients = 1024;
+
+  struct Client {
+    Client(EventLoop& loop, int fd, const FrameDecoder::Options& dopts)
+        : io(loop, fd, dopts) {}
+    ClientRef ref() const { return {io.fd(), io.gen()}; }
+
+    Connection io;
+    bool subscribed = false;
+    uint64_t alert_seq = 0;  // seq of the next ALERT on this connection
+    State state{};
+  };
+
+  /// `loop` and `plane` must outlive the table; connections deregister on
+  /// the loop, so declare the table after it.
+  ClientTable(EventLoop& loop, ClientPlane& plane, size_t max_write_queue_bytes,
+              size_t max_frame_bytes, IoStats* io)
+      : loop_(loop), plane_(plane), cap_(max_write_queue_bytes), io_(io) {
+    dopts_.max_frame_bytes = max_frame_bytes;
+  }
+  ClientTable(const ClientTable&) = delete;
+  ClientTable& operator=(const ClientTable&) = delete;
+
+  Client* Find(ClientRef ref) const {
+    auto it = clients_.find(ref.fd);
+    return it != clients_.end() && it->second->io.gen() == ref.gen
+               ? it->second.get()
+               : nullptr;
+  }
+
+  /// The accept callback: adopts `fd` (owned either way) and returns the
+  /// client, or nullptr if the loop is full or epoll refused the fd.
+  Client* Accept(int fd) {
+    if (clients_.size() >= kMaxClients) {
+      close(fd);
+      return nullptr;
+    }
+    auto c = std::make_unique<Client>(loop_, fd, dopts_);
+    if (!c->io.registered()) return nullptr;  // destroying c closes the fd
+    Client* p = c.get();
+    clients_.emplace(fd, std::move(c));
+    plane_.accepts.fetch_add(1, std::memory_order_relaxed);
+    plane_.active.fetch_add(1, std::memory_order_relaxed);
+    return p;
+  }
+
+  /// The per-event step. False if (fd, gen) names no live client: a stale
+  /// event, or a connection the front end owns itself. Otherwise hands
+  /// each frame to on_frame(Client*, const FrameView&), which may close the
+  /// client or queue its terminal ERROR (reading then stops), and settles.
+  template <typename OnFrame>
+  bool Serve(int fd, uint32_t gen, uint32_t events, OnFrame&& on_frame) {
+    Client* c = Find({fd, gen});
+    if (c == nullptr) return false;
+    reading_ = c;
+    const Connection::Status status =
+        c->io.OnEvents(events, cap_, io_, [&](const FrameView& frame) {
+          on_frame(c, frame);
+          return Find({fd, gen}) != nullptr && !c->io.closing();
+        });
+    reading_ = nullptr;
+    Settle(c, status);
+    return true;
+  }
+
+  /// The client whose recv() chunk Serve is handling: its replies leave in
+  /// the chunk's one flush.
+  const Client* reading() const { return reading_; }
+
+  /// Sends what the socket takes. False if the client was closed.
+  bool Flush(Client* c) { return Settle(c, c->io.Flush(cap_, io_)); }
+
+  /// Queues the terminal ERROR frame: closes at once if it drained,
+  /// otherwise once EPOLLOUT drains it.
+  void SendError(Client* c, ErrorCode code, std::string_view message) {
+    c->io.QueueError(code, message);
+    Flush(c);
+  }
+
+  void Close(Client* c, bool slow) {
+    if (c->subscribed) {
+      plane_.subscribers.fetch_sub(1, std::memory_order_relaxed);
+    }
+    clients_.erase(c->io.fd());  // frees c; its Connection closes the fd
+    plane_.active.fetch_sub(1, std::memory_order_relaxed);
+    plane_.disconnects.fetch_add(1, std::memory_order_relaxed);
+    if (slow) plane_.slow_disconnects.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Closes every client (loop exit), counting each close, so a stopped
+  /// front end reports active == 0 and disconnects == accepts.
+  void CloseAll() {
+    for (const auto& [fd, c] : clients_) {
+      if (c->subscribed) {
+        plane_.subscribers.fetch_sub(1, std::memory_order_relaxed);
+      }
+    }
+    plane_.active.fetch_sub(clients_.size(), std::memory_order_relaxed);
+    plane_.disconnects.fetch_add(clients_.size(), std::memory_order_relaxed);
+    clients_.clear();
+  }
+
+  /// SUBSCRIBE: (un)subscribes `c` and encodes the echo that acknowledges
+  /// it into `echo`; alerts stream after the echo. False (an ERROR sent,
+  /// `c` possibly gone) if the payload is malformed.
+  bool Subscribe(Client* c, const FrameView& frame,
+                 std::vector<uint8_t>* echo) {
+    SubscribeRequest req;
+    if (!ParseSubscribe(frame.payload, &req)) {
+      SendError(c, ErrorCode::kBadPayload, "malformed SUBSCRIBE payload");
+      return false;
+    }
+    if (req.enable != c->subscribed) {
+      plane_.subscribers.fetch_add(req.enable ? 1 : -1,
+                                   std::memory_order_relaxed);
+    }
+    c->subscribed = req.enable;
+    EncodeSubscribeTo(req.token, req.enable, echo);
+    return true;
+  }
+
+  /// Appends `batch` to every subscriber, re-sequenced per subscriber, then
+  /// flushes each once (a slow one is closed). Returns how many got it.
+  size_t FanOut(std::span<const WireAlert> batch) {
+    if (batch.empty()) return 0;
+    // Staged first: a flush can close its subscriber (never another
+    // client), which must not happen while iterating the map.
+    std::vector<Client*> subscribers;
+    for (const auto& [fd, c] : clients_) {
+      if (c->subscribed && !c->io.closing()) subscribers.push_back(c.get());
+    }
+    for (Client* c : subscribers) {
+      c->io.out().Append([&](std::vector<uint8_t>* out) {
+        for (WireAlert alert : batch) {
+          alert.seq = c->alert_seq++;
+          EncodeAlertTo(alert, out);
+        }
+      });
+      Flush(c);
+    }
+    return subscribers.size();
+  }
+
+  /// Refuses a frame once a kShutdown was acked: an ERROR, then close.
+  bool RefuseIfStopping(Client* c) {
+    if (!plane_.stopping.load(std::memory_order_acquire)) return false;
+    SendError(c, ErrorCode::kShuttingDown, "server is shutting down");
+    return true;
+  }
+
+  /// The kShutdown handshake, after `c`'s ack is queued: marks the plane
+  /// stopping (the front end wakes its other loops) and keeps this loop
+  /// running until ShutdownDrained.
+  void BeginShutdown(Client* c) {
+    shutdown_ = c->ref();
+    plane_.stopping.store(true, std::memory_order_release);
+  }
+
+  /// True once the plane is stopping and this loop owes no shutdown ack:
+  /// it was asked on another loop, its client has gone, or the ack has
+  /// drained. `owes(state)` is true while the front end still holds
+  /// replies for the client outside its write queue.
+  template <typename Owes>
+  bool ShutdownDrained(Owes&& owes) const {
+    if (!plane_.stopping.load(std::memory_order_acquire)) return false;
+    const Client* c = Find(shutdown_);
+    return c == nullptr || (c->io.out().empty() && !owes(c->state));
+  }
+  bool ShutdownDrained() const {
+    return ShutdownDrained([](const State&) { return false; });
+  }
+
+ private:
+  /// Closes the client a status ends. False unless it is still open.
+  bool Settle(Client* c, Connection::Status status) {
+    if (status == Connection::Status::kOpen) return true;
+    if (status != Connection::Status::kStopped) {
+      Close(c, /*slow=*/status == Connection::Status::kSlow);
+    }
+    return false;
+  }
+
+  EventLoop& loop_;
+  ClientPlane& plane_;
+  const size_t cap_;  // max_write_queue_bytes: the slow-consumer cap
+  IoStats* const io_;
+  FrameDecoder::Options dopts_;
+  std::unordered_map<int, std::unique_ptr<Client>> clients_;
+  Client* reading_ = nullptr;
+  ClientRef shutdown_;  // the client owed this loop's kShutdown ack
 };
 
 }  // namespace qf::net

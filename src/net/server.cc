@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
@@ -87,7 +86,7 @@ struct NetMetrics {
 
 #endif  // QF_METRICS
 
-/// Adds one call's socket traffic to the qf_net_* counters.
+/// Adds one loop turn's socket traffic to the qf_net_* counters.
 void RecordIo([[maybe_unused]] const IoStats& io) {
   QF_OBS({
     NetMetrics& m = NetMetrics::Get();
@@ -102,16 +101,6 @@ void RecordIo([[maybe_unused]] const IoStats& io) {
 }
 
 }  // namespace
-
-/// Per-connection state, owned by the accepting reactor.
-struct QfServer::Conn {
-  Connection io;
-  bool subscribed = false;
-  uint64_t alert_seq = 0;
-
-  Conn(EventLoop& loop, int fd, const FrameDecoder::Options& dopts)
-      : io(loop, fd, dopts) {}
-};
 
 QfServer::Sharded QfServer::MakeFilter(const Options& options) {
   const int shards = options.num_shards < 1 ? 1 : options.num_shards;
@@ -153,8 +142,7 @@ bool QfServer::Start() {
 
   reactors_.clear();
   for (int r = 0; r < num_reactors_; ++r) {
-    auto rx = std::make_unique<Reactor>();
-    rx->idx = r;
+    auto rx = std::make_unique<Reactor>(r, plane_, options_);
     // Reactor 0 may bind port 0 (ephemeral); later reactors join the
     // SO_REUSEPORT group on the port it was actually assigned.
     if (!rx->loop.Open(options_.host, r == 0 ? options_.port : port_,
@@ -166,7 +154,7 @@ bool QfServer::Start() {
   }
 
   stop_requested_.store(false, std::memory_order_relaxed);
-  stopping_.store(false, std::memory_order_relaxed);
+  plane_.stopping.store(false, std::memory_order_relaxed);
   control_owner_.store(-1, std::memory_order_relaxed);
   quiesce_word_.store(0, std::memory_order_relaxed);
   quiesce_acks_.store(0, std::memory_order_relaxed);
@@ -212,10 +200,7 @@ obs::MetricsSnapshot QfServer::OwnSeries() const {
   s.reports = t.reports;
   s.alerts_streamed = alerts_streamed_.load(std::memory_order_relaxed);
   s.alerts_dropped = t.alerts_dropped;
-  s.accepts = accepts_.load(std::memory_order_relaxed);
-  s.active_connections = active_connections_.load(std::memory_order_relaxed);
-  s.disconnects = disconnects_.load(std::memory_order_relaxed);
-  s.slow_disconnects = slow_disconnects_.load(std::memory_order_relaxed);
+  plane_.Fill(&s);
   s.wal_records_appended =
       wal_records_appended_.load(std::memory_order_relaxed);
   s.wal_records_replayed =
@@ -353,24 +338,21 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
 #endif
   // Encode every released ack first, then flush each touched connection
   // once. A connection already sent an ERROR gets no ack after it.
-  std::vector<int> touched;
+  std::vector<Client*> touched;
   for (const DeferredAck& ack : rx.deferred_acks) {
-    auto it = rx.conns.find(ack.fd);
-    if (it == rx.conns.end() || it->second->io.gen() != ack.gen ||
-        it->second->io.closing()) {
-      continue;
-    }
+    Client* c = rx.clients.Find(ack.client);
+    if (c == nullptr || c->io.closing()) continue;
     if (!synced) {
       // The durability promise behind these acks failed; closing the
       // connection (instead of acking anyway) tells the client its
       // unacked window may not survive a crash.
-      CloseConn(rx, it->second.get(), /*slow=*/false);
+      rx.clients.Close(c, /*slow=*/false);
       continue;
     }
-    WriteQueue& out = it->second->io.out();
+    WriteQueue& out = c->io.out();
     [[maybe_unused]] const size_t queued = out.bytes();
     out.Encode(EncodeIngestAckTo, ack.token, ack.count, ack.total_items);
-    touched.push_back(ack.fd);
+    touched.push_back(c);
     QF_OBS({
       ack_bytes += out.bytes() - queued;
       if (ack.append_ns != 0) {
@@ -385,9 +367,10 @@ void QfServer::FlushGroupCommit(Reactor& rx) {
     });
   }
   rx.deferred_acks.clear();
+  // A flush can close only its own client, so the others stay valid.
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  for (const int fd : touched) Flush(rx, rx.conns.at(fd).get());
+  for (Client* c : touched) rx.clients.Flush(c);
   QF_OBS({
     obs::TraceRing& tr = obs::TraceRing::Global();
     if (tr.enabled() && obs::SampleHit<obs::StageTraceSampling>()) {
@@ -523,34 +506,38 @@ void QfServer::Loop(Reactor& rx) {
     ServiceQuiesce(rx);
     // Alert batches BroadcastAlerts posted for this reactor's subscribers.
     rx.loop.RunPosted();
-    if (stopping_.load(std::memory_order_acquire)) {
-      // kShutdown acked: the acking reactor leaves once the ack has
-      // drained (or the client vanished); every other reactor leaves
-      // immediately — the fence already ran under the shutdown quiesce.
-      if (rx.shutdown_fd < 0) break;
-      auto it = rx.conns.find(rx.shutdown_fd);
-      if (it == rx.conns.end() || it->second->io.out().empty()) break;
-    }
+    // kShutdown acked: the acking reactor leaves once the ack has drained
+    // (or the client vanished); every other reactor leaves at once — the
+    // fence already ran under the shutdown quiesce.
+    if (rx.clients.ShutdownDrained()) break;
 
     // Short timeout while alert fan-out is pending; otherwise sleep long —
     // wakes arrive via the eventfd. Only reactor 0 polls the alert rings,
     // so a subscriber anywhere keeps reactor 0 (and only reactor 0) hot.
     const bool alert_duty =
-        rx.idx == 0 && subscribers_.load(std::memory_order_relaxed) > 0;
+        rx.idx == 0 && plane_.subscribers.load(std::memory_order_relaxed) > 0;
     const int timeout_ms =
-        (alert_duty || rx.pushed || stopping_.load(std::memory_order_relaxed))
+        (alert_duty || rx.pushed ||
+         plane_.stopping.load(std::memory_order_relaxed))
             ? 1
             : 200;
     const bool polled = rx.loop.Poll(
         timeout_ms,
         [&](int fd, uint32_t gen, uint32_t events) {
-          auto it = rx.conns.find(fd);
-          // Closed earlier in this batch, or a stale event for a reused fd.
-          if (it == rx.conns.end() || it->second->io.gen() != gen) return;
-          if (events & EPOLLIN) rx.pushed = true;  // INGEST may stage items
-          Serve(rx, it->second.get(), events);
+          const bool served = rx.clients.Serve(
+              fd, gen, events, [&](Client* c, const FrameView& frame) {
+                HandleFrame(rx, c, frame);
+              });
+          // INGEST may have staged items.
+          if (served && (events & EPOLLIN)) rx.pushed = true;
         },
-        [&](int fd) { Accept(rx, fd); });
+        [&](int fd) {
+          Client* c = rx.clients.Accept(fd);
+          if (c != nullptr && options_.so_sndbuf > 0) {
+            setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.so_sndbuf,
+                       sizeof(options_.so_sndbuf));
+          }
+        });
     if (!polled) break;
 
     // Ship partial batches so staged items never wait on a quiet socket.
@@ -563,11 +550,13 @@ void QfServer::Loop(Reactor& rx) {
       // this loop iteration. Checkpoint duty lives on reactor 0 so the
       // cadence is single-threaded.
       FlushGroupCommit(rx);
-      if (rx.idx == 0 && !stopping_.load(std::memory_order_relaxed)) {
+      if (rx.idx == 0 && !plane_.stopping.load(std::memory_order_relaxed)) {
         MaybeCheckpoint(rx);
       }
     }
     if (rx.idx == 0) BroadcastAlerts(rx);
+    RecordIo(rx.io);
+    rx.io = {};
   }
 
   // Ship anything still staged and release this reactor's producer slot,
@@ -575,16 +564,9 @@ void QfServer::Loop(Reactor& rx) {
   // this reactor only after its flush, keeping fences exact.
   pipeline_.FlushFrom(rx.idx);
   if (durable_enabled_) FlushGroupCommit(rx);
+  RecordIo(rx.io);
   active_reactors_.fetch_sub(1, std::memory_order_acq_rel);
-
-  for (auto& [fd, conn] : rx.conns) {
-    if (conn->subscribed) subscribers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  // Shutdown closes what is still open: count those closes too, so the
-  // stopped server reports active == 0 and disconnects == accepts.
-  active_connections_.fetch_sub(rx.conns.size(), std::memory_order_relaxed);
-  disconnects_.fetch_add(rx.conns.size(), std::memory_order_relaxed);
-  rx.conns.clear();  // each Connection closes its socket
+  rx.clients.CloseAll();
 
   // Last reactor out joins the shard workers (all producer slots are
   // released by now) and marks the server stopped.
@@ -596,43 +578,7 @@ void QfServer::Loop(Reactor& rx) {
   }
 }
 
-void QfServer::Accept(Reactor& rx, int fd) {
-  const size_t per_reactor_cap = static_cast<size_t>(
-      options_.max_connections < 1 ? 1 : options_.max_connections);
-  if (rx.conns.size() >= per_reactor_cap) {
-    close(fd);
-    return;
-  }
-  if (options_.so_sndbuf > 0) {
-    setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.so_sndbuf,
-               sizeof(options_.so_sndbuf));
-  }
-  FrameDecoder::Options dopts;
-  dopts.max_frame_bytes = options_.max_frame_bytes;
-  auto conn = std::make_unique<Conn>(rx.loop, fd, dopts);
-  if (!conn->io.registered()) return;  // destroying conn closes the fd
-  rx.conns.emplace(fd, std::move(conn));
-  accepts_.fetch_add(1, std::memory_order_relaxed);
-  active_connections_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void QfServer::Serve(Reactor& rx, Conn* conn, uint32_t events) {
-  const int fd = conn->io.fd();  // survives CloseConn for liveness checks
-  IoStats io;
-  const Connection::Status status = conn->io.OnEvents(
-      events, options_.max_write_queue_bytes, &io,
-      [&](const FrameView& frame) {
-        HandleFrame(rx, conn, frame);
-        // HandleFrame may close the connection (bad payload, failed sync,
-        // slow consumer), or queue a terminal ERROR (post-shutdown: ignore
-        // pipelined frames).
-        return rx.conns.count(fd) != 0 && !conn->io.closing();
-      });
-  RecordIo(io);
-  Settle(rx, conn, status);
-}
-
-void QfServer::HandleFrame(Reactor& rx, Conn* conn, const FrameView& frame) {
+void QfServer::HandleFrame(Reactor& rx, Client* conn, const FrameView& frame) {
 #if QF_METRICS
   const uint8_t type_idx = static_cast<uint8_t>(frame.type);
   if (type_idx >= 1 && type_idx <= kMaxFrameType) {
@@ -645,15 +591,12 @@ void QfServer::HandleFrame(Reactor& rx, Conn* conn, const FrameView& frame) {
   // them before handling any non-ingest frame.
   if (durable_enabled_ && frame.type != FrameType::kIngest &&
       !rx.deferred_acks.empty()) {
-    const int fd = conn->io.fd();
+    const ClientRef ref = conn->ref();
     FlushGroupCommit(rx);
     // A failed sync or a slow-consumer flush may have closed this conn.
-    if (rx.conns.find(fd) == rx.conns.end()) return;
+    if (rx.clients.Find(ref) == nullptr) return;
   }
-  if (stopping_.load(std::memory_order_acquire)) {
-    SendError(rx, conn, ErrorCode::kShuttingDown, "server is shutting down");
-    return;
-  }
+  if (rx.clients.RefuseIfStopping(conn)) return;
   switch (frame.type) {
     case FrameType::kIngest:
       HandleIngest(rx, conn, frame);
@@ -661,22 +604,26 @@ void QfServer::HandleFrame(Reactor& rx, Conn* conn, const FrameView& frame) {
     case FrameType::kQuery:
       HandleQuery(rx, conn, frame);
       return;
-    case FrameType::kSubscribe:
-      HandleSubscribe(rx, conn, frame);
+    case FrameType::kSubscribe: {
+      std::vector<uint8_t> echo;
+      if (rx.clients.Subscribe(conn, frame, &echo)) {
+        conn->io.out().PushBlock(std::move(echo));
+      }
       return;
+    }
     case FrameType::kControl:
       HandleControl(rx, conn, frame);
       return;
     default:
       // Server-to-client frame types are not valid requests.
-      SendError(rx, conn, ErrorCode::kUnsupportedType,
-                std::string("unexpected frame type: ") +
-                    FrameTypeName(frame.type));
+      rx.clients.SendError(conn, ErrorCode::kUnsupportedType,
+                           std::string("unexpected frame type: ") +
+                               FrameTypeName(frame.type));
       return;
   }
 }
 
-void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
+void QfServer::HandleIngest(Reactor& rx, Client* conn, const FrameView& frame) {
 #if QF_METRICS
   // Stage timing (DESIGN.md §15.2) samples 1 in StageFrameSampling::kEvery
   // frames: a 32-item frame cannot amortize four clock reads and three
@@ -698,13 +645,15 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
   uint64_t token = 0;
   uint32_t count = 0;
   if (payload.size() < 12) {
-    SendError(rx, conn, ErrorCode::kBadPayload, "malformed INGEST payload");
+    rx.clients.SendError(conn, ErrorCode::kBadPayload,
+                         "malformed INGEST payload");
     return;
   }
   std::memcpy(&token, payload.data(), 8);
   std::memcpy(&count, payload.data() + 8, 4);
   if (payload.size() - 12 != static_cast<size_t>(count) * sizeof(Item)) {
-    SendError(rx, conn, ErrorCode::kBadPayload, "malformed INGEST payload");
+    rx.clients.SendError(conn, ErrorCode::kBadPayload,
+                         "malformed INGEST payload");
     return;
   }
   rx.scratch.resize(count);
@@ -750,13 +699,12 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
       // The items are in the pipeline but not in the log; without an ack
       // the acked-prefix contract still holds. Surface the storage failure
       // instead of pretending the batch is durable.
-      SendError(rx, conn, ErrorCode::kInternal, "wal append failed");
+      rx.clients.SendError(conn, ErrorCode::kInternal, "wal append failed");
       return;
     }
     wal_records_appended_.fetch_add(1, std::memory_order_relaxed);
     if (options_.durable.fsync == durable::FsyncMode::kGroup) {
-      DeferredAck deferred{conn->io.fd(), conn->io.gen(), token, count,
-                           total_items, 0};
+      DeferredAck deferred{conn->ref(), token, count, total_items, 0};
       // Only a timed frame stamps its ack, so the ack and sync-latency
       // histograms sample the same frames as decode and arena push.
       QF_OBS(if (timed) {
@@ -773,22 +721,24 @@ void QfServer::HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame) {
   });
 }
 
-void QfServer::HandleQuery(Reactor& rx, Conn* conn, const FrameView& frame) {
+void QfServer::HandleQuery(Reactor& rx, Client* conn, const FrameView& frame) {
 #if QF_METRICS
   const uint64_t t0 = MonotonicNanos();
 #endif
   QueryRequest req;
   if (!ParseQuery(frame.payload, &req)) {
-    SendError(rx, conn, ErrorCode::kBadPayload, "malformed QUERY payload");
+    rx.clients.SendError(conn, ErrorCode::kBadPayload,
+                         "malformed QUERY payload");
     return;
   }
   if (req.keys.size() > options_.max_query_keys) {
     // Each QUERY blocks its reactor for the control-slot round trips; an
     // uncapped frame (~8M keys at the default frame cap) would stall every
     // connection on this reactor for seconds.
-    SendError(rx, conn, ErrorCode::kBadPayload,
-              "QUERY carries " + std::to_string(req.keys.size()) +
-                  " keys, cap is " + std::to_string(options_.max_query_keys));
+    rx.clients.SendError(
+        conn, ErrorCode::kBadPayload,
+        "QUERY carries " + std::to_string(req.keys.size()) + " keys, cap is " +
+            std::to_string(options_.max_query_keys));
     return;
   }
   // Executed on the owning shards' worker threads via their control slots
@@ -808,28 +758,15 @@ void QfServer::HandleQuery(Reactor& rx, Conn* conn, const FrameView& frame) {
   QF_OBS(NetMetrics::Get().query_frame_ns.Record(MonotonicNanos() - t0));
 }
 
-void QfServer::HandleSubscribe(Reactor& rx, Conn* conn,
-                               const FrameView& frame) {
-  SubscribeRequest req;
-  if (!ParseSubscribe(frame.payload, &req)) {
-    SendError(rx, conn, ErrorCode::kBadPayload, "malformed SUBSCRIBE payload");
-    return;
-  }
-  if (req.enable != conn->subscribed) {
-    subscribers_.fetch_add(req.enable ? 1 : -1, std::memory_order_relaxed);
-  }
-  conn->subscribed = req.enable;
-  // Echo as the acknowledgment; alerts start streaming after this frame.
-  conn->io.out().Encode(EncodeSubscribeTo, req.token, req.enable);
-}
-
-void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
+void QfServer::HandleControl(Reactor& rx, Client* conn,
+                             const FrameView& frame) {
 #if QF_METRICS
   const uint64_t t0 = MonotonicNanos();
 #endif
   ControlRequest req;
   if (!ParseControl(frame.payload, &req)) {
-    SendError(rx, conn, ErrorCode::kBadPayload, "malformed CONTROL payload");
+    rx.clients.SendError(conn, ErrorCode::kBadPayload,
+                         "malformed CONTROL payload");
     return;
   }
   const auto reply = [&](ControlStatus status,
@@ -1074,8 +1011,7 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
     case ControlOp::kShutdown: {
       WithGlobalQuiesce(rx, [] {});
       reply(ControlStatus::kOk);
-      stopping_.store(true, std::memory_order_release);
-      rx.shutdown_fd = conn->io.fd();
+      rx.clients.BeginShutdown(conn);
       // Peers exit on their next loop iteration.
       for (auto& peer : reactors_) {
         if (peer->idx != rx.idx) peer->loop.Wake();
@@ -1089,108 +1025,57 @@ void QfServer::HandleControl(Reactor& rx, Conn* conn, const FrameView& frame) {
 void QfServer::BroadcastAlerts(Reactor& rx) {
   // Reactor 0 is the alert rings' single consumer. Drain even with no
   // subscribers so the rings never silt up.
-  std::vector<DrainedAlert> drained;
-  pipeline_.DrainAlerts([&drained](int shard,
-                                   const Pipeline::AlertRecord& rec) {
-    drained.push_back(DrainedAlert{shard, rec});
+  std::vector<WireAlert> drained;
+  uint64_t newest_ns = 0;
+  pipeline_.DrainAlerts([&](int shard, const Pipeline::AlertRecord& rec) {
+    WireAlert alert;
+    alert.key = rec.key;
+    alert.value = rec.value;
+    alert.shard = static_cast<uint32_t>(shard);
+    drained.push_back(alert);
+    newest_ns = std::max(newest_ns, rec.detect_ns);
   });
   if (drained.empty()) return;
   // Post to peers first (their subscribers shouldn't wait on our socket
   // writes), then deliver locally. Every socket write stays on the reactor
   // that owns the socket.
   if (num_reactors_ > 1) {
-    auto shared = std::make_shared<const std::vector<DrainedAlert>>(drained);
+    auto shared = std::make_shared<const std::vector<WireAlert>>(drained);
     for (auto& peer : reactors_) {
       if (peer->idx == rx.idx) continue;
       Reactor* p = peer.get();
-      p->loop.Post([this, p, shared] { DeliverAlerts(*p, *shared); });
+      p->loop.Post([this, p, shared, newest_ns] {
+        DeliverAlerts(*p, *shared, newest_ns);
+      });
     }
   }
-  DeliverAlerts(rx, drained);
+  DeliverAlerts(rx, drained, newest_ns);
 }
 
-void QfServer::DeliverAlerts(Reactor& rx,
-                             const std::vector<DrainedAlert>& drained) {
-  // Subscribers are staged first because a flush can close a slow one,
-  // which mutates conns (never another connection) — never iterate conns
-  // while flushing. Each gets the whole batch appended, then one flush.
-  std::vector<Conn*> subscribers;
-  for (const auto& [fd, conn] : rx.conns) {
-    if (conn->subscribed && !conn->io.closing()) {
-      subscribers.push_back(conn.get());
-    }
-  }
-  for (Conn* conn : subscribers) {
-    conn->io.out().Append([&](std::vector<uint8_t>* out) {
-      for (const DrainedAlert& d : drained) {
-        WireAlert alert;
-        alert.seq = conn->alert_seq++;
-        alert.key = d.rec.key;
-        alert.value = d.rec.value;
-        alert.shard = static_cast<uint32_t>(d.shard);
-        EncodeAlertTo(alert, out);
-      }
-    });
-    alerts_streamed_.fetch_add(drained.size(), std::memory_order_relaxed);
-    Flush(rx, conn);  // may disconnect a slow subscriber
-  }
+void QfServer::DeliverAlerts(Reactor& rx, std::span<const WireAlert> alerts,
+                             [[maybe_unused]] uint64_t newest_ns) {
+  const size_t subscribers = rx.clients.FanOut(alerts);
+  alerts_streamed_.fetch_add(subscribers * alerts.size(),
+                             std::memory_order_relaxed);
   QF_OBS({
     // Alert-delivery lag: detection stamp (worker) -> subscriber write
     // queued (reactor 0 or a forwarded peer). Last-write-wins gauge over
     // the newest drained record; a growing value means the alert path is
     // falling behind ingest. Only meaningful when someone subscribed.
-    if (subscribers.empty()) return;
+    if (subscribers == 0) return;
     const uint64_t now = MonotonicNanos();
-    uint64_t newest = 0;
-    for (const DrainedAlert& d : drained) {
-      if (d.rec.detect_ns > newest) newest = d.rec.detect_ns;
-    }
-    if (newest != 0 && now > newest) {
+    if (newest_ns != 0 && now > newest_ns) {
       NetMetrics::Get().alert_delivery_lag_ns.Set(
-          static_cast<int64_t>(now - newest));
+          static_cast<int64_t>(now - newest_ns));
     }
     obs::TraceRing& tr = obs::TraceRing::Global();
-    if (tr.enabled() && newest != 0 && now > newest &&
+    if (tr.enabled() && newest_ns != 0 && now > newest_ns &&
         obs::SampleHit<obs::StageTraceSampling>()) {
       tr.Emit(obs::TraceEvent::kAlertDeliver,
-              static_cast<uint16_t>(obs::kReactorTidBase + rx.idx), newest,
-              now - newest, drained.size());
+              static_cast<uint16_t>(obs::kReactorTidBase + rx.idx), newest_ns,
+              now - newest_ns, alerts.size());
     }
   });
-}
-
-bool QfServer::Flush(Reactor& rx, Conn* conn) {
-  IoStats io;
-  const Connection::Status status =
-      conn->io.Flush(options_.max_write_queue_bytes, &io);
-  RecordIo(io);
-  return Settle(rx, conn, status);
-}
-
-bool QfServer::Settle(Reactor& rx, Conn* conn, Connection::Status status) {
-  if (status == Connection::Status::kOpen) return true;
-  if (status != Connection::Status::kStopped) {
-    CloseConn(rx, conn, /*slow=*/status == Connection::Status::kSlow);
-  }
-  return false;
-}
-
-void QfServer::SendError(Reactor& rx, Conn* conn, ErrorCode code,
-                         const std::string& message) {
-  conn->io.QueueError(code, message);
-  // Closes at once if the frame drained; otherwise EPOLLOUT drains it and
-  // the drained flush (kDone) closes.
-  Flush(rx, conn);
-}
-
-void QfServer::CloseConn(Reactor& rx, Conn* conn, bool slow) {
-  if (conn->subscribed) {
-    subscribers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  rx.conns.erase(conn->io.fd());  // frees conn; its Connection closes the fd
-  active_connections_.fetch_sub(1, std::memory_order_relaxed);
-  disconnects_.fetch_add(1, std::memory_order_relaxed);
-  if (slow) slow_disconnects_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace qf::net

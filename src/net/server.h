@@ -35,10 +35,12 @@
 // Replies are append-only: handlers encode into the connection's iovec
 // write queue. A recv() chunk's replies leave in one flush (earlier once
 // the queue passes max_write_queue_bytes, the slow-consumer cap); alert
-// fan-out, the group-commit ack release and SendError append first, then
+// fan-out, the group-commit ack release and errors append first, then
 // flush each touched connection once. Poisoned decoders close after one
-// best-effort ERROR frame. Server-only socket settings (max_connections,
-// so_sndbuf) apply in the accept callback.
+// best-effort ERROR frame. Each reactor's clients live in a
+// net::ClientTable (net/reactor.h), which owns the connection cap, close
+// accounting, alert fan-out and the kShutdown handshake; so_sndbuf, a
+// server-only socket setting, applies in the accept callback.
 //
 // Stats plane (DESIGN.md §15): each per-server counter has one owner — an
 // atomic below, the pipeline's totals, or the WAL writer — and one series
@@ -57,8 +59,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/sharded_filter.h"
@@ -112,7 +114,6 @@ class QfServer {
     /// occupy it.
     size_t max_query_keys = 65536;
     size_t max_write_queue_bytes = 8u << 20;
-    int max_connections = 1024;
     /// SO_SNDBUF for accepted sockets (0 = kernel default). Tests shrink it
     /// so slow-consumer backpressure surfaces without megabytes of alerts.
     int so_sndbuf = 0;
@@ -186,30 +187,15 @@ class QfServer {
   /// The serving filter; read it only when the server is stopped.
   const Sharded& filter() const { return filter_; }
 
-  /// Boot-time restore into the serving filter; only valid while the
-  /// server is not running (live restores go through CONTROL kRestore).
-  bool RestoreCheckpoint(const std::vector<uint8_t>& blob) {
-    if (running()) return false;
-    return filter_.RestoreState(blob);
-  }
-
  private:
-  struct Conn;
-
-  /// One outstanding alert record en route to subscribers (the shard index
-  /// is carried because ALERT frames expose it).
-  struct DrainedAlert {
-    int shard;
-    Pipeline::AlertRecord rec;
-  };
+  using Client = ClientTable<>::Client;
 
   /// An ingest ack held back until the WAL's group-commit fsync (fsync mode
-  /// kGroup): identified by fd + generation so a connection closed (or the
-  /// fd reused) before the flush drops its ack instead of misdelivering.
-  /// The INGEST_ACK frame is encoded only at release, after the fsync.
+  /// kGroup): a connection closed (or its fd reused) before the flush drops
+  /// its ack instead of misdelivering. The INGEST_ACK frame is encoded only
+  /// at release, after the fsync.
   struct DeferredAck {
-    int fd = -1;
-    uint32_t gen = 0;
+    ClientRef client;
     uint64_t token = 0;
     uint32_t count = 0;
     uint64_t total_items = 0;
@@ -222,12 +208,17 @@ class QfServer {
   /// Per-reactor state, owned by its reactor thread. Other threads only
   /// Wake() or Post() to the loop.
   struct Reactor {
+    Reactor(int idx, ClientPlane& plane, const Options& o)
+        : idx(idx),
+          clients(loop, plane, o.max_write_queue_bytes, o.max_frame_bytes,
+                  &io) {}
+
     int idx = 0;
-    EventLoop loop;  // declared before conns: connections deregister on it
+    EventLoop loop;  // declared before clients: connections deregister on it
+    IoStats io;      // socket traffic since the last RecordIo
+    ClientTable<> clients;
     std::thread thread;
-    std::unordered_map<int, std::unique_ptr<Conn>> conns;
     bool pushed = false;       // items staged since the last FlushFrom
-    int shutdown_fd = -1;      // conn whose kShutdown ack must drain here
     std::vector<Item> scratch; // INGEST decode staging (reused)
     // Ingest acks awaiting the group-commit fsync (durable kGroup mode).
     std::vector<DeferredAck> deferred_acks;
@@ -235,20 +226,16 @@ class QfServer {
 
   static Sharded MakeFilter(const Options& options);
   void Loop(Reactor& rx);
-  /// Accept callback: applies max_connections and so_sndbuf.
-  void Accept(Reactor& rx, int fd);
-  void Serve(Reactor& rx, Conn* conn, uint32_t events);
   // Frame handlers receive zero-copy payload views into the connection's
   // decoder buffer (FrameDecoder::NextView); the views die when the decoder
   // is next fed, so handlers must consume them before returning. INGEST is
   // the fast path: the payload is staged into the reactor's scratch items
   // and scattered via PushBatchFrom's block-hashed ShardFor — one hash per
   // item at decode time, no IngestRequest materialization.
-  void HandleFrame(Reactor& rx, Conn* conn, const FrameView& frame);
-  void HandleIngest(Reactor& rx, Conn* conn, const FrameView& frame);
-  void HandleQuery(Reactor& rx, Conn* conn, const FrameView& frame);
-  void HandleSubscribe(Reactor& rx, Conn* conn, const FrameView& frame);
-  void HandleControl(Reactor& rx, Conn* conn, const FrameView& frame);
+  void HandleFrame(Reactor& rx, Client* conn, const FrameView& frame);
+  void HandleIngest(Reactor& rx, Client* conn, const FrameView& frame);
+  void HandleQuery(Reactor& rx, Client* conn, const FrameView& frame);
+  void HandleControl(Reactor& rx, Client* conn, const FrameView& frame);
   /// Runs `fn` with every reactor quiesced (producers flushed, peers
   /// parked) and the pipeline fenced; the filter is quiescent inside fn.
   template <typename Fn>
@@ -259,15 +246,10 @@ class QfServer {
   /// Reactor 0 only: drain the alert rings, deliver to local subscribers,
   /// Post() the batch to every peer reactor.
   void BroadcastAlerts(Reactor& rx);
-  /// Deliver drained or posted alerts to this reactor's subscribers.
-  void DeliverAlerts(Reactor& rx, const std::vector<DrainedAlert>& drained);
-  /// The one write path: handlers append encoded replies to the
-  /// connection's write queue, and this sends what the socket takes.
-  /// Returns false if the connection was closed.
-  bool Flush(Reactor& rx, Conn* conn);
-  /// Closes the connection a status ends (counting a slow consumer).
-  /// Returns false unless the connection is still open.
-  bool Settle(Reactor& rx, Conn* conn, Connection::Status status);
+  /// Deliver drained or posted alerts (the newest detected at `newest_ns`)
+  /// to this reactor's subscribers.
+  void DeliverAlerts(Reactor& rx, std::span<const WireAlert> alerts,
+                     uint64_t newest_ns);
   /// Durability (DESIGN.md §14). SetupDurable opens the storage, resolves
   /// checkpoints and scans the log (fail closed on corruption); Replay
   /// re-drives the recovered tail through producer slot 0 before the
@@ -288,9 +270,6 @@ class QfServer {
   bool AnchorFullCheckpoint(uint64_t covered,
                             const std::vector<uint8_t>& blob,
                             const std::vector<durable::RngState>& rng);
-  void SendError(Reactor& rx, Conn* conn, ErrorCode code,
-                 const std::string& message);
-  void CloseConn(Reactor& rx, Conn* conn, bool slow);
 
   Options options_;
   Sharded filter_;
@@ -299,11 +278,13 @@ class QfServer {
 
   uint16_t port_ = 0;
   std::string error_;
+  /// The client-plane series, subscriber count and kShutdown flag, shared
+  /// by every reactor's ClientTable (declared before them).
+  ClientPlane plane_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stop_requested_{false};
-  std::atomic<bool> stopping_{false};  // kShutdown acked, reactors draining
   /// Reactors still running their loops; quiesce coordination only waits
   /// for live peers (an exiting reactor flushes its producer first, which
   /// is all a fence needs from it).
@@ -318,16 +299,10 @@ class QfServer {
   std::atomic<uint32_t> quiesce_word_{0};
   std::atomic<int> quiesce_acks_{0};
 
-  std::atomic<int> subscribers_{0};  // across all reactors
-
-  // Owners of the OwnSeries() counters (atomic: multi-reactor writers,
-  // OwnSeries readers).
+  // Owners of the OwnSeries() counters besides plane_ (atomic:
+  // multi-reactor writers, OwnSeries readers).
   std::atomic<uint64_t> items_ingested_{0};
   std::atomic<uint64_t> alerts_streamed_{0};
-  std::atomic<uint64_t> accepts_{0};
-  std::atomic<uint64_t> disconnects_{0};
-  std::atomic<uint64_t> slow_disconnects_{0};
-  std::atomic<uint64_t> active_connections_{0};
 
   // --- Durability state (engaged iff options_.durable.enabled()) ---
   bool durable_enabled_ = false;

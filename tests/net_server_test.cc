@@ -15,6 +15,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -927,12 +928,14 @@ TEST(NetServerTest, MultiReactorSubscribersGetLockstepAlertsViaMailboxes) {
 
 // --- Client-plane contract, against both front ends -----------------------
 //
-// QfServer and the cluster Coordinator share one event loop and connection
-// type (net/reactor.h), so they owe clients the same contract: malformed
-// bytes get one ERROR frame then EOF, a client that never reads is cut
-// loose without stalling others, and running out of fds refuses excess
-// clients instead of spinning. The Coordinator fronts one in-process
-// backend.
+// QfServer and the cluster Coordinator share one event loop, connection
+// type and client table (net/reactor.h), so they owe clients the same
+// contract: malformed bytes get one ERROR frame then EOF, a client that
+// never reads is cut loose without stalling others, kStats and kMetrics
+// count the front end's own clients, a connection past the per-loop cap
+// is closed, running out of fds refuses excess clients instead of
+// spinning, and a kShutdown is acked before the front end stops. The
+// Coordinator fronts one in-process backend.
 
 enum class FrontEnd { kQfServer, kCoordinator };
 
@@ -1135,6 +1138,120 @@ TEST_P(ClientPlaneTest, StatsAndMetricsCountTheFrontEndsClients) {
     EXPECT_EQ(v.active_connections, 1u);
     EXPECT_EQ(v.slow_disconnects, 0u);
   }
+}
+
+/// Raises the soft RLIMIT_NOFILE to at least `needed` (within the hard
+/// limit) and restores it on destruction.
+class FdLimit {
+ public:
+  explicit FdLimit(rlim_t needed) {
+    if (getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    if (saved_.rlim_cur >= needed) {
+      ok_ = true;
+      return;
+    }
+    rlimit raised = saved_;
+    raised.rlim_cur = std::min(needed, saved_.rlim_max);
+    raised_ = setrlimit(RLIMIT_NOFILE, &raised) == 0;
+    ok_ = raised_ && raised.rlim_cur >= needed;
+  }
+  ~FdLimit() {
+    if (raised_) setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  FdLimit(const FdLimit&) = delete;
+  FdLimit& operator=(const FdLimit&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  bool raised_ = false;
+  bool ok_ = false;
+};
+
+// Each loop serves at most ClientTable::kMaxClients clients; a connection
+// past the cap reads EOF at once, and the clients already accepted are
+// still served.
+TEST_P(ClientPlaneTest, ConnectionsPastTheCapAreClosed) {
+  constexpr size_t kCap = ClientTable<>::kMaxClients;
+  // Both ends of every connection live in this process.
+  const FdLimit limit(3 * kCap + 256);
+  if (!limit.ok()) GTEST_SKIP() << "RLIMIT_NOFILE too low for this test";
+  Boot(ServerOptions(1));
+  QfClient a;
+  ASSERT_TRUE(a.Connect("127.0.0.1", port_)) << a.error();
+  WireStats stats;
+  const uint64_t deadline = MonotonicNanos() + 10'000'000'000ULL;
+  do {  // until Boot's readiness probe has closed
+    ASSERT_TRUE(a.Stats(&stats)) << a.error();
+  } while (stats.active_connections != 1 && MonotonicNanos() < deadline);
+  ASSERT_EQ(stats.active_connections, 1u);
+
+  std::vector<int> fds;
+  for (size_t i = 0; i + 1 < kCap; ++i) {
+    const int fd = RawConnect(port_);
+    ASSERT_GE(fd, 0);
+    fds.push_back(fd);
+  }
+  // Accepted in connect order, so the front end is full when this arrives.
+  const int excess = RawConnect(port_);
+  ASSERT_GE(excess, 0);
+  uint8_t byte = 0;
+  EXPECT_EQ(recv(excess, &byte, 1, 0), 0) << "connection past the cap";
+  close(excess);
+
+  ASSERT_TRUE(a.Stats(&stats)) << a.error();
+  EXPECT_EQ(stats.active_connections, kCap);
+  EXPECT_EQ(stats.accepts, stats.disconnects + kCap);
+  for (const int fd : fds) close(fd);
+}
+
+// The kShutdown ack drains before the front end stops: the client reads
+// the kOk CONTROL_RESULT, then EOF, and running() turns false.
+TEST_P(ClientPlaneTest, ShutdownIsAckedBeforeTheFrontEndStops) {
+  Boot(ServerOptions(1));
+  const int fd = RawConnect(port_);
+  ASSERT_GE(fd, 0);
+  std::vector<uint8_t> wire;
+  EncodeControlTo(7, ControlOp::kShutdown, {}, &wire);
+  ASSERT_EQ(send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+
+  FrameDecoder decoder;
+  Frame frame;
+  std::vector<Frame> frames;
+  bool got_eof = false;
+  uint8_t buf[4096];
+  for (int rounds = 0; rounds < 100 && !got_eof; ++rounds) {
+    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) {
+      got_eof = true;
+      break;
+    }
+    ASSERT_GT(n, 0);
+    ASSERT_TRUE(decoder.Append(buf, static_cast<size_t>(n)));
+    while (decoder.Next(&frame) == FrameDecoder::Result::kFrame) {
+      frames.push_back(frame);
+    }
+  }
+  close(fd);
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].type, FrameType::kControlResult);
+  ControlResult res;
+  ASSERT_TRUE(ParseControlResult(frames[0].payload, &res));
+  EXPECT_EQ(res.token, 7u);
+  EXPECT_EQ(res.op, ControlOp::kShutdown);
+  EXPECT_EQ(res.status, ControlStatus::kOk);
+  EXPECT_TRUE(got_eof);
+
+  const auto running = [&] {
+    return GetParam() == FrontEnd::kQfServer ? server_->running()
+                                             : coordinator_->running();
+  };
+  const uint64_t deadline = MonotonicNanos() + 10'000'000'000ULL;
+  while (running() && MonotonicNanos() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_FALSE(running());
 }
 
 /// Lowers the soft RLIMIT_NOFILE to the highest fd in use and fills every

@@ -3,27 +3,24 @@
 // Binds a QfServer (epoll event loop + sharded ingest pipeline) and serves
 // the binary protocol until a CONTROL kShutdown frame or SIGINT/SIGTERM.
 // Optionally exports observability snapshots (JSONL + Prometheus text) via
-// the obs MetricsSink, restores a checkpoint at boot, and writes one at
-// shutdown.
+// the obs MetricsSink; with --wal-dir it recovers checkpoint + log at boot
+// and writes a final checkpoint at a clean shutdown.
 //
 // Examples:
 //   qf_server --port=7171 --shards=4 --memory=1048576
 //   qf_server --port=0 --metrics-prom=/tmp/qf.prom    # ephemeral port
-//   qf_server --port=7171 --checkpoint=/var/lib/qf/state.qfck
+//   qf_server --port=7171 --wal-dir=/var/lib/qf
 
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/flags.h"
 #include "durable/log.h"
-#include "durable/storage.h"
 #include "net/server.h"
 #include "obs/sink.h"
 #include "obs/trace_ring.h"
@@ -57,10 +54,8 @@ void PrintUsage() {
       "                        without --pin)\n"
       "  --alert-ring=N        per-shard alert-ring records (default 4096)\n"
       "  --max-frame=BYTES     protocol frame cap (default 64 MiB)\n"
-      "  --max-write-queue=BYTES  per-connection write cap (default 8 MiB)\n"
-      "  --checkpoint=PATH     restore at boot (if present), save on exit\n"
-      "                        (tmp file + fsync + rename)\n\n"
-      "durability (DESIGN.md §14; supersedes --checkpoint when set):\n"
+      "  --max-write-queue=BYTES  per-connection write cap (default 8 MiB)\n\n"
+      "durability (DESIGN.md §14):\n"
       "  --wal-dir=DIR         write-ahead-log + checkpoint directory;\n"
       "                        boot replays it, ingest acks become durable\n"
       "  --wal-fsync=MODE      group (default: one fsync per reactor loop\n"
@@ -77,24 +72,6 @@ void PrintUsage() {
       "  --trace-json=PATH     enable the trace ring (sampled stage spans,\n"
       "                        DESIGN.md §15) and dump chrome://tracing\n"
       "                        JSON at shutdown\n");
-}
-
-bool ReadFile(const std::string& path, std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  out->assign(std::istreambuf_iterator<char>(in),
-              std::istreambuf_iterator<char>());
-  return in.good() || in.eof();
-}
-
-// FsStorage::AtomicWrite writes PATH.tmp, fsyncs it, renames it over PATH
-// and fsyncs the directory: a kill or power loss mid-save leaves the
-// previous checkpoint whole.
-bool WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  const std::filesystem::path file(path);
-  durable::FsStorage dir(file.has_parent_path() ? file.parent_path().string()
-                                                : ".");
-  return dir.ok() && dir.AtomicWrite(file.filename().string(), bytes);
 }
 
 int Main(int argc, char** argv) {
@@ -137,7 +114,6 @@ int Main(int argc, char** argv) {
   opts.max_write_queue_bytes =
       static_cast<size_t>(flags.GetInt("max-write-queue", 8 << 20));
 
-  std::string checkpoint = flags.GetString("checkpoint", "");
   opts.durable.wal_dir = flags.GetString("wal-dir", "");
   const std::string fsync_mode = flags.GetString("wal-fsync", "group");
   if (!durable::ParseFsyncMode(fsync_mode, &opts.durable.fsync)) {
@@ -150,15 +126,6 @@ int Main(int argc, char** argv) {
                    static_cast<int64_t>(opts.durable.segment_bytes)));
   opts.durable.checkpoint_interval_items =
       static_cast<uint64_t>(flags.GetInt("checkpoint-interval", 0));
-  if (!opts.durable.wal_dir.empty() && !checkpoint.empty()) {
-    // The WAL directory owns recovery end to end; a side checkpoint file
-    // restored over the replayed state would fork history.
-    std::fprintf(stderr,
-                 "qf_server: --wal-dir supersedes --checkpoint=%s "
-                 "(ignoring the file)\n",
-                 checkpoint.c_str());
-    checkpoint.clear();
-  }
   obs::MetricsSink::Options sink_opts;
   sink_opts.jsonl_path = flags.GetString("metrics-jsonl", "");
   sink_opts.prom_path = flags.GetString("metrics-prom", "");
@@ -174,20 +141,6 @@ int Main(int argc, char** argv) {
   }
 
   net::QfServer server(opts);
-
-  if (!checkpoint.empty()) {
-    std::vector<uint8_t> blob;
-    if (ReadFile(checkpoint, &blob)) {
-      if (!server.RestoreCheckpoint(blob)) {
-        std::fprintf(stderr,
-                     "qf_server: checkpoint %s rejected (geometry/CRC)\n",
-                     checkpoint.c_str());
-        return 1;
-      }
-      std::fprintf(stderr, "qf_server: restored checkpoint %s (%zu bytes)\n",
-                   checkpoint.c_str(), blob.size());
-    }
-  }
 
   if (!server.Start()) {
     std::fprintf(stderr, "qf_server: %s\n", server.error().c_str());
@@ -248,16 +201,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  if (!checkpoint.empty()) {
-    const std::vector<uint8_t> blob = server.filter().SerializeState();
-    if (!WriteFile(checkpoint, blob)) {
-      std::fprintf(stderr, "qf_server: failed to write checkpoint %s\n",
-                   checkpoint.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "qf_server: wrote checkpoint %s (%zu bytes)\n",
-                 checkpoint.c_str(), blob.size());
-  }
   const net::WireStats stats = server.StatsSnapshot();
   std::printf(
       "qf_server: done — %llu items ingested, %llu reports, %llu alerts "

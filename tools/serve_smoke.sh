@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Serving-layer smoke (DESIGN.md §11): boots qf_server on an ephemeral
 # loopback port, drives it with qf_loadgen (4 connections of pipelined Zipf
-# ingest, ~5 s), performs a drain -> checkpoint -> restart round trip, and
+# ingest, ~5 s), performs a drain -> checkpoint -> restart round trip over
+# a --wal-dir (the final checkpoint of a clean shutdown), and
 # validates the Prometheus expositions with qf_top --check-prom. CI's
 # serve-smoke job runs exactly this script.
 #
@@ -31,8 +32,7 @@ trap cleanup EXIT
 
 start_server() {  # $1 = log file; extra args pass through
   local log="$1"; shift
-  "${BUILD}/tools/qf_server" --port=0 --shards=4 \
-    --checkpoint="${TMP}/server.ckpt" "$@" > "${log}" 2>&1 &
+  "${BUILD}/tools/qf_server" --port=0 --shards=4 "$@" > "${log}" 2>&1 &
   SERVER_PID=$!
   # --port=0 binds an ephemeral port; parse it from the listening banner.
   PORT=""
@@ -51,7 +51,8 @@ start_server() {  # $1 = log file; extra args pass through
 }
 
 echo "== phase 1: load + drain + checkpoint =="
-start_server "${TMP}/server1.log" \
+# A clean shutdown of a --wal-dir server writes a final checkpoint.
+start_server "${TMP}/server1.log" --wal-dir="${TMP}/wal1" \
   --metrics-prom="${TMP}/server.prom" --metrics-interval-ms=200
 LOADGEN_ARGS=(--port="${PORT}" --connections=4 --items="${ITEMS}"
               --drain --stats --shutdown
@@ -60,16 +61,16 @@ LOADGEN_ARGS=(--port="${PORT}" --connections=4 --items="${ITEMS}"
 "${BUILD}/tools/qf_loadgen" "${LOADGEN_ARGS[@]}"
 wait "${SERVER_PID}"; SERVER_PID=""
 cat "${TMP}/server1.log"
-[[ -s "${TMP}/server.ckpt" ]] || {
+ls "${TMP}/wal1"/ckpt-*.qfck > /dev/null 2>&1 || {
   echo "serve_smoke: no checkpoint written" >&2; exit 1; }
 
 echo "== phase 2: restart from checkpoint =="
-start_server "${TMP}/server2.log"
+start_server "${TMP}/server2.log" --wal-dir="${TMP}/wal1"
 "${BUILD}/tools/qf_loadgen" --port="${PORT}" --connections=1 --items=100000 \
   --drain --stats --shutdown
 wait "${SERVER_PID}"; SERVER_PID=""
 cat "${TMP}/server2.log"
-grep -q "restored checkpoint" "${TMP}/server2.log" || {
+grep -q "checkpoint restored" "${TMP}/server2.log" || {
   echo "serve_smoke: restart did not restore the checkpoint" >&2; exit 1; }
 
 echo "== phase 3: multi-reactor serving (SO_REUSEPORT) =="
