@@ -12,7 +12,6 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -24,7 +23,6 @@
 #include "net/reactor.h"
 #include "obs/instrument.h"
 #include "obs/registry.h"
-#include "parallel/park.h"
 
 namespace qf::cluster {
 namespace {
@@ -77,7 +75,14 @@ struct ClusterMetrics {
 }  // namespace
 
 struct Coordinator::Impl {
-  explicit Impl(const CoordinatorOptions& opts) : opts(opts) {}
+  explicit Impl(const CoordinatorOptions& opts)
+      : opts(opts),
+        clients(loop, plane, opts.max_write_queue_bytes, opts.max_frame_bytes,
+                /*io=*/nullptr) {}
+
+  /// epoll timeout: the loop wakes at least this often to kick backend
+  /// reconnects; every non-empty coalescing buffer flushes each tick.
+  static constexpr int kPollTimeoutMs = 50;
 
   CoordinatorOptions opts;
   std::string error;
@@ -86,19 +91,11 @@ struct Coordinator::Impl {
   size_t co_cap_bytes = 0;  // effective coalescing-buffer byte cap
 
   std::atomic<bool> stop_flag{false};
-  std::atomic<int> live_reactors{0};
+  std::atomic<bool> running{false};  // Start() until the loop exits
 
-  // ---- shared counters (any reactor updates, kStats/kTopology read) -----
-  std::atomic<uint64_t> total_items_acked{0};
-  /// Client-plane series, subscriber count and kShutdown flag, shared by
-  /// every reactor's ClientTable.
+  uint64_t total_items_acked = 0;
+  /// Client-plane series, subscriber count and kShutdown flag.
   net::ClientPlane plane;
-  std::atomic<uint64_t> migrations_completed{0};
-  std::atomic<uint64_t> alert_gaps{0};
-
-  /// Reactor x backend liveness. kTopology reports the MIN state across
-  /// reactors per backend, so "ready" means every loop can route to it.
-  std::vector<std::atomic<uint8_t>> state_matrix;
 
   // ---- per-client state -------------------------------------------------
   // Replies to one client go out strictly in request order: every request
@@ -161,7 +158,6 @@ struct Coordinator::Impl {
     IngestFrameBuilder co_buf;
     std::vector<Credit> co_credits;
     uint64_t credit_epoch = 0;  // last ingest_epoch that added a credit
-    uint64_t co_open_ns = 0;    // first append into the open buffer
     uint64_t last_flush_ns = 0;
     CreditLedger<Credit> ledger;
     uint64_t alert_rx_seq = 0;  // per-connection contiguity check
@@ -181,54 +177,44 @@ struct Coordinator::Impl {
     std::vector<Item> items;
   };
 
-  /// One event loop (its own SO_REUSEPORT accept socket when reactors >
-  /// 1), its clients, backend connections, slot-table copy and fence
-  /// state. Nothing here is touched by any other thread except through
-  /// loop.Post().
-  struct Reactor {
-    Reactor(uint32_t ridx, net::ClientPlane& plane,
-            const CoordinatorOptions& o)
-        : ridx(ridx),
-          clients(loop, plane, o.max_write_queue_bytes, o.max_frame_bytes,
-                  /*io=*/nullptr) {}
+  // Everything below is touched only by the loop thread (and by Stop()
+  // once that thread has joined); the migration worker reaches it through
+  // loop.Post().
+  net::EventLoop loop;  // declared before every Connection owner
+  Clients clients;
+  std::thread thread;
 
-    uint32_t ridx = 0;
-    net::EventLoop loop;  // declared before every Connection owner
-    Clients clients;
-    std::thread thread;
+  Topology topo;
+  std::vector<Backend> backends;
+  /// Upstream alerts received this tick, fanned out at its end.
+  std::vector<net::WireAlert> alerts;
 
-    Topology topo;
-    std::vector<Backend> backends;
-    /// Upstream alerts received this tick, fanned out at its end.
-    std::vector<net::WireAlert> alerts;
+  // ---- migration fence --------------------------------------------------
+  bool fenced = false;
+  uint32_t fenced_slot = 0;
+  std::vector<FencedBatch> fence_buffer;
+  bool barrier_armed = false;
+  uint32_t barrier_backend = 0;
+  uint64_t barrier_target = 0;
+  std::shared_ptr<std::promise<bool>> barrier_promise;
 
-    // ---- migration fence (per loop; the worker rendezvouses all) --------
-    bool fenced = false;
-    uint32_t fenced_slot = 0;
-    std::vector<FencedBatch> fence_buffer;
-    bool barrier_armed = false;
-    uint32_t barrier_backend = 0;
-    uint64_t barrier_target = 0;
-    std::shared_ptr<std::promise<bool>> barrier_promise;
+  /// Bumped once per client INGEST frame (and per fence-replay batch):
+  /// a backend adds at most one credit per epoch per open buffer.
+  uint64_t ingest_epoch = 0;
 
-    /// Bumped once per client INGEST frame (and per fence-replay batch):
-    /// a backend adds at most one credit per epoch per open buffer.
-    uint64_t ingest_epoch = 0;
-
-    // Scatter arenas, sized once at Start; only touched entries are
-    // cleared between frames (no per-frame resize/clear churn).
-    std::vector<std::vector<uint64_t>> scatter_keys;
-    std::vector<std::vector<uint32_t>> scatter_pos;
-    std::vector<uint32_t> scatter_touched;
-    std::vector<Item> fenced_scratch;
-  };
-  std::vector<std::unique_ptr<Reactor>> reactors;
+  // Scatter arenas, sized once at Start; only touched entries are
+  // cleared between frames (no per-frame resize/clear churn).
+  std::vector<std::vector<uint64_t>> scatter_keys;
+  std::vector<std::vector<uint32_t>> scatter_pos;
+  std::vector<uint32_t> scatter_touched;
+  std::vector<Item> fenced_scratch;
 
   // ---- migration --------------------------------------------------------
-  std::atomic<bool> migration_active{false};
-  std::mutex migration_mu;  // guards worker join/spawn across reactors
+  // The loop thread is the worker's only spawner (StartMigration) and
+  // Stop() joins it only after joining the loop thread, so the handle
+  // needs no lock.
+  bool migration_active = false;
   std::thread migration_worker;
-  Reactor* migrate_reactor = nullptr;
   std::shared_ptr<PendingReply> migrate_reply;
   ClientRef migrate_client;
 
@@ -249,56 +235,41 @@ struct Coordinator::Impl {
   bool Start() {
     if (opts.backends.empty()) return Fail("no backends configured");
     if (opts.num_slots == 0) return Fail("num_slots must be positive");
-    if (opts.reactors < 1) return Fail("reactors must be >= 1");
+    if (opts.reactors != 1) {
+      return Fail("reactors must be 1: the coordinator runs one event loop");
+    }
     const size_t n_backends = opts.backends.size();
-    const size_t n_reactors = static_cast<size_t>(opts.reactors);
     // The coalescing cap must fit at least one item under the frame cap.
     co_cap_bytes = std::clamp(opts.coalesce_max_bytes,
                               IngestFrameBuilder::kPrefixBytes +
                                   IngestFrameBuilder::kItemBytes,
                               opts.max_frame_bytes);
-    state_matrix =
-        std::vector<std::atomic<uint8_t>>(n_reactors * n_backends);
-
-    for (size_t ri = 0; ri < n_reactors; ++ri) {
-      auto r = std::make_unique<Reactor>(static_cast<uint32_t>(ri), plane,
-                                         opts);
-      r->backends.reserve(n_backends);
-      for (size_t b = 0; b < n_backends; ++b) {
-        Backend be;
-        be.idx = static_cast<uint32_t>(b);
-        if (!SplitHostPort(opts.backends[b], &be.host, &be.port)) {
-          reactors.clear();
-          return Fail("bad backend address: " + opts.backends[b]);
-        }
-        be.backoff_ms = opts.backend_backoff_initial_ms;
+    backends.resize(n_backends);
+    for (size_t b = 0; b < n_backends; ++b) {
+      Backend& be = backends[b];
+      be.idx = static_cast<uint32_t>(b);
+      if (!SplitHostPort(opts.backends[b], &be.host, &be.port)) {
+        backends.clear();
+        return Fail("bad backend address: " + opts.backends[b]);
+      }
+      be.backoff_ms = opts.backend_backoff_initial_ms;
 #if QF_METRICS
-        be.queued_gauge = &obs::MetricsRegistry::Global().GetGauge(
-            "qf_cluster_backend_queued_bytes{backend=\"" +
-                std::to_string(b) + "\"}",
-            "bytes queued (coalescing + write queue) toward one backend");
+      be.queued_gauge = &obs::MetricsRegistry::Global().GetGauge(
+          "qf_cluster_backend_queued_bytes{backend=\"" + std::to_string(b) +
+              "\"}",
+          "bytes queued (coalescing + write queue) toward one backend");
 #endif
-        r->backends.push_back(std::move(be));
-      }
-      r->topo = Topology(opts.backends, opts.num_slots);
-      r->scatter_keys.resize(n_backends);
-      r->scatter_pos.resize(n_backends);
-      // Reactor 0 binds the configured port (possibly 0 = ephemeral);
-      // later reactors join its SO_REUSEPORT group on the bound port.
-      if (!r->loop.Open(opts.host, ri == 0 ? opts.port : bound_port,
-                        n_reactors > 1, &error)) {
-        reactors.clear();
-        return false;
-      }
-      bound_port = r->loop.port();
-      reactors.push_back(std::move(r));
     }
-    live_reactors.store(static_cast<int>(n_reactors),
-                        std::memory_order_release);
-    for (auto& r : reactors) {
-      Reactor* rp = r.get();
-      rp->thread = std::thread([this, rp] { Loop(*rp); });
+    topo = Topology(opts.backends, opts.num_slots);
+    scatter_keys.resize(n_backends);
+    scatter_pos.resize(n_backends);
+    if (!loop.Open(opts.host, opts.port, /*reuseport=*/false, &error)) {
+      backends.clear();
+      return false;
     }
+    bound_port = loop.port();
+    running.store(true, std::memory_order_release);
+    thread = std::thread([this] { Loop(); });
     started = true;
     return true;
   }
@@ -306,32 +277,25 @@ struct Coordinator::Impl {
   void Stop() {
     if (!started) return;
     stop_flag.store(true, std::memory_order_release);
-    for (auto& r : reactors) r->loop.Wake();
-    for (auto& r : reactors) {
-      if (r->thread.joinable()) r->thread.join();
-    }
+    loop.Wake();
+    if (thread.joinable()) thread.join();
     // A migration worker may still be parked on a fence/flip future whose
-    // command a loop never drained. Keep draining (commands are stop-aware
-    // and fail fast) until the worker exits.
-    {
-      std::lock_guard<std::mutex> lock(migration_mu);
-      if (migration_worker.joinable()) {
-        std::atomic<bool> joined{false};
-        std::thread joiner([&] {
-          migration_worker.join();
-          joined.store(true, std::memory_order_release);
-        });
-        while (!joined.load(std::memory_order_acquire)) {
-          for (auto& r : reactors) r->loop.RunPosted();
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        joiner.join();
+    // command the loop never drained. Keep draining (commands are
+    // stop-aware and fail fast) until the worker exits.
+    if (migration_worker.joinable()) {
+      std::atomic<bool> joined{false};
+      std::thread joiner([&] {
+        migration_worker.join();
+        joined.store(true, std::memory_order_release);
+      });
+      while (!joined.load(std::memory_order_acquire)) {
+        loop.RunPosted();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
+      joiner.join();
     }
-    for (auto& r : reactors) {
-      r->loop.RunPosted();
-      r->loop.Close();  // every thread that can Wake() has exited by here
-    }
+    loop.RunPosted();
+    loop.Close();  // every thread that can Wake() has exited by here
     started = false;
   }
 
@@ -342,72 +306,48 @@ struct Coordinator::Impl {
            plane.stopping.load(std::memory_order_acquire);
   }
 
-  void SetBackendState(Reactor& r, Backend& b, BackendState s) {
-    b.state = s;
-    state_matrix[r.ridx * opts.backends.size() + b.idx].store(
-        static_cast<uint8_t>(s), std::memory_order_relaxed);
-  }
-
   // ======================================================================
   // Event loop
 
-  /// Epoll timeout honoring coalesce deadlines: with held buffers the loop
-  /// sleeps only until the nearest deadline, spin-polling (CpuRelax) the
-  /// last sub-millisecond stretch instead of oversleeping a full tick.
-  int LoopTimeoutMs(Reactor& r) {
-    if (opts.coalesce_deadline_us == 0) return 50;
-    uint64_t nearest = UINT64_MAX;
-    for (const Backend& b : r.backends) {
-      if (!b.co_buf.empty()) {
-        nearest = std::min<uint64_t>(
-            nearest, b.co_open_ns + opts.coalesce_deadline_us * 1000ull);
-      }
-    }
-    if (nearest == UINT64_MAX) return 50;
-    const uint64_t now_ns = MonotonicNanos();
-    if (nearest <= now_ns) return 0;
-    const uint64_t diff = nearest - now_ns;
-    if (diff < 1000000ull) {
-      CpuRelax();  // parallel/park.h: de-pipeline the sub-ms poll
-      return 0;
-    }
-    return static_cast<int>(std::min<uint64_t>(50, diff / 1000000ull));
-  }
-
-  void Loop(Reactor& r) {
-    // After a kShutdown the acking loop runs on until its ack (queued
-    // behind any reply still owed by a backend) has drained.
+  void Loop() {
+    // After a kShutdown the loop runs on until its ack (queued behind any
+    // reply still owed by a backend) has drained.
     const auto owes = [](const ClientState& s) { return !s.replies.empty(); };
     while (!stop_flag.load(std::memory_order_acquire) &&
-           !r.clients.ShutdownDrained(owes)) {
-      r.loop.RunPosted();
-      KickBackendConnects(r, NowMs());
-      const bool polled = r.loop.Poll(
-          LoopTimeoutMs(r),
+           !clients.ShutdownDrained(owes)) {
+      loop.RunPosted();
+      KickBackendConnects(NowMs());
+      const bool polled = loop.Poll(
+          kPollTimeoutMs,
           [&](int fd, uint32_t gen, uint32_t events) {
-            OnEvent(r, fd, gen, events);
+            OnEvent(fd, gen, events);
           },
-          [&](int fd) { r.clients.Accept(fd); });
+          [&](int fd) { clients.Accept(fd); });
       if (!polled) break;
-      FlushDueCoalesce(r);
-      r.clients.FanOut(r.alerts);
-      r.alerts.clear();
+      // End of tick: every open coalescing buffer flushes, so coalescing
+      // merges exactly what this epoll batch delivered (latency neutral).
+      for (Backend& b : backends) {
+        FlushCoalesce(b);
+        UpdateQueuedGauge(b);
+      }
+      clients.FanOut(alerts);
+      alerts.clear();
     }
     // Unblock a migration worker parked on a fence/flip future: drain the
     // remaining commands (they are stop-aware and fail fast), then fulfill
     // any ack barrier armed before the stop with failure.
-    r.loop.RunPosted();
-    if (r.barrier_armed) {
-      r.barrier_armed = false;
-      r.barrier_promise->set_value(false);
+    loop.RunPosted();
+    if (barrier_armed) {
+      barrier_armed = false;
+      barrier_promise->set_value(false);
     }
-    r.clients.CloseAll();
+    clients.CloseAll();
     // With no clients left, failing a backend just drops its link, buffers
     // and ledger (keeping the gauges balanced).
-    for (Backend& b : r.backends) FailBackend(r, b, NowMs());
+    for (Backend& b : backends) FailBackend(b, NowMs());
     // listen/wake/epoll stay open: Wake() writes wake_fd from other
     // threads, so Stop() closes them only after every waker has joined.
-    live_reactors.fetch_sub(1, std::memory_order_release);
+    running.store(false, std::memory_order_release);
   }
 
   // ======================================================================
@@ -415,99 +355,94 @@ struct Coordinator::Impl {
 
   /// Routes one epoll event by fd, dropping it unless its generation is
   /// the live connection's (a stale event for a closed-and-reused fd).
-  void OnEvent(Reactor& r, int fd, uint32_t gen, uint32_t events) {
-    if (r.clients.Serve(fd, gen, events,
-                        [&](ClientConn* c, const FrameView& frame) {
-                          DispatchClientFrame(r, c, frame);
-                        })) {
+  void OnEvent(int fd, uint32_t gen, uint32_t events) {
+    if (clients.Serve(fd, gen, events,
+                      [&](ClientConn* c, const FrameView& frame) {
+                        DispatchClientFrame(c, frame);
+                      })) {
       return;
     }
-    for (Backend& b : r.backends) {
+    for (Backend& b : backends) {
       if (b.link != nullptr && b.link->fd() == fd && b.link->gen() == gen) {
-        HandleBackendEvent(r, b, events);
+        HandleBackendEvent(b, events);
         return;
       }
     }
   }
 
-  void DispatchClientFrame(Reactor& r, ClientConn* c,
-                           const FrameView& frame) {
-    if (r.clients.RefuseIfStopping(c)) return;
+  void DispatchClientFrame(ClientConn* c, const FrameView& frame) {
+    if (clients.RefuseIfStopping(c)) return;
     switch (frame.type) {
       case FrameType::kIngest:
-        HandleIngest(r, c, frame);
+        HandleIngest(c, frame);
         return;
       case FrameType::kQuery:
-        HandleQuery(r, c, frame);
+        HandleQuery(c, frame);
         return;
       case FrameType::kSubscribe: {
         std::vector<uint8_t> echo;
-        if (r.clients.Subscribe(c, frame, &echo)) {
-          QueueLocalReply(r, c, std::move(echo));
+        if (clients.Subscribe(c, frame, &echo)) {
+          QueueLocalReply(c, std::move(echo));
         }
         return;
       }
       case FrameType::kControl:
-        HandleControl(r, c, frame);
+        HandleControl(c, frame);
         return;
       default:
-        r.clients.SendError(c, ErrorCode::kUnsupportedType,
-                            std::string("unexpected frame type: ") +
-                                net::FrameTypeName(frame.type));
+        clients.SendError(c, ErrorCode::kUnsupportedType,
+                          std::string("unexpected frame type: ") +
+                              net::FrameTypeName(frame.type));
         return;
     }
   }
 
   /// Queues an already-complete locally-answered reply, preserving the
   /// per-client response order (earlier fanned-out requests flush first).
-  void QueueLocalReply(Reactor& r, ClientConn* c,
-                       std::vector<uint8_t> frame) {
+  void QueueLocalReply(ClientConn* c, std::vector<uint8_t> frame) {
     auto reply = std::make_shared<PendingReply>();
     reply->kind = PendingReply::kLocal;
     reply->local_frame = std::move(frame);
     c->state.replies.push_back(std::move(reply));
-    TryFlushReplies(r, c);
+    TryFlushReplies(c);
   }
 
-  void QueueControlStatus(Reactor& r, ClientConn* c, uint64_t token,
-                          ControlOp op, ControlStatus status) {
+  void QueueControlStatus(ClientConn* c, uint64_t token, ControlOp op,
+                          ControlStatus status) {
     std::vector<uint8_t> frame;
     net::EncodeControlResultTo(token, op, status, {}, &frame);
-    QueueLocalReply(r, c, std::move(frame));
+    QueueLocalReply(c, std::move(frame));
   }
 
   /// As below, for a client that may have gone since the request.
-  void TryFlushReplies(Reactor& r, ClientRef ref) {
-    if (ClientConn* c = r.clients.Find(ref)) TryFlushReplies(r, c);
+  void TryFlushReplies(ClientRef ref) {
+    if (ClientConn* c = clients.Find(ref)) TryFlushReplies(c);
   }
 
-  void TryFlushReplies(Reactor& r, ClientConn* c) {
+  void TryFlushReplies(ClientConn* c) {
     while (!c->state.replies.empty()) {
       PendingReply& reply = *c->state.replies.front();
       if (reply.failed) {
-        r.clients.SendError(c, ErrorCode::kInternal, reply.fail_msg);
+        clients.SendError(c, ErrorCode::kInternal, reply.fail_msg);
         return;
       }
       if (reply.outstanding > 0) break;
-      AppendReplyFrame(r, c, reply);
+      AppendReplyFrame(c, reply);
       c->state.replies.pop_front();
     }
     // A client mid-read flushes once, at the end of its recv() chunk.
-    if (c != r.clients.reading()) r.clients.Flush(c);
+    if (c != clients.reading()) clients.Flush(c);
   }
 
-  void AppendReplyFrame(Reactor&, ClientConn* c, PendingReply& reply) {
+  void AppendReplyFrame(ClientConn* c, PendingReply& reply) {
     switch (reply.kind) {
       case PendingReply::kLocal:
         c->io.out().PushBlock(std::move(reply.local_frame));
         return;
       case PendingReply::kIngestR: {
-        const uint64_t total =
-            total_items_acked.fetch_add(reply.count,
-                                        std::memory_order_relaxed) +
-            reply.count;
+        total_items_acked += reply.count;
         c->io.out().Encode(net::EncodeIngestAckTo, reply.token, reply.count,
-                           total);
+                           total_items_acked);
         return;
       }
       case PendingReply::kQueryR:
@@ -577,7 +512,7 @@ struct Coordinator::Impl {
   /// Seals the open coalescing buffer into one backend INGEST frame: push
   /// the credits into the ack ledger, move the preformatted bytes into the
   /// write queue (no copy), and kick the socket.
-  void FlushCoalesce(Reactor& r, Backend& b) {
+  void FlushCoalesce(Backend& b) {
     if (b.co_buf.empty()) return;
     const uint64_t token = b.next_token++;
     const uint32_t n_items = b.co_buf.items();
@@ -600,26 +535,7 @@ struct Coordinator::Impl {
 #endif
     b.link->out().PushBlock(std::move(block));
     b.co_buf.Provision(b.link->out().TakeSpare());
-    FlushBackend(r, b);
-  }
-
-  /// End-of-tick flush: with no deadline every non-empty buffer flushes
-  /// (coalescing exactly what this epoll batch delivered — latency
-  /// neutral); with a deadline only expired buffers do.
-  void FlushDueCoalesce(Reactor& r) {
-    const uint64_t deadline_ns = opts.coalesce_deadline_us * 1000ull;
-    const uint64_t now_ns =
-        deadline_ns == 0 ? 0 : MonotonicNanos();
-    for (Backend& b : r.backends) {
-      if (b.co_buf.empty()) {
-        UpdateQueuedGauge(b);
-        continue;
-      }
-      if (deadline_ns == 0 || now_ns >= b.co_open_ns + deadline_ns) {
-        FlushCoalesce(r, b);
-      }
-      UpdateQueuedGauge(b);
-    }
+    FlushBackend(b);
   }
 
   /// Appends `n` raw 16-byte item records to backend `b`'s coalescing
@@ -627,8 +543,7 @@ struct Coordinator::Impl {
   /// buffer per ingest epoch and flushing mid-append when the buffer
   /// fills. Marks the reply failed (fail fast, like the legacy path) if
   /// the backend is not ready or drops during a flush.
-  void AppendToCoalesce(Reactor& r, Backend& b, const uint8_t* records,
-                        size_t n,
+  void AppendToCoalesce(Backend& b, const uint8_t* records, size_t n,
                         const std::shared_ptr<PendingReply>& reply,
                         ClientRef client) {
     while (n > 0 && !reply->failed) {
@@ -642,12 +557,11 @@ struct Coordinator::Impl {
                               ? IngestFrameBuilder::kPrefixBytes
                               : b.co_buf.bytes();
       if (used + IngestFrameBuilder::kItemBytes > co_cap_bytes) {
-        FlushCoalesce(r, b);  // may FailBackend; loop re-checks state
+        FlushCoalesce(b);  // may FailBackend; loop re-checks state
         continue;
       }
-      if (b.co_buf.empty()) b.co_open_ns = MonotonicNanos();
-      if (b.credit_epoch != r.ingest_epoch) {
-        b.credit_epoch = r.ingest_epoch;
+      if (b.credit_epoch != ingest_epoch) {
+        b.credit_epoch = ingest_epoch;
         ++reply->outstanding;
         b.co_credits.push_back(Credit{reply, client});
       }
@@ -660,22 +574,20 @@ struct Coordinator::Impl {
     }
   }
 
-  void HandleIngest(Reactor& r, ClientConn* c, const FrameView& frame) {
+  void HandleIngest(ClientConn* c, const FrameView& frame) {
     // Walk the INGEST payload in place (u64 token, u32 count, count x
     // 16-byte items) — no ParseIngest, no Item vector staging.
     const std::span<const uint8_t> p = frame.payload;
     uint64_t token = 0;
     uint32_t count = 0;
     if (p.size() < 12) {
-      r.clients.SendError(c, ErrorCode::kBadPayload,
-                          "malformed INGEST payload");
+      clients.SendError(c, ErrorCode::kBadPayload, "malformed INGEST payload");
       return;
     }
     std::memcpy(&token, p.data(), 8);
     std::memcpy(&count, p.data() + 8, 4);
     if (p.size() != 12 + static_cast<uint64_t>(count) * sizeof(Item)) {
-      r.clients.SendError(c, ErrorCode::kBadPayload,
-                          "malformed INGEST payload");
+      clients.SendError(c, ErrorCode::kBadPayload, "malformed INGEST payload");
       return;
     }
     const uint8_t* records = p.data() + 12;
@@ -689,8 +601,8 @@ struct Coordinator::Impl {
     reply->outstanding = 1;
     c->state.replies.push_back(reply);
     const ClientRef ref = c->ref();
-    ++r.ingest_epoch;
-    r.fenced_scratch.clear();
+    ++ingest_epoch;
+    fenced_scratch.clear();
 
     // Classify runs of consecutive same-backend items so the common case
     // (skewed or single-backend traffic) appends whole runs at once.
@@ -698,9 +610,9 @@ struct Coordinator::Impl {
     uint32_t run_backend = UINT32_MAX;
     const auto flush_run = [&](size_t end) {
       if (run_backend != UINT32_MAX && end > run_start) {
-        AppendToCoalesce(r, r.backends[run_backend],
-                         records + run_start * sizeof(Item),
-                         end - run_start, reply, ref);
+        AppendToCoalesce(backends[run_backend],
+                         records + run_start * sizeof(Item), end - run_start,
+                         reply, ref);
       }
       run_start = end;
     };
@@ -708,8 +620,8 @@ struct Coordinator::Impl {
       uint64_t key = 0;
       std::memcpy(&key, records + static_cast<size_t>(i) * sizeof(Item),
                   8);
-      const uint32_t slot = r.topo.SlotOf(key);
-      if (r.fenced && slot == r.fenced_slot) {
+      const uint32_t slot = topo.SlotOf(key);
+      if (fenced && slot == fenced_slot) {
         flush_run(i);
         run_backend = UINT32_MAX;
         run_start = i + 1;
@@ -717,10 +629,10 @@ struct Coordinator::Impl {
         std::memcpy(&item,
                     records + static_cast<size_t>(i) * sizeof(Item),
                     sizeof(Item));
-        r.fenced_scratch.push_back(item);
+        fenced_scratch.push_back(item);
         continue;
       }
-      const uint32_t owner = r.topo.OwnerOf(slot);
+      const uint32_t owner = topo.OwnerOf(slot);
       if (owner != run_backend) {
         flush_run(i);
         run_backend = owner;
@@ -728,27 +640,26 @@ struct Coordinator::Impl {
     }
     if (!reply->failed) flush_run(count);
 
-    if (!r.fenced_scratch.empty() && !reply->failed) {
+    if (!fenced_scratch.empty() && !reply->failed) {
       ++reply->outstanding;
       FencedBatch batch;
       batch.reply = reply;
       batch.client = ref;
-      batch.items.assign(r.fenced_scratch.begin(), r.fenced_scratch.end());
-      r.fence_buffer.push_back(std::move(batch));
+      batch.items.assign(fenced_scratch.begin(), fenced_scratch.end());
+      fence_buffer.push_back(std::move(batch));
     }
     --reply->outstanding;  // drop the guard credit
     // A failing backend flush can close this client reentrantly (earlier
     // credits fail and flush an ERROR), so re-resolve the pointer.
-    TryFlushReplies(r, ref);
+    TryFlushReplies(ref);
   }
 
   // ---- QUERY ------------------------------------------------------------
 
-  void HandleQuery(Reactor& r, ClientConn* c, const FrameView& frame) {
+  void HandleQuery(ClientConn* c, const FrameView& frame) {
     net::QueryRequest req;
     if (!net::ParseQuery(frame.payload, &req)) {
-      r.clients.SendError(c, ErrorCode::kBadPayload,
-                          "malformed QUERY payload");
+      clients.SendError(c, ErrorCode::kBadPayload, "malformed QUERY payload");
       return;
     }
     auto reply = std::make_shared<PendingReply>();
@@ -757,53 +668,53 @@ struct Coordinator::Impl {
     reply->answers.resize(req.keys.size());
 
     // Arena reset: only the entries the previous QUERY touched.
-    for (const uint32_t t : r.scatter_touched) {
-      r.scatter_keys[t].clear();
-      r.scatter_pos[t].clear();
+    for (const uint32_t t : scatter_touched) {
+      scatter_keys[t].clear();
+      scatter_pos[t].clear();
     }
-    r.scatter_touched.clear();
+    scatter_touched.clear();
     for (size_t i = 0; i < req.keys.size(); ++i) {
       // Fenced slots still query their current owner: the donor holds the
       // authoritative state until the flip.
-      const uint32_t b = r.topo.OwnerOf(r.topo.SlotOf(req.keys[i]));
-      if (r.scatter_keys[b].empty()) r.scatter_touched.push_back(b);
-      r.scatter_keys[b].push_back(req.keys[i]);
-      r.scatter_pos[b].push_back(static_cast<uint32_t>(i));
+      const uint32_t b = topo.OwnerOf(topo.SlotOf(req.keys[i]));
+      if (scatter_keys[b].empty()) scatter_touched.push_back(b);
+      scatter_keys[b].push_back(req.keys[i]);
+      scatter_pos[b].push_back(static_cast<uint32_t>(i));
     }
-    reply->outstanding = static_cast<int>(r.scatter_touched.size());
+    reply->outstanding = static_cast<int>(scatter_touched.size());
     c->state.replies.push_back(reply);
 
     const ClientRef ref = c->ref();
-    for (const uint32_t bi : r.scatter_touched) {
-      Backend& be = r.backends[bi];
+    for (const uint32_t bi : scatter_touched) {
+      Backend& be = backends[bi];
       if (be.state != BackendState::kReady) {
         reply->failed = true;
         reply->fail_msg = "backend " + opts.backends[bi] + " unavailable";
         break;
       }
       const SubOp op{SubOp::kQuery, ref, reply,
-                     std::move(r.scatter_pos[bi])};
-      if (!SendSubOp(r, be, op, [&](uint64_t token, auto* out) {
-            net::EncodeQueryTo(token, r.scatter_keys[bi], out);
+                     std::move(scatter_pos[bi])};
+      if (!SendSubOp(be, op, [&](uint64_t token, auto* out) {
+            net::EncodeQueryTo(token, scatter_keys[bi], out);
           })) {
         break;
       }
     }
-    TryFlushReplies(r, ref);
+    TryFlushReplies(ref);
   }
 
   /// Sends one QUERY/CONTROL sub-request to a ready backend, behind its
   /// buffered INGEST items (frames process in connection order). Returns
   /// false, with op.reply failed, if the backend dropped.
   template <typename Encode>
-  bool SendSubOp(Reactor& r, Backend& b, const SubOp& op, Encode&& encode) {
-    FlushCoalesce(r, b);
+  bool SendSubOp(Backend& b, const SubOp& op, Encode&& encode) {
+    FlushCoalesce(b);
     if (b.state == BackendState::kReady) {
       const uint64_t token = b.next_token++;
       b.link->out().Append(
           [&](std::vector<uint8_t>* out) { encode(token, out); });
       b.inflight.emplace(token, op);
-      if (FlushBackend(r, b)) return true;
+      if (FlushBackend(b)) return true;
     }
     op.reply->failed = true;
     op.reply->fail_msg = "backend " + opts.backends[b.idx] + " dropped";
@@ -812,68 +723,51 @@ struct Coordinator::Impl {
 
   // ---- SUBSCRIBE / CONTROL ----------------------------------------------
 
-  void HandleControl(Reactor& r, ClientConn* c, const FrameView& frame) {
+  void HandleControl(ClientConn* c, const FrameView& frame) {
     net::ControlRequest req;
     if (!net::ParseControl(frame.payload, &req)) {
-      r.clients.SendError(c, ErrorCode::kBadPayload,
-                          "malformed CONTROL payload");
+      clients.SendError(c, ErrorCode::kBadPayload, "malformed CONTROL payload");
       return;
     }
     switch (req.op) {
       case ControlOp::kTopology: {
-        // Liveness is the MIN across reactors: "ready" only when every
-        // loop's own connection to that backend is ready.
-        const size_t n_backends = opts.backends.size();
-        const size_t n_reactors = reactors.size();
-        std::vector<net::BackendState> states;
-        states.reserve(n_backends);
-        for (size_t b = 0; b < n_backends; ++b) {
-          uint8_t lowest = static_cast<uint8_t>(BackendState::kReady);
-          for (size_t ri = 0; ri < n_reactors; ++ri) {
-            lowest = std::min(
-                lowest, state_matrix[ri * n_backends + b].load(
-                            std::memory_order_relaxed));
-          }
-          states.push_back(static_cast<BackendState>(lowest));
-        }
+        std::vector<BackendState> states;
+        states.reserve(backends.size());
+        for (const Backend& b : backends) states.push_back(b.state);
         std::vector<uint8_t> payload;
-        net::EncodeTopologyPayloadTo(r.topo.ToWire(states), &payload);
+        net::EncodeTopologyPayloadTo(topo.ToWire(states), &payload);
         std::vector<uint8_t> reply;
         net::EncodeControlResultTo(req.token, req.op, ControlStatus::kOk,
                                    payload, &reply);
-        QueueLocalReply(r, c, std::move(reply));
+        QueueLocalReply(c, std::move(reply));
         return;
       }
       case ControlOp::kStats:
       case ControlOp::kMetrics:
       case ControlOp::kDrain:
-        FanOutControl(r, c, req);
+        FanOutControl(c, req);
         return;
       case ControlOp::kMigrate:
-        StartMigration(r, c, req);
+        StartMigration(c, req);
         return;
       case ControlOp::kShutdown:
-        QueueControlStatus(r, c, req.token, req.op, ControlStatus::kOk);
-        r.clients.BeginShutdown(c);
-        for (auto& other : reactors) other->loop.Wake();
+        QueueControlStatus(c, req.token, req.op, ControlStatus::kOk);
+        clients.BeginShutdown(c);
         return;
       default:
         // Backend-plane ops (checkpoint/restore/shard handoff) and unknown
         // ops: not a coordinator operation.
-        QueueControlStatus(r, c, req.token, req.op,
-                           ControlStatus::kBadRequest);
+        QueueControlStatus(c, req.token, req.op, ControlStatus::kBadRequest);
         return;
     }
   }
 
   /// kStats / kMetrics / kDrain: strict fan-out — every backend must be
   /// ready, so a rollup never silently omits part of the cluster.
-  void FanOutControl(Reactor& r, ClientConn* c,
-                     const net::ControlRequest& req) {
-    for (const Backend& b : r.backends) {
+  void FanOutControl(ClientConn* c, const net::ControlRequest& req) {
+    for (const Backend& b : backends) {
       if (b.state != BackendState::kReady) {
-        QueueControlStatus(r, c, req.token, req.op,
-                           ControlStatus::kRejected);
+        QueueControlStatus(c, req.token, req.op, ControlStatus::kRejected);
         return;
       }
     }
@@ -881,37 +775,37 @@ struct Coordinator::Impl {
     reply->kind = PendingReply::kControlFan;
     reply->token = req.token;
     reply->op = req.op;
-    reply->outstanding = static_cast<int>(r.backends.size());
+    reply->outstanding = static_cast<int>(backends.size());
     c->state.replies.push_back(reply);
     const ClientRef ref = c->ref();
     const SubOp op{SubOp::kControl, ref, reply, {}};
-    for (Backend& b : r.backends) {
+    for (Backend& b : backends) {
       // Control must observe every item this loop already accepted.
-      if (!SendSubOp(r, b, op, [&](uint64_t token, auto* out) {
+      if (!SendSubOp(b, op, [&](uint64_t token, auto* out) {
             net::EncodeControlTo(token, req.op, {}, out);
           })) {
         break;
       }
     }
-    TryFlushReplies(r, ref);
+    TryFlushReplies(ref);
   }
 
   // ======================================================================
   // Backend pool
 
-  void KickBackendConnects(Reactor& r, uint64_t now) {
-    for (Backend& b : r.backends) {
+  void KickBackendConnects(uint64_t now) {
+    for (Backend& b : backends) {
       if (b.link != nullptr && b.connecting &&
           now >= b.connect_deadline_ms) {
-        FailBackend(r, b, now);
+        FailBackend(b, now);
         continue;
       }
       if (b.link != nullptr || now < b.next_attempt_ms) continue;
-      BeginConnect(r, b, now);
+      BeginConnect(b, now);
     }
   }
 
-  void BeginConnect(Reactor& r, Backend& b, uint64_t now) {
+  void BeginConnect(Backend& b, uint64_t now) {
     addrinfo hints{};
     hints.ai_family = AF_INET;
     hints.ai_socktype = SOCK_STREAM;
@@ -919,7 +813,7 @@ struct Coordinator::Impl {
     const std::string port_str = std::to_string(b.port);
     if (getaddrinfo(b.host.c_str(), port_str.c_str(), &hints, &res) != 0 ||
         res == nullptr) {
-      ScheduleRetry(r, b, now);
+      ScheduleRetry(b, now);
       return;
     }
     const int fd = socket(res->ai_family,
@@ -927,20 +821,20 @@ struct Coordinator::Impl {
                           res->ai_protocol);
     if (fd < 0) {
       freeaddrinfo(res);
-      ScheduleRetry(r, b, now);
+      ScheduleRetry(b, now);
       return;
     }
     const int rc = connect(fd, res->ai_addr, res->ai_addrlen);
     freeaddrinfo(res);
     if (rc != 0 && errno != EINPROGRESS) {
       close(fd);
-      ScheduleRetry(r, b, now);
+      ScheduleRetry(b, now);
       return;
     }
-    b.link = std::make_unique<Connection>(r.loop, fd, DecoderOpts());
+    b.link = std::make_unique<Connection>(loop, fd, DecoderOpts());
     if (!b.link->registered()) {
       b.link.reset();  // closes fd
-      ScheduleRetry(r, b, now);
+      ScheduleRetry(b, now);
       return;
     }
     // FailBackend already emptied the ledger, buffers and in-flight table.
@@ -952,20 +846,20 @@ struct Coordinator::Impl {
     b.connecting = true;
     b.connect_deadline_ms =
         now + static_cast<uint64_t>(opts.backend_connect_timeout_ms);
-    SetBackendState(r, b, BackendState::kConnecting);
-    r.loop.Modify(fd, b.link->gen(), EPOLLIN | EPOLLOUT);
+    b.state = BackendState::kConnecting;
+    loop.Modify(fd, b.link->gen(), EPOLLIN | EPOLLOUT);
   }
 
-  void StartHandshake(Reactor& r, Backend& b) {
+  void StartHandshake(Backend& b) {
     b.connecting = false;
-    SetBackendState(r, b, BackendState::kConnecting);
+    b.state = BackendState::kConnecting;
     b.subscribe_token = b.next_token++;
     b.link->out().Encode(net::EncodeSubscribeTo, b.subscribe_token, true);
-    FlushBackend(r, b);
+    FlushBackend(b);
   }
 
-  void ScheduleRetry(Reactor& r, Backend& b, uint64_t now) {
-    SetBackendState(r, b, BackendState::kDisconnected);
+  void ScheduleRetry(Backend& b, uint64_t now) {
+    b.state = BackendState::kDisconnected;
     b.next_attempt_ms = now + static_cast<uint64_t>(b.backoff_ms);
     b.backoff_ms = std::min(b.backoff_ms * 2, opts.backend_backoff_max_ms);
   }
@@ -975,12 +869,12 @@ struct Coordinator::Impl {
   /// acks — wedges pipelined senders), the open coalescing buffer is
   /// discarded with its credits, the fence barrier aborts, and a backoff
   /// reconnect starts.
-  void FailBackend(Reactor& r, Backend& b, uint64_t now) {
+  void FailBackend(Backend& b, uint64_t now) {
     b.link.reset();  // deregisters and closes the socket
-    ScheduleRetry(r, b, now);
-    if (r.barrier_armed && r.barrier_backend == b.idx) {
-      r.barrier_armed = false;
-      r.barrier_promise->set_value(false);
+    ScheduleRetry(b, now);
+    if (barrier_armed && barrier_backend == b.idx) {
+      barrier_armed = false;
+      barrier_promise->set_value(false);
     }
     auto entries = b.ledger.TakeAll();
 #if QF_METRICS
@@ -1001,7 +895,7 @@ struct Coordinator::Impl {
       if (credit.reply == nullptr) return;
       credit.reply->failed = true;
       if (credit.reply->fail_msg.empty()) credit.reply->fail_msg = msg;
-      TryFlushReplies(r, credit.client);
+      TryFlushReplies(credit.client);
     };
     for (auto& entry : entries) {
       for (Credit& credit : entry.credits) fail_credit(credit);
@@ -1010,24 +904,24 @@ struct Coordinator::Impl {
     for (auto& [token, op] : inflight) {
       op.reply->failed = true;
       if (op.reply->fail_msg.empty()) op.reply->fail_msg = msg;
-      TryFlushReplies(r, op.client);
+      TryFlushReplies(op.client);
     }
   }
 
-  bool FlushBackend(Reactor& r, Backend& b) {
+  bool FlushBackend(Backend& b) {
     if (b.link->Flush(opts.max_write_queue_bytes, /*io=*/nullptr) !=
         Connection::Status::kOpen) {
-      FailBackend(r, b, NowMs());
+      FailBackend(b, NowMs());
       return false;
     }
     UpdateQueuedGauge(b);
     return true;
   }
 
-  void HandleBackendEvent(Reactor& r, Backend& b, uint32_t events) {
+  void HandleBackendEvent(Backend& b, uint32_t events) {
     if (b.connecting) {
       if (events & (EPOLLERR | EPOLLHUP)) {
-        FailBackend(r, b, NowMs());
+        FailBackend(b, NowMs());
         return;
       }
       if (events & EPOLLOUT) {
@@ -1035,11 +929,11 @@ struct Coordinator::Impl {
         socklen_t len = sizeof(err);
         getsockopt(b.link->fd(), SOL_SOCKET, SO_ERROR, &err, &len);
         if (err != 0) {
-          FailBackend(r, b, NowMs());
+          FailBackend(b, NowMs());
           return;
         }
-        r.loop.Modify(b.link->fd(), b.link->gen(), EPOLLIN);
-        StartHandshake(r, b);
+        loop.Modify(b.link->fd(), b.link->gen(), EPOLLIN);
+        StartHandshake(b);
       }
       return;
     }
@@ -1047,15 +941,14 @@ struct Coordinator::Impl {
     // link is gone: kStopped); every other non-open status fails it here.
     const Connection::Status status = b.link->OnEvents(
         events, opts.max_write_queue_bytes, /*io=*/nullptr,
-        [&](const FrameView& frame) { return DispatchBackendFrame(r, b, frame); });
+        [&](const FrameView& frame) { return DispatchBackendFrame(b, frame); });
     if (status != Connection::Status::kOpen &&
         status != Connection::Status::kStopped) {
-      FailBackend(r, b, NowMs());
+      FailBackend(b, NowMs());
     }
   }
 
-  bool DispatchBackendFrame(Reactor& r, Backend& b,
-                            const FrameView& frame) {
+  bool DispatchBackendFrame(Backend& b, const FrameView& frame) {
     switch (frame.type) {
       case FrameType::kIngestAck: {
         net::IngestAck ack;
@@ -1072,14 +965,14 @@ struct Coordinator::Impl {
         ClusterMetrics::Get().ledger_depth.Add(-1);
 #endif
         ++b.ingest_acked;
-        if (r.barrier_armed && r.barrier_backend == b.idx &&
-            b.ingest_acked >= r.barrier_target) {
-          r.barrier_armed = false;
-          r.barrier_promise->set_value(true);
+        if (barrier_armed && barrier_backend == b.idx &&
+            b.ingest_acked >= barrier_target) {
+          barrier_armed = false;
+          barrier_promise->set_value(true);
         }
         for (Credit& credit : credits) {
           --credit.reply->outstanding;
-          TryFlushReplies(r, credit.client);
+          TryFlushReplies(credit.client);
         }
         return true;
       }
@@ -1095,14 +988,14 @@ struct Coordinator::Impl {
           op.reply->answers[op.positions[i]] = res.answers[i];
         }
         --op.reply->outstanding;
-        TryFlushReplies(r, op.client);
+        TryFlushReplies(op.client);
         return true;
       }
       case FrameType::kSubscribe: {
         net::SubscribeRequest echo;
         if (!net::ParseSubscribe(frame.payload, &echo)) break;
         if (echo.token == b.subscribe_token && echo.enable) {
-          SetBackendState(r, b, BackendState::kReady);
+          b.state = BackendState::kReady;
           b.backoff_ms = opts.backend_backoff_initial_ms;
         }
         return true;
@@ -1115,18 +1008,18 @@ struct Coordinator::Impl {
         SubOp op = std::move(it->second);
         b.inflight.erase(it);
         AccumulateControl(op, res);
-        TryFlushReplies(r, op.client);
+        TryFlushReplies(op.client);
         return true;
       }
       case FrameType::kAlert: {
         net::WireAlert alert;
         if (!net::ParseAlert(frame.payload, &alert)) break;
-        if (alert.seq != b.alert_rx_seq) {
-          alert_gaps.fetch_add(1, std::memory_order_relaxed);
-        }
+        // A backend numbers each connection's alerts gap-free, so any
+        // other seq is a corrupt stream: fail closed and reconnect.
+        if (alert.seq != b.alert_rx_seq) break;
         b.alert_rx_seq = alert.seq + 1;
         alert.reserved = b.idx;
-        r.alerts.push_back(alert);
+        alerts.push_back(alert);
         return true;
       }
       case FrameType::kError:
@@ -1134,7 +1027,7 @@ struct Coordinator::Impl {
       default:
         break;
     }
-    FailBackend(r, b, NowMs());
+    FailBackend(b, NowMs());
     return false;
   }
 
@@ -1160,38 +1053,29 @@ struct Coordinator::Impl {
   // ======================================================================
   // Migration (DESIGN.md §16)
 
-  void StartMigration(Reactor& r, ClientConn* c,
-                      const net::ControlRequest& req) {
+  void StartMigration(ClientConn* c, const net::ControlRequest& req) {
     net::MigrateRequest m;
-    if (!net::ParseMigratePayload(req.op_payload, &m)) {
-      QueueControlStatus(r, c, req.token, req.op,
-                         ControlStatus::kBadRequest);
+    if (!net::ParseMigratePayload(req.op_payload, &m) ||
+        m.slot >= topo.num_slots() ||
+        m.target_backend >= topo.num_backends()) {
+      QueueControlStatus(c, req.token, req.op, ControlStatus::kBadRequest);
       return;
     }
-    if (m.slot >= r.topo.num_slots() ||
-        m.target_backend >= r.topo.num_backends()) {
-      QueueControlStatus(r, c, req.token, req.op,
-                         ControlStatus::kBadRequest);
-      return;
-    }
-    const uint32_t donor = r.topo.OwnerOf(m.slot);
+    const uint32_t donor = topo.OwnerOf(m.slot);
     if (donor == m.target_backend ||
-        r.backends[donor].state != BackendState::kReady ||
-        r.backends[m.target_backend].state != BackendState::kReady) {
-      QueueControlStatus(r, c, req.token, req.op, ControlStatus::kRejected);
+        backends[donor].state != BackendState::kReady ||
+        backends[m.target_backend].state != BackendState::kReady) {
+      QueueControlStatus(c, req.token, req.op, ControlStatus::kRejected);
       return;
     }
-    bool expected = false;
-    if (!migration_active.compare_exchange_strong(
-            expected, true, std::memory_order_acq_rel)) {
-      QueueControlStatus(r, c, req.token, req.op, ControlStatus::kRejected);
+    if (migration_active) {
+      QueueControlStatus(c, req.token, req.op, ControlStatus::kRejected);
       return;
     }
-    std::lock_guard<std::mutex> lock(migration_mu);
+    migration_active = true;
     // The previous worker's final command has already run (migration_active
     // was false), so this join returns promptly.
     if (migration_worker.joinable()) migration_worker.join();
-    migrate_reactor = &r;
     migrate_reply = std::make_shared<PendingReply>();
     migrate_reply->kind = PendingReply::kControlFan;
     migrate_reply->token = req.token;
@@ -1205,29 +1089,30 @@ struct Coordinator::Impl {
         [this, slot, donor, target] { MigrateWorker(slot, donor, target); });
   }
 
-  /// Loop-side, one reactor: fence the slot and arm this loop's donor ack
-  /// barrier. The future resolves true once every coalesced INGEST this
-  /// loop had flushed to the donor before the fence has been acked (the
-  /// open coalescing buffer is flushed first so it is under the barrier),
-  /// false if the donor dropped or the loop is stopping.
-  std::future<bool> FenceSlot(Reactor& r, uint32_t slot, uint32_t donor) {
+  /// Loop-side: fence the slot and arm the donor ack barrier. The future
+  /// resolves true once every coalesced INGEST flushed to the donor before
+  /// the fence has been acked (the open coalescing buffer is flushed first
+  /// so it is under the barrier), false if the donor dropped or the loop
+  /// is stopping. The slot stays fenced until FinishFence, so no
+  /// post-barrier item can reach the donor.
+  std::future<bool> FenceSlot(uint32_t slot, uint32_t donor) {
     auto prom = std::make_shared<std::promise<bool>>();
     std::future<bool> fut = prom->get_future();
-    r.loop.Post([this, &r, slot, donor, prom] {
+    loop.Post([this, slot, donor, prom] {
       if (Stopping()) {
         prom->set_value(false);
         return;
       }
-      r.fenced = true;
-      r.fenced_slot = slot;
-      Backend& b = r.backends[donor];
-      if (b.state == BackendState::kReady) FlushCoalesce(r, b);
+      fenced = true;
+      fenced_slot = slot;
+      Backend& b = backends[donor];
+      if (b.state == BackendState::kReady) FlushCoalesce(b);
       if (b.state == BackendState::kReady &&
           b.ingest_acked < b.ingest_sent) {
-        r.barrier_armed = true;
-        r.barrier_backend = donor;
-        r.barrier_target = b.ingest_sent;
-        r.barrier_promise = prom;
+        barrier_armed = true;
+        barrier_backend = donor;
+        barrier_target = b.ingest_sent;
+        barrier_promise = prom;
       } else {
         prom->set_value(b.state == BackendState::kReady);
       }
@@ -1235,52 +1120,34 @@ struct Coordinator::Impl {
     return fut;
   }
 
-  /// Worker-side rendezvous: every reactor fences and every barrier must
-  /// clear. Loops fence independently (a loop stays fenced until its own
-  /// flip, so no post-barrier item can reach the donor from any loop).
-  bool FenceAll(uint32_t slot, uint32_t donor) {
-    return OnEveryLoop([&](Reactor& r) { return FenceSlot(r, slot, donor); });
-  }
-
-  /// Starts `step` (returning a loop-side future) on every reactor, then
-  /// waits for all of them; true iff every loop reported true.
-  template <typename Step>
-  bool OnEveryLoop(Step&& step) {
-    std::vector<std::future<bool>> futures;
-    for (auto& r : reactors) futures.push_back(step(*r));
-    bool ok = true;
-    for (auto& f : futures) ok = f.get() && ok;
-    return ok;
-  }
-
-  /// Loop-side, one reactor: commit (flip ownership to `target`) or abort
-  /// (keep the donor as owner), then replay the fence buffer — through the
-  /// coalescer — to the current owner.
-  std::future<bool> FinishFence(Reactor& r, uint32_t slot, uint32_t target,
+  /// Loop-side: commit (flip ownership to `target`) or abort (keep the
+  /// donor as owner), then replay the fence buffer — through the coalescer
+  /// — to the current owner.
+  std::future<bool> FinishFence(uint32_t slot, uint32_t target,
                                 bool commit) {
     auto prom = std::make_shared<std::promise<bool>>();
     std::future<bool> fut = prom->get_future();
-    r.loop.Post([this, &r, slot, target, commit, prom] {
+    loop.Post([this, slot, target, commit, prom] {
       if (Stopping()) {
-        r.fenced = false;
-        r.fence_buffer.clear();
+        fenced = false;
+        fence_buffer.clear();
         prom->set_value(false);
         return;
       }
-      if (commit) r.topo.Flip(slot, target);
-      r.fenced = false;
-      const uint32_t owner = r.topo.OwnerOf(slot);
-      Backend& b = r.backends[owner];
-      auto buffered = std::move(r.fence_buffer);
-      r.fence_buffer.clear();
+      if (commit) topo.Flip(slot, target);
+      fenced = false;
+      const uint32_t owner = topo.OwnerOf(slot);
+      Backend& b = backends[owner];
+      auto buffered = std::move(fence_buffer);
+      fence_buffer.clear();
       for (FencedBatch& batch : buffered) {
-        ClientConn* c = r.clients.Find(batch.client);
+        ClientConn* c = clients.Find(batch.client);
         bool sent = false;
         if (c != nullptr && b.state == BackendState::kReady &&
             !batch.reply->failed) {
-          ++r.ingest_epoch;  // one fresh credit epoch per replayed batch
+          ++ingest_epoch;  // one fresh credit epoch per replayed batch
           AppendToCoalesce(
-              r, b, reinterpret_cast<const uint8_t*>(batch.items.data()),
+              b, reinterpret_cast<const uint8_t*>(batch.items.data()),
               batch.items.size(), batch.reply, batch.client);
           sent = !batch.reply->failed;
         }
@@ -1291,35 +1158,29 @@ struct Coordinator::Impl {
           batch.reply->failed = true;
           batch.reply->fail_msg = "fenced batch lost: owner unavailable";
         }
-        TryFlushReplies(r, batch.client);
+        TryFlushReplies(batch.client);
       }
-      if (b.state == BackendState::kReady) FlushCoalesce(r, b);
+      if (b.state == BackendState::kReady) FlushCoalesce(b);
       prom->set_value(true);
     });
     return fut;
   }
 
-  bool FinishFenceAll(uint32_t slot, uint32_t target, bool commit) {
-    return OnEveryLoop(
-        [&](Reactor& r) { return FinishFence(r, slot, target, commit); });
-  }
-
   void CompleteMigration(bool ok) {
-    Reactor& r = *migrate_reactor;
-    r.loop.Post([this, &r, ok] {
+    loop.Post([this, ok] {
       migrate_reply->status =
           ok ? ControlStatus::kOk : ControlStatus::kRejected;
       migrate_reply->outstanding = 0;
-      if (ok) migrations_completed.fetch_add(1, std::memory_order_relaxed);
-      TryFlushReplies(r, migrate_client);
+      TryFlushReplies(migrate_client);
       migrate_reply.reset();
-      migration_active.store(false, std::memory_order_release);
+      migration_active = false;
     });
   }
 
-  /// Worker-thread procedure: checkpoint-ship, WAL catch-up, fence (all
-  /// reactors), final drain, activate, flip (all reactors). Uses private
-  /// blocking connections so no event loop ever stalls on migration I/O.
+  /// Worker-thread procedure: checkpoint-ship, WAL catch-up, fence, final
+  /// drain, activate, flip. Uses private blocking connections so the event
+  /// loop never stalls on migration I/O; each loop-side step is posted to
+  /// the loop and awaited through its future.
   void MigrateWorker(uint32_t slot, uint32_t donor, uint32_t target) {
     net::QfClient::Options copt;
     copt.max_frame_bytes = opts.max_frame_bytes;
@@ -1338,7 +1199,7 @@ struct Coordinator::Impl {
         net::SegmentShipResult junk;
         dc.SegmentShip(rel, &junk);  // best-effort unpin
       }
-      if (is_fenced) FinishFenceAll(slot, target, /*commit=*/false);
+      if (is_fenced) FinishFence(slot, target, /*commit=*/false).get();
       CompleteMigration(false);
     };
 
@@ -1383,11 +1244,8 @@ struct Coordinator::Impl {
           break;
         }
       }
-      if (!FenceAll(slot, donor)) {
-        is_fenced = true;  // some loops may have fenced; unwind them all
-        return abort();
-      }
-      is_fenced = true;
+      is_fenced = true;  // a failed fence may still have fenced the slot
+      if (!FenceSlot(slot, donor).get()) return abort();
       // Post-barrier, every coordinator-acked item is in the donor's WAL;
       // drain the remainder, in WAL order, into the recipient.
       while (true) {
@@ -1404,11 +1262,8 @@ struct Coordinator::Impl {
     } else {
       // Non-durable donor: no log to replay, so fence first — the export
       // then captures the complete shard history.
-      if (!FenceAll(slot, donor)) {
-        is_fenced = true;
-        return abort();
-      }
       is_fenced = true;
+      if (!FenceSlot(slot, donor).get()) return abort();
       if (!dc.ShardExportFetch(slot, &exp)) return abort();
       net::ShardImport imp;
       imp.shard = slot;
@@ -1418,7 +1273,7 @@ struct Coordinator::Impl {
     }
 
     if (!tc.ShardActivate(slot)) return abort();
-    if (!FinishFenceAll(slot, target, /*commit=*/true)) return abort();
+    if (!FinishFence(slot, target, /*commit=*/true).get()) return abort();
     is_fenced = false;
     if (pinned) {
       net::SegmentShipRequest rel;
@@ -1442,7 +1297,7 @@ bool Coordinator::Start() { return impl_->Start(); }
 void Coordinator::Stop() { impl_->Stop(); }
 
 bool Coordinator::running() const {
-  return impl_->live_reactors.load(std::memory_order_acquire) > 0;
+  return impl_->running.load(std::memory_order_acquire);
 }
 
 uint16_t Coordinator::port() const { return impl_->bound_port; }

@@ -26,25 +26,26 @@
 //              kCheckpoint/kRestore and the shard-handoff ops answer
 //              kBadRequest — they are backend-plane operations.
 //
-// Threading: `reactors` event-loop threads (default 1), each one
-// net::EventLoop (net/reactor.h, shared with QfServer) with a disjoint set
-// of accepted clients, its own backend links, its own copy of the slot
-// table and all routing state for its clients — no locks on the data path
-// (DESIGN.md §16.5). Clients and backend links are net::Connections; each
-// loop's clients live in a net::ClientTable, the one QfServer reactors use
-// (connection cap, close accounting, alert fan-out, kShutdown handshake),
-// carrying the coordinator's ordered reply deque as per-client state.
-// INGEST items are classified straight out of the receive buffer into
-// per-backend coalescing buffers (preformatted INGEST frames) that flush
-// bytes-or-deadline as one large backend frame; a per-backend FIFO credit
-// ledger maps each backend ack back to the originating client replies, so
-// per-connection ack order is preserved exactly. A migration runs on its
-// own worker thread with private blocking QfClient connections; it
-// rendezvouses with every loop through EventLoop::Post — fence,
-// ack-barrier, flip/abort — so ownership changes are atomic with respect
-// to scattering. Backends that drop reconnect with bounded exponential
-// backoff; requests touching a dead backend fail the issuing client fast
-// (ERROR + close) rather than stalling it.
+// Threading: one net::EventLoop thread (net/reactor.h, shared with
+// QfServer) owns every client, every backend link, the one slot table
+// (cluster::Topology) and all routing and fence state — no locks on the
+// data path (DESIGN.md §16.5). Clients and backend links are
+// net::Connections; clients live in a net::ClientTable, the one QfServer
+// reactors use (connection cap, close accounting, alert fan-out, kShutdown
+// handshake), carrying the coordinator's ordered reply deque as per-client
+// state. INGEST items are classified straight out of the receive buffer
+// into per-backend coalescing buffers (preformatted INGEST frames), each
+// flushed as one large backend frame at the end of the event-loop tick or
+// once it fills; a per-backend FIFO credit ledger maps each backend ack
+// back to the originating client replies, so per-connection ack order is
+// preserved exactly. A migration runs on its own worker thread with
+// private blocking QfClient connections; it rendezvouses with the loop
+// through EventLoop::Post — fence + ack barrier, then flip or abort — so
+// ownership changes are atomic with respect to scattering. Backends that
+// drop, or send a corrupt stream (a mismatched INGEST_ACK, a gap in their
+// ALERT seqs), reconnect with bounded exponential backoff; requests
+// touching a dead backend fail the issuing client fast (ERROR + close)
+// rather than stalling it.
 
 #ifndef QUANTILEFILTER_CLUSTER_COORDINATOR_H_
 #define QUANTILEFILTER_CLUSTER_COORDINATOR_H_
@@ -72,19 +73,15 @@ struct CoordinatorOptions {
 
   size_t max_frame_bytes = net::kDefaultMaxFrameBytes;
 
-  /// Event-loop threads. Each runs its own SO_REUSEPORT accept loop and
-  /// owns its clients and backend connections outright (see the threading
-  /// note above). The kernel spreads incoming connections across loops.
+  /// The coordinator runs one event loop; Start() fails unless this is 1.
+  /// The field stays only because qfbench/reps.cc still sets it.
   int reactors = 1;
 
-  /// Coalescing flush policy: a per-backend buffer flushes when it reaches
-  /// this many bytes (clamped under max_frame_bytes) or, with
-  /// coalesce_deadline_us == 0, at the end of every event-loop tick —
-  /// latency-neutral, merging exactly what one epoll batch delivered. A
-  /// non-zero deadline holds buffers across ticks up to that many
-  /// microseconds for bigger backend frames at higher ingest latency.
+  /// Coalescing flush policy: a per-backend buffer flushes at the end of
+  /// every event-loop tick — latency-neutral, merging exactly what one
+  /// epoll batch delivered — or as soon as it reaches this many bytes
+  /// (clamped under max_frame_bytes).
   size_t coalesce_max_bytes = 256u << 10;
-  uint32_t coalesce_deadline_us = 0;
 
   /// Per-connection write-queue cap; a consumer that stays above it is
   /// dropped as slow (same policy as QfServer).
@@ -109,7 +106,7 @@ class Coordinator {
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
-  /// Binds the listening socket and spawns the event loop. Backend
+  /// Binds the listening socket and spawns the event-loop thread. Backend
   /// connections are established asynchronously with backoff — poll
   /// kTopology until every backend reports kReady before driving load.
   bool Start();

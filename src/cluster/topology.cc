@@ -1,5 +1,6 @@
 #include "cluster/topology.h"
 
+#include <charconv>
 #include <cstdlib>
 
 namespace qf::cluster {
@@ -17,6 +18,35 @@ bool SplitHostPort(const std::string& addr, std::string* host,
   }
   *host = addr.substr(0, colon);
   *port = static_cast<uint16_t>(value);
+  return true;
+}
+
+namespace {
+
+/// The whole of `text` as a decimal uint32_t, or false.
+bool ParseU32(std::string_view text, uint32_t* out) {
+  const char* end = text.data() + text.size();
+  uint32_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+bool ParseMigrateSpec(std::string_view spec, uint32_t* slot,
+                      uint32_t* backend) {
+  const size_t colon = spec.find(':');
+  if (colon == std::string_view::npos) return false;
+  uint32_t s = 0;
+  uint32_t b = 0;
+  if (!ParseU32(spec.substr(0, colon), &s) ||
+      !ParseU32(spec.substr(colon + 1), &b)) {
+    return false;
+  }
+  *slot = s;
+  *backend = b;
   return true;
 }
 

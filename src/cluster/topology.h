@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
@@ -39,6 +40,13 @@ inline uint32_t SlotForKey(uint64_t key, uint32_t num_slots) {
 /// missing colon, empty host, or a port outside [1, 65535].
 bool SplitHostPort(const std::string& addr, std::string* host,
                    uint16_t* port);
+
+/// Parses a migration spec "SLOT:BACKEND" (qf_cluster --migrate): two
+/// unsigned decimal numbers that each fit uint32_t, split by one colon.
+/// Fails (returns false, outputs untouched) on anything else — a missing or
+/// extra colon, an empty side, a sign, trailing characters, or overflow.
+bool ParseMigrateSpec(std::string_view spec, uint32_t* slot,
+                      uint32_t* backend);
 
 /// Slot -> backend ownership with an epoch that bumps on every flip.
 class Topology {

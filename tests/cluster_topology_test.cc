@@ -1,7 +1,8 @@
 // Slot topology tests (DESIGN.md §16): SlotForKey must be the exact
 // key->shard reduction ShardedQuantileFilter uses — that identity is what
 // makes a coordinator-fronted cluster answer QUERY bit-identically to a
-// single process — plus address parsing and the ownership table.
+// single process — plus address and migrate-spec parsing and the
+// ownership table.
 
 #include "cluster/topology.h"
 
@@ -54,6 +55,40 @@ TEST(SplitHostPortTest, AcceptsAndRejects) {
     // Outputs only change on success.
     EXPECT_EQ(host, "untouched") << bad;
     EXPECT_EQ(port, 9) << bad;
+  }
+}
+
+TEST(ParseMigrateSpecTest, AcceptsAndRejects) {
+  struct Case {
+    const char* spec;
+    bool ok;
+    uint32_t slot;
+    uint32_t backend;
+  };
+  const Case cases[] = {
+      {"3:1", true, 3, 1},
+      {"0:0", true, 0, 0},
+      {"4294967295:4294967295", true, 4294967295u, 4294967295u},
+      {"x:1", false, 0, 0},
+      {"7x:1", false, 0, 0},
+      {"1:", false, 0, 0},
+      {":1", false, 0, 0},
+      {"-1:2", false, 0, 0},
+      {"+1:2", false, 0, 0},
+      {"4294967296:0", false, 0, 0},
+      {"0:4294967296", false, 0, 0},
+      {"1:2:3", false, 0, 0},
+      {"1 :2", false, 0, 0},
+      {"12", false, 0, 0},
+      {"", false, 0, 0},
+  };
+  for (const Case& c : cases) {
+    uint32_t slot = 77;
+    uint32_t backend = 88;
+    EXPECT_EQ(ParseMigrateSpec(c.spec, &slot, &backend), c.ok) << c.spec;
+    // Outputs only change on success.
+    EXPECT_EQ(slot, c.ok ? c.slot : 77u) << c.spec;
+    EXPECT_EQ(backend, c.ok ? c.backend : 88u) << c.spec;
   }
 }
 

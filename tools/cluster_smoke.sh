@@ -66,10 +66,7 @@ for i in 0 1 2; do
   wait_port "$WORK/b$i.log"
   BPORTS+=("$PORT")
 done
-# --reactors=2 exercises the multi-reactor coalescing data plane; the
-# single-connection feed below must stay bit-identical to the mirror
-# regardless of which reactor the kernel lands each connection on.
-"$CLUSTER" --port=0 --slots=$SLOTS --reactors=2 \
+"$CLUSTER" --port=0 --slots=$SLOTS \
     --backends="127.0.0.1:${BPORTS[0]},127.0.0.1:${BPORTS[1]},127.0.0.1:${BPORTS[2]}" \
     > "$WORK/coord.log" 2>&1 &
 COORD_PID=$!

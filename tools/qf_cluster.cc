@@ -21,7 +21,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,13 +41,9 @@ void PrintUsage() {
       "  --slots=N             slot count == every backend's --shards\n"
       "  --host=ADDR           listen address (default 127.0.0.1)\n"
       "  --port=N              listen port (default 7171; 0 = ephemeral)\n"
-      "  --reactors=N          SO_REUSEPORT event-loop threads (default 1);\n"
-      "                        each owns its clients and its own backend\n"
-      "                        connections\n"
       "  --coalesce-bytes=B    per-backend coalescing buffer cap (default\n"
-      "                        262144, clamped under the frame limit)\n"
-      "  --coalesce-us=U       hold coalescing buffers up to U microseconds\n"
-      "                        (default 0 = flush every event-loop tick)\n\n"
+      "                        262144, clamped under the frame limit); a\n"
+      "                        buffer also flushes every event-loop tick\n\n"
       "control mode (against a running coordinator):\n"
       "  --connect=HOST:PORT   attach instead of serving\n"
       "  --topology            print epoch, backend states, slot owners\n"
@@ -62,15 +57,13 @@ volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
 int Serve(const std::string& host, uint16_t port,
-          const std::string& backend_list, uint32_t slots, int reactors,
-          size_t coalesce_bytes, uint32_t coalesce_us) {
+          const std::string& backend_list, uint32_t slots,
+          size_t coalesce_bytes) {
   cluster::CoordinatorOptions opts;
   opts.host = host;
   opts.port = port;
   opts.num_slots = slots;
-  opts.reactors = reactors;
   opts.coalesce_max_bytes = coalesce_bytes;
-  opts.coalesce_deadline_us = coalesce_us;
   size_t pos = 0;
   while (pos < backend_list.size()) {
     size_t comma = backend_list.find(',', pos);
@@ -90,10 +83,8 @@ int Serve(const std::string& host, uint16_t port,
   }
   // Same banner shape as qf_server so scripts can sed the bound port out.
   std::printf(
-      "qf_cluster: listening on %s:%u (%zu backends, %u slots, "
-      "%d reactors)\n",
-      host.c_str(), coord.port(), opts.backends.size(), slots,
-      opts.reactors);
+      "qf_cluster: listening on %s:%u (%zu backends, %u slots)\n",
+      host.c_str(), coord.port(), opts.backends.size(), slots);
   std::fflush(stdout);
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
@@ -123,6 +114,14 @@ int Control(const std::string& target, bool do_topology,
     std::fprintf(stderr, "qf_cluster: bad --connect=%s\n", target.c_str());
     return 2;
   }
+  uint32_t slot = 0;
+  uint32_t target_b = 0;
+  if (!migrate_spec.empty() &&
+      !cluster::ParseMigrateSpec(migrate_spec, &slot, &target_b)) {
+    std::fprintf(stderr, "qf_cluster: bad --migrate=%s (want SLOT:BACKEND)\n",
+                 migrate_spec.c_str());
+    return 2;
+  }
   net::QfClient client;
   if (!client.Connect(host, port)) {
     std::fprintf(stderr, "qf_cluster: connect: %s\n",
@@ -149,25 +148,12 @@ int Control(const std::string& target, bool do_topology,
     }
   }
   if (!migrate_spec.empty()) {
-    const size_t colon = migrate_spec.find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "qf_cluster: --migrate wants SLOT:BACKEND\n");
-      return 2;
-    }
-    const long slot = std::atol(migrate_spec.substr(0, colon).c_str());
-    const long target_b = std::atol(migrate_spec.substr(colon + 1).c_str());
-    if (slot < 0 || target_b < 0) {
-      std::fprintf(stderr, "qf_cluster: bad --migrate=%s\n",
-                   migrate_spec.c_str());
-      return 2;
-    }
-    if (!client.Migrate(static_cast<uint32_t>(slot),
-                        static_cast<uint32_t>(target_b))) {
+    if (!client.Migrate(slot, target_b)) {
       std::fprintf(stderr, "qf_cluster: migrate: %s\n",
                    client.error().c_str());
       return 1;
     }
-    std::printf("qf_cluster: slot %ld migrated to backend %ld\n", slot,
+    std::printf("qf_cluster: slot %u migrated to backend %u\n", slot,
                 target_b);
   }
   if (do_drain && !client.Drain()) {
@@ -212,11 +198,8 @@ int Main(int argc, char** argv) {
   const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 7171));
   const std::string backends = flags.GetString("backends", "");
   const uint32_t slots = static_cast<uint32_t>(flags.GetInt("slots", 0));
-  const int reactors = static_cast<int>(flags.GetInt("reactors", 1));
   const size_t coalesce_bytes =
       static_cast<size_t>(flags.GetInt("coalesce-bytes", 256 << 10));
-  const uint32_t coalesce_us =
-      static_cast<uint32_t>(flags.GetInt("coalesce-us", 0));
   const bool do_topology = flags.Has("topology");
   const std::string migrate_spec = flags.GetString("migrate", "");
   const bool do_stats = flags.Has("stats");
@@ -232,12 +215,7 @@ int Main(int argc, char** argv) {
     return Control(connect, do_topology, migrate_spec, do_stats, do_drain,
                    do_shutdown);
   }
-  if (reactors < 1) {
-    std::fprintf(stderr, "qf_cluster: bad --reactors\n");
-    return 2;
-  }
-  return Serve(host, port, backends, slots, reactors, coalesce_bytes,
-               coalesce_us);
+  return Serve(host, port, backends, slots, coalesce_bytes);
 }
 
 }  // namespace

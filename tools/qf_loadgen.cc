@@ -80,12 +80,7 @@ void PrintUsage() {
       "                        --expect-rate applies to the proxied rate.\n"
       "  --cluster-slots=N     slot/shard count, identical on every backend\n"
       "                        (default 6)\n"
-      "  --cluster-memory=B    per-backend filter budget (default 1048576)\n"
-      "  --cluster-reactors=N  coordinator SO_REUSEPORT event loops\n"
-      "                        (default 1; see qf_cluster --reactors —\n"
-      "                        multi-reactor pays off only with real cores)\n"
-      "  --cluster-coalesce-us=U  coordinator coalescing hold deadline in\n"
-      "                        microseconds (default 0 = per-tick flush)\n\n"
+      "  --cluster-memory=B    per-backend filter budget (default 1048576)\n\n"
       "wrap-up:\n"
       "  --drain               CONTROL kDrain after the load\n"
       "  --stats               print server WireStats after the load\n"
@@ -344,14 +339,11 @@ bool QuerySampleChecksum(const std::string& host, uint16_t port,
 /// through the proxy, then drains and checks cluster-wide conservation via
 /// the coordinator's summed kStats. This is the single-binary analogue of
 /// the CI cluster smoke, and what --expect-rate gates for the proxied path.
-int RunClusterLoopback(int backends, int slots, size_t memory, int reactors,
-                       uint32_t coalesce_us, const LoadShape& shape,
-                       uint64_t query_sample, obs::Histogram* rtt_ns,
-                       double* rate_out) {
+int RunClusterLoopback(int backends, int slots, size_t memory,
+                       const LoadShape& shape, uint64_t query_sample,
+                       obs::Histogram* rtt_ns, double* rate_out) {
   std::vector<std::unique_ptr<net::QfServer>> servers;
   cluster::CoordinatorOptions copts;
-  copts.reactors = reactors;
-  copts.coalesce_deadline_us = coalesce_us;
   for (int b = 0; b < backends; ++b) {
     net::QfServer::Options opts;
     opts.port = 0;  // ephemeral
@@ -402,9 +394,8 @@ int RunClusterLoopback(int backends, int slots, size_t memory, int reactors,
     return 1;
   }
   std::printf(
-      "qf_loadgen: cluster %d backends x %d slots (proxy port %u, "
-      "%d reactors)\n",
-      backends, slots, coord.port(), reactors);
+      "qf_loadgen: cluster %d backends x %d slots (proxy port %u)\n",
+      backends, slots, coord.port());
   if (!RunLoad("127.0.0.1", coord.port(), shape, rtt_ns, rate_out)) {
     stop_all();
     return 1;
@@ -553,10 +544,6 @@ int Main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("cluster-slots", 6));
   const size_t cluster_memory =
       static_cast<size_t>(flags.GetInt("cluster-memory", 1 << 20));
-  const int cluster_reactors =
-      static_cast<int>(flags.GetInt("cluster-reactors", 1));
-  const uint32_t cluster_coalesce_us =
-      static_cast<uint32_t>(flags.GetInt("cluster-coalesce-us", 0));
   const bool do_drain = flags.Has("drain");
   const bool do_stats = flags.Has("stats");
   const bool do_shutdown = flags.Has("shutdown");
@@ -622,13 +609,13 @@ int Main(int argc, char** argv) {
 
   double rate = 0.0;
   if (cluster_backends > 0) {
-    if (cluster_slots < 1 || cluster_reactors < 1) {
-      std::fprintf(stderr, "qf_loadgen: bad --cluster-slots/--cluster-reactors\n");
+    if (cluster_slots < 1) {
+      std::fprintf(stderr, "qf_loadgen: bad --cluster-slots\n");
       return 2;
     }
-    const int rc = RunClusterLoopback(
-        cluster_backends, cluster_slots, cluster_memory, cluster_reactors,
-        cluster_coalesce_us, shape, query_sample, &rtt_ns, &rate);
+    const int rc =
+        RunClusterLoopback(cluster_backends, cluster_slots, cluster_memory,
+                           shape, query_sample, &rtt_ns, &rate);
     if (rc != 0) return rc;
   } else if (total_items > 0 &&
              !RunLoad(host, port, shape, &rtt_ns, &rate)) {
