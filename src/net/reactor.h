@@ -373,10 +373,17 @@ class ClientTable {
     Client* c = Find({fd, gen});
     if (c == nullptr) return false;
     reading_ = c;
+    // `c` can only be gone if a close happened during on_frame, so the map
+    // is searched again only when the close count moved.
+    uint64_t closes = closes_;
     const Connection::Status status =
         c->io.OnEvents(events, cap_, io_, [&](const FrameView& frame) {
           on_frame(c, frame);
-          return Find({fd, gen}) != nullptr && !c->io.closing();
+          if (closes_ != closes) {
+            if (Find({fd, gen}) == nullptr) return false;
+            closes = closes_;
+          }
+          return !c->io.closing();
         });
     reading_ = nullptr;
     Settle(c, status);
@@ -402,6 +409,7 @@ class ClientTable {
       plane_.subscribers.fetch_sub(1, std::memory_order_relaxed);
     }
     clients_.erase(c->io.fd());  // frees c; its Connection closes the fd
+    ++closes_;
     plane_.active.fetch_sub(1, std::memory_order_relaxed);
     plane_.disconnects.fetch_add(1, std::memory_order_relaxed);
     if (slow) plane_.slow_disconnects.fetch_add(1, std::memory_order_relaxed);
@@ -417,6 +425,7 @@ class ClientTable {
     }
     plane_.active.fetch_sub(clients_.size(), std::memory_order_relaxed);
     plane_.disconnects.fetch_add(clients_.size(), std::memory_order_relaxed);
+    closes_ += clients_.size();
     clients_.clear();
   }
 
@@ -506,6 +515,7 @@ class ClientTable {
   IoStats* const io_;
   FrameDecoder::Options dopts_;
   std::unordered_map<int, std::unique_ptr<Client>> clients_;
+  uint64_t closes_ = 0;  // clients erased so far; lets Serve skip a Find
   Client* reading_ = nullptr;
   ClientRef shutdown_;  // the client owed this loop's kShutdown ack
 };

@@ -100,7 +100,9 @@ class QfServer {
     /// Pipeline shape: descriptor-ring slots per channel; the item arena
     /// holds ring_batches × 64 items (IngestPipeline::Options).
     size_t ring_batches = 1024;
-    /// Per-shard alert-ring capacity feeding SUBSCRIBE streams.
+    /// Per-shard alert-ring capacity feeding SUBSCRIBE streams: a cap on
+    /// the queued burst, not a boot cost (slots are committed as alerts
+    /// first write them).
     size_t alert_ring_records = 4096;
 
     /// Protocol/backpressure limits. max_frame_bytes also bounds CONTROL

@@ -689,6 +689,10 @@ class IngestPipeline {
   void ClaimProducer(int p) {
     ProducerBlock& b = producers_[static_cast<size_t>(p)];
     const std::thread::id self = std::this_thread::get_id();
+    // Already held (every Push after the first): only this thread stores
+    // `self`, so a relaxed load sees it, and the claim's CAS already did
+    // the acquire. Skips a locked RMW per call.
+    if (b.owner.load(std::memory_order_relaxed) == self) return;
     std::thread::id expected{};
     if (!b.owner.compare_exchange_strong(expected, self,
                                          std::memory_order_acq_rel,

@@ -9,6 +9,12 @@
 // (the "cached index" optimization from Rigtorp's SPSCQueue / LMAX
 // Disruptor lineage).
 //
+// Slot storage is raw and uninitialized (as in folly's
+// ProducerConsumerQueue): a slot holds a live T only between the push that
+// constructs it and the pop that destroys it. Construction therefore writes
+// no slot, and a slot's page is committed when the first push writes it: a
+// ring sized for bursts costs, at boot, nothing for capacity it never uses.
+//
 // Correctness contract:
 //   * TryPush may be called by one thread at a time (the producer);
 //   * TryPop may be called by one thread at a time (the consumer);
@@ -31,8 +37,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/memory.h"
 #include "parallel/park.h"
@@ -47,7 +54,20 @@ class SpscRing {
   explicit SpscRing(size_t min_capacity)
       : capacity_(FloorPow2(min_capacity < 2 ? 2 : min_capacity)),
         mask_(capacity_ - 1),
-        buffer_(capacity_) {}
+        slots_(std::allocator<T>().allocate(capacity_)) {}
+
+  /// Destroys the values still queued in [head, tail). Both sides must have
+  /// stopped (joined) before the ring is destroyed.
+  ~SpscRing() {
+    if constexpr (!std::is_trivially_destructible_v<T>) {
+      const uint64_t tail = tail_.load(std::memory_order_relaxed);
+      for (uint64_t i = head_.load(std::memory_order_relaxed); i != tail;
+           ++i) {
+        std::destroy_at(&slots_[i & mask_]);
+      }
+    }
+    std::allocator<T>().deallocate(slots_, capacity_);
+  }
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
@@ -67,7 +87,7 @@ class SpscRing {
       cached_head_ = head_.load(std::memory_order_acquire);
       if (tail - cached_head_ >= capacity_) return false;
     }
-    buffer_[tail & mask_] = std::move(value);
+    std::construct_at(&slots_[tail & mask_], std::move(value));
     tail_.store(tail + 1, std::memory_order_release);
     if (consumer_waiter_ != nullptr) consumer_waiter_->Wake();
     return true;
@@ -84,7 +104,9 @@ class SpscRing {
       cached_tail_ = tail_.load(std::memory_order_acquire);
       if (head == cached_tail_) return false;
     }
-    *out = std::move(buffer_[head & mask_]);
+    T* slot = &slots_[head & mask_];
+    *out = std::move(*slot);
+    std::destroy_at(slot);
     head_.store(head + 1, std::memory_order_release);
     if (producer_waiter_ != nullptr) producer_waiter_->Wake();
     return true;
@@ -112,7 +134,7 @@ class SpscRing {
 
   const size_t capacity_;
   const size_t mask_;
-  std::vector<T> buffer_;
+  T* const slots_;  // capacity_ slots; live exactly in [head_, tail_)
 
   // Producer-owned: tail_ plus its cached view of head_.
   alignas(kCacheLine) std::atomic<uint64_t> tail_{0};

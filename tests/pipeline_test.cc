@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sharded_filter.h"
+#include "resident_memory.h"
 #include "stream/generators.h"
 
 namespace qf {
@@ -225,6 +226,36 @@ TEST(PipelineTest, SingleShardPipelineMatchesPlainFilter) {
 
   EXPECT_EQ(reports, serial_reports);
   EXPECT_EQ(piped.shard(0).SerializeState(), serial.shard(0).SerializeState());
+}
+
+TEST(PipelineTest, AlertRingsCommitOnFirstAlert) {
+  QF_SKIP_IF_RSS_MEANINGLESS();
+  constexpr int64_t kMiB = 1 << 20;
+  const Criteria criteria(30, 0.95, 300);
+  const Trace trace = MakeTrace(100'000);
+  Sharded::Filter::Options fopts;
+  fopts.memory_bytes = 1 << 20;  // the whole filter's budget
+
+  const int64_t before = ResidentBytes();
+  ASSERT_GE(before, 0) << "/proc/self/statm unreadable";
+  Sharded filter(fopts, criteria, 2);
+  Pipeline::Options popts;
+  // 4Mi records per shard: 96 MiB each if the rings were written at boot.
+  popts.alert_ring_records = size_t{1} << 22;
+  Pipeline pipeline(filter, popts);
+  pipeline.Start();
+  const int64_t booted = ResidentBytes();
+  const int64_t budget = static_cast<int64_t>(fopts.memory_bytes);
+  EXPECT_LT(booted - before, budget + 4 * kMiB)
+      << "boot committed ring capacity that no alert has used";
+
+  // The rings still carry every report once alerts fire.
+  const uint64_t reports = pipeline.RunTrace(std::span<const Item>(trace));
+  ASSERT_GT(reports, 0u);
+  const size_t drained =
+      pipeline.DrainAlerts([](int, const Pipeline::AlertRecord&) {});
+  EXPECT_EQ(drained, reports);
+  EXPECT_EQ(pipeline.totals().alerts_dropped, 0u);
 }
 
 }  // namespace

@@ -52,7 +52,9 @@ void PrintUsage() {
       "  --first-touch         pre-fault arenas/sketches on their worker's\n"
       "                        core (NUMA first-touch; implies nothing\n"
       "                        without --pin)\n"
-      "  --alert-ring=N        per-shard alert-ring records (default 4096)\n"
+      "  --alert-ring=N        per-shard alert-ring records (default 4096);\n"
+      "                        a cap on queued alerts, committed as alerts\n"
+      "                        arrive, not at boot\n"
       "  --max-frame=BYTES     protocol frame cap (default 64 MiB)\n"
       "  --max-write-queue=BYTES  per-connection write cap (default 8 MiB)\n\n"
       "durability (DESIGN.md §14):\n"
