@@ -19,8 +19,14 @@
 //
 // Per-key operations take a Locator, not the key: Locate() hashes the key
 // once (the blocked block hash; the classic rows hash per row, so their
-// locator is the key itself), and the filter's batch window reuses that
-// one hash for the prefetch and the insert.
+// locator is the key itself), in the filter's batch window, and the
+// insert reuses that hash.
+//
+// The per-key updates on the insert path (Insert, Add, Subtract) take a
+// template depth kDepth, 0 by default. kDepth > 0 is the filter's
+// compile-time paper geometry: it calls the blocked engine directly, with
+// no layout dispatch and the lane loop unrolled, and is only valid on a
+// blocked-layout part of that depth.
 
 #ifndef QUANTILEFILTER_CORE_VAGUE_PART_H_
 #define QUANTILEFILTER_CORE_VAGUE_PART_H_
@@ -103,12 +109,13 @@ class VaguePart {
   /// estimate (Algorithm 1 lines 3-5). Integer counters receive the
   /// unbiased probabilistically-rounded weight; floating-point counters
   /// (the paper's alternative design) accumulate the exact weight.
-  int64_t Insert(Locator loc, bool abnormal, const Criteria& criteria,
-                 Rng& rng) {
-    if (blocked_) {
+  template <int kDepth = 0>
+  [[gnu::always_inline]] int64_t Insert(Locator loc, bool abnormal,
+                                        const Criteria& criteria, Rng& rng) {
+    if (kDepth > 0 || blocked_) {
       // Fused add+estimate: one cache line for the whole of Algorithm 1's
       // insert-then-read step, on the hash Locate() already computed.
-      const int64_t estimate = blocked_->AddEstimateHashed(
+      const int64_t estimate = blocked_->template AddEstimateHashed<kDepth>(
           loc.value, DrawItemQweight(abnormal, criteria, rng));
       QF_OBS(if (estimate >= std::numeric_limits<
                                  typename BlockedT::counter_type>::max()) {
@@ -143,23 +150,12 @@ class VaguePart {
 
   /// Adds a raw integer Qweight (used when a candidate entry is demoted
   /// into the vague part during election).
-  void Add(Locator loc, int64_t qweight) {
-    if (blocked_) {
-      blocked_->AddHashed(loc.value, qweight);
+  template <int kDepth = 0>
+  [[gnu::always_inline]] void Add(Locator loc, int64_t qweight) {
+    if (kDepth > 0 || blocked_) {
+      blocked_->template AddHashed<kDepth>(loc.value, qweight);
     } else {
       classic_->Add(loc.value, qweight);
-    }
-  }
-
-  /// Prefetches the counter storage at `loc`, ahead of a possible
-  /// Insert/Estimate (the batched insert window issues this for every item
-  /// while earlier items are still draining): d lines for the classic
-  /// layout, the single block for the blocked layout.
-  void Prefetch(Locator loc) const {
-    if (blocked_) {
-      blocked_->PrefetchHashed(loc.value);
-    } else {
-      classic_->Prefetch(loc.value);
     }
   }
 
@@ -170,9 +166,10 @@ class VaguePart {
 
   /// Removes `amount` of estimated Qweight from the counters at `loc` —
   /// the reset-after-report / promote-to-candidate operation.
-  void Subtract(Locator loc, int64_t amount) {
-    if (blocked_) {
-      blocked_->AddHashed(loc.value, -amount);
+  template <int kDepth = 0>
+  [[gnu::always_inline]] void Subtract(Locator loc, int64_t amount) {
+    if (kDepth > 0 || blocked_) {
+      blocked_->template AddHashed<kDepth>(loc.value, -amount);
     } else {
       classic_->Subtract(loc.value, amount);
     }

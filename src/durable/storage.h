@@ -127,7 +127,7 @@ class MemStorage : public Storage {
                    std::span<const uint8_t> bytes) override;
   bool Truncate(const std::string& name, uint64_t size) override;
   bool Remove(const std::string& name) override;
-  bool Sync(const std::string& name) override { return true; }
+  bool Sync(const std::string& /*name*/) override { return true; }
 
   /// Direct blob access for corruption tests (single-threaded use only).
   std::map<std::string, std::vector<uint8_t>>& blobs() { return blobs_; }

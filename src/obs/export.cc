@@ -331,7 +331,7 @@ bool ParseValue(JsonCursor* cur, JsonValue* out, int depth) {
 }  // namespace
 
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
-  JsonCursor cur{text};
+  JsonCursor cur{text, 0, {}};
   if (!ParseValue(&cur, out, 0)) {
     if (error != nullptr) *error = cur.error;
     return false;

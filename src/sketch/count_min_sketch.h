@@ -22,7 +22,6 @@
 #include "common/hash.h"
 #include "common/memory.h"
 #include "common/serialize.h"
-#include "common/simd.h"
 
 namespace qf {
 
@@ -88,15 +87,6 @@ class CountMinSketch {
 
   /// Removes an estimated weight from every mapped counter.
   void Subtract(uint64_t key, int64_t amount) { Add(key, -amount); }
-
-  /// Prefetches the d cells `key` maps to ahead of an Add/Estimate
-  /// (mirrors CountSketch::Prefetch so either engine works as a batched
-  /// vague part).
-  void Prefetch(uint64_t key) const {
-    for (int i = 0; i < depth_; ++i) {
-      qf::Prefetch(&Cell(i, hashes_.Index(key, i, width_)));
-    }
-  }
 
   void Clear() { std::fill(cells_.begin(), cells_.end(), CounterT{0}); }
 

@@ -46,8 +46,9 @@ inline void CmpSwap(int64_t& a, int64_t& b) {
 /// convention of a conservative middle estimate. Forced inline so the
 /// estimate paths (classic, blocked, tower) pay no call; GCC's -O2 size
 /// heuristic otherwise keeps the five-case body out of line. The switch on
-/// the sketch's fixed depth is perfectly predicted, and every case up to 5
-/// is a branch-free min/max network. Only n > 5 may reorder `v`.
+/// the sketch's fixed depth is perfectly predicted (and folds away where
+/// the depth is a compile-time constant), and every case up to 5 is a
+/// min/max network. Only n > 5 may reorder `v`.
 [[gnu::always_inline]] inline int64_t MedianOfSmall(int64_t* v, int n) {
   switch (n) {
     case 1:
@@ -55,10 +56,13 @@ inline void CmpSwap(int64_t& a, int64_t& b) {
     case 2:
       return std::min(v[0], v[1]);
     case 3: {  // hot path: the paper's default depth is 3
-      // med3 = max(min(a,b), min(max(a,b), c)) — 4 cmov ops, no branches.
-      const int64_t lo = std::min(v[0], v[1]);
-      const int64_t hi = std::max(v[0], v[1]);
-      return std::max(lo, std::min(hi, v[2]));
+      // med3 = max(min(a,b), min(max(a,b), c)), by mask selects: GCC -O2
+      // compiles the std::min/std::max form of this case with a jl.
+      const int64_t a = v[0], b = v[1], c = v[2];
+      const int64_t lo = SelectMask(b < a, b, a);
+      const int64_t hi = a ^ b ^ lo;
+      const int64_t mid = SelectMask(c < hi, c, hi);
+      return SelectMask(mid < lo, lo, mid);
     }
     case 4: {  // 5-exchange sorting network; lower median = v[1]
       int64_t a = v[0], b = v[1], c = v[2], d = v[3];
@@ -163,15 +167,6 @@ class CountSketch {
   /// S_i(x) * `amount` from each mapped counter. Used by the report-and-reset
   /// path ("decrease C_i[h_i(x)] by S_i(x) * Qw(x)").
   void Subtract(uint64_t key, int64_t amount) { Add(key, -amount); }
-
-  /// Prefetches the d cells `key` maps to ahead of an Add/Estimate; each
-  /// row's cell is an independent random access, so this hides up to d
-  /// cache misses when issued early enough.
-  void Prefetch(uint64_t key) const {
-    for (int i = 0; i < depth_; ++i) {
-      qf::Prefetch(&Cell(i, hashes_.Index(key, i, width_)));
-    }
-  }
 
   void Clear() { std::fill(cells_.begin(), cells_.end(), CounterT{0}); }
 

@@ -24,7 +24,6 @@
 #include "common/hash.h"
 #include "common/memory.h"
 #include "common/serialize.h"
-#include "common/simd.h"
 #include "sketch/count_sketch.h"
 
 namespace qf {
@@ -110,26 +109,6 @@ class TowerSketch {
   }
 
   void Subtract(uint64_t key, int64_t amount) { Add(key, -amount); }
-
-  /// Prefetches the cell `key` maps to in every row (mirrors
-  /// CountSketch::Prefetch so TowerSketch works as a batched vague part).
-  void Prefetch(uint64_t key) const {
-    for (int r = 0; r < depth_; ++r) {
-      const Row& row = rows_[r];
-      uint32_t col = hashes_.Index(key, r, static_cast<uint32_t>(row.width));
-      switch (row.bits) {
-        case 8:
-          qf::Prefetch(&row.cells8[col]);
-          break;
-        case 16:
-          qf::Prefetch(&row.cells16[col]);
-          break;
-        default:
-          qf::Prefetch(&row.cells32[col]);
-          break;
-      }
-    }
-  }
 
   void Clear() {
     for (Row& row : rows_) {

@@ -168,16 +168,19 @@ TEST(BlockedSketchTest, AddEstimateMatchesAddThenEstimate) {
   }
 }
 
-// The *Hashed entry points, fed KeyHash(key), must leave the same counters
-// and return the same answers as the key entry points, saturated lanes
-// included. Few blocks and large weights keep lanes pinned at both limits.
-template <typename CounterT>
+// The *Hashed entry points, fed KeyHash(key) and compiled for the depth
+// (the filter kernel's form), must leave the same counters and return the
+// same answers as the key entry points, which run the runtime depth,
+// saturated lanes included. Few blocks and large weights keep lanes pinned
+// at both limits; for int32 lanes that checks that a negative sign times a
+// lane at INT32_MIN is widened before the multiply.
+template <typename CounterT, int kDepth>
 void ExpectHashedEntryPointsMatchKeyEntryPoints() {
   using S = BlockedCountSketch<CounterT>;
   constexpr uint64_t kSeed = 0x4A5E;
   constexpr int64_t kMax = std::numeric_limits<CounterT>::max();
-  S by_key(3, 4, kSeed);
-  S by_hash(3, 4, kSeed);
+  S by_key(kDepth, 4, kSeed);
+  S by_hash(kDepth, 4, kSeed);
   Rng rng(91);
   int saturated = 0;
   for (int op = 0; op < 20000; ++op) {
@@ -185,37 +188,49 @@ void ExpectHashedEntryPointsMatchKeyEntryPoints() {
     const uint64_t h = by_hash.KeyHash(key);
     ASSERT_EQ(h, HashKey(key, kSeed));
     int64_t w = static_cast<int64_t>(rng.NextBounded(2 * kMax + 1)) - kMax;
-    if (rng.NextBounded(20) == 0) w *= int64_t{1} << 20;  // scalar path
+    if (rng.NextBounded(20) == 0) w *= int64_t{1} << 20;  // past the range
     switch (rng.NextBounded(3)) {
       case 0:
         by_key.Add(key, w);
-        by_hash.AddHashed(h, w);
+        by_hash.template AddHashed<kDepth>(h, w);
         break;
       case 1: {
         const int64_t a = by_key.AddEstimate(key, w);
-        ASSERT_EQ(a, by_hash.AddEstimateHashed(h, w)) << "op " << op;
-        ASSERT_EQ(a, by_hash.EstimateHashed(h)) << "op " << op;
+        ASSERT_EQ(a, by_hash.template AddEstimateHashed<kDepth>(h, w))
+            << "depth " << kDepth << " op " << op;
+        ASSERT_EQ(a, by_hash.template EstimateHashed<kDepth>(h))
+            << "depth " << kDepth << " op " << op;
         saturated += (a >= kMax || a <= -kMax);
         break;
       }
       default:
         by_key.Subtract(key, w);
-        by_hash.AddHashed(h, -w);
+        by_hash.template AddHashed<kDepth>(h, -w);
         break;
     }
-    ASSERT_EQ(by_key.Estimate(key), by_hash.EstimateHashed(h)) << "op " << op;
+    ASSERT_EQ(by_key.Estimate(key), by_hash.EstimateHashed(h))
+        << "depth " << kDepth << " op " << op;
   }
-  EXPECT_GT(saturated, 0);
+  EXPECT_GT(saturated, 0) << "depth " << kDepth;
   std::vector<uint8_t> a, b;
   by_key.AppendTo(&a);
   by_hash.AppendTo(&b);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, b) << "depth " << kDepth;
+}
+
+template <typename CounterT>
+void ExpectHashedEntryPointsMatchAtDepthsOneToFive() {
+  ExpectHashedEntryPointsMatchKeyEntryPoints<CounterT, 1>();
+  ExpectHashedEntryPointsMatchKeyEntryPoints<CounterT, 2>();
+  ExpectHashedEntryPointsMatchKeyEntryPoints<CounterT, 3>();
+  ExpectHashedEntryPointsMatchKeyEntryPoints<CounterT, 4>();
+  ExpectHashedEntryPointsMatchKeyEntryPoints<CounterT, 5>();
 }
 
 TEST(BlockedSketchTest, HashedEntryPointsMatchKeyEntryPoints) {
-  ExpectHashedEntryPointsMatchKeyEntryPoints<int8_t>();
-  ExpectHashedEntryPointsMatchKeyEntryPoints<int16_t>();
-  ExpectHashedEntryPointsMatchKeyEntryPoints<int32_t>();
+  ExpectHashedEntryPointsMatchAtDepthsOneToFive<int8_t>();
+  ExpectHashedEntryPointsMatchAtDepthsOneToFive<int16_t>();
+  ExpectHashedEntryPointsMatchAtDepthsOneToFive<int32_t>();
 }
 
 TEST(BlockedSketchTest, MergeEqualsCombinedStream) {

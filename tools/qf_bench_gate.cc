@@ -19,7 +19,8 @@
 // fingerprint AND hardware_threads — absolute mops differ across runner
 // classes by far more than any real regression); others are skipped.
 //
-//   qf_bench_gate --json=bench_results/throughput_batch_mt.json \
+// Usage, as one command line:
+//   qf_bench_gate --json=bench_results/throughput_batch_mt.json
 //       --trace=zipf --config=batch --layout=blocked --budget=262144
 //
 // Exit 0: pass (or insufficient comparable history — the gate needs
